@@ -1,11 +1,26 @@
 """Command-line front end.
 
-Subcommands: extract, table-one, train-eval, synth, version. Options come from
-a flat key=value config file plus a few overriding flags; every command is
-deterministic given the same config and seed, and only writes under --out.
+Subcommands: extract, table-one, train-eval, synth, version. Every command is
+deterministic given the same config and seed, and only writes under out_dir.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 degenerate
-statistics.
+Options come from a flat key=value file (blank lines and # comments ignored).
+The flags --seed, --out, --specs, --min-sens, --no-stratify and
+--holdout-selection overwrite its keys master_seed, out_dir, specs,
+min_sensitivity, stratify and holdout_selection; fields_from_raw then parses
+all keys once. The keys are the fields of RunConfig (ecg_dir, fiducial_dir,
+cohort_table, out_dir, specs, beat_aggregation, pre_ms, post_ms), of its nested
+ExperimentConfig (master_seed, eta_grid, k_folds, n_instances, min_sensitivity,
+stratify, holdout_selection, max_rounds, patience, max_depth,
+min_child_hessian, l2_reg, gamma, split_ratio) and, prefixed synth_, of
+synth.SynthConfig except its seed, which is master_seed. A value takes its
+field's annotated type: int, float, str or Path from the text, bool from
+1/true/yes or 0/false/no, a tuple from a comma-separated list. Each config
+class validates its own values.
+
+Exit codes: 0 success; 2 configuration error (unknown key, bad value,
+unreadable config file, missing input path); 3 data error (malformed input);
+4 degenerate statistics (e.g. a single outcome class). extract logs a patient
+whose files fail as failed or degenerate and goes on with the next one.
 """
 
 from __future__ import annotations
@@ -14,7 +29,9 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +44,8 @@ from .vcg import baseline_correct, kors_transform
 
 log = logging.getLogger("ecgtriage")
 
+SYNTH_PREFIX = "synth_"
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -34,75 +53,31 @@ class RunConfig:
     fiducial_dir: Path = Path("fiducials")
     cohort_table: Path = Path("cohort.csv")
     out_dir: Path = Path("out")
-    master_seed: int = 0
-    eta_grid: tuple[float, ...] = (0.01, 0.05, 0.1, 0.2, 0.3)
-    k_folds: int = 5
-    n_instances: int = 50
-    min_sensitivity: float = 0.9
     specs: tuple[str, ...] = ("S", "R", "G", "SRG")
-    stratify: bool = True
-    holdout_selection: bool = False
     beat_aggregation: str = "median"
     pre_ms: float = 300.0
     post_ms: float = 500.0
-    max_rounds: int = 500
-    patience: int = 20
-    max_depth: int = 6
-    min_child_hessian: float = 1.0
-    l2_reg: float = 1.0
-    gamma: float = 0.0
-    split_ratio: float = 0.7
+    experiment: ExperimentConfig = ExperimentConfig()
 
     def __post_init__(self):
-        if not 0.0 < self.min_sensitivity <= 1.0:
-            raise ConfigError(f"min_sensitivity must be in (0, 1], got {self.min_sensitivity}")
-        if self.n_instances < 1:
-            raise ConfigError("n_instances must be >= 1")
+        # model labels are case-insensitive on input
+        object.__setattr__(self, "specs", tuple(label.upper() for label in self.specs))
+        if not self.specs or not set(self.specs) <= {"S", "R", "G", "SRG"}:
+            raise ConfigError(f"specs must list models among S, R, G, SRG, got {self.specs}")
         if self.beat_aggregation not in ("median", "mean"):
             raise ConfigError("beat_aggregation must be median or mean")
-        for label in self.specs:
-            if label not in ("S", "R", "G", "SRG"):
-                raise ConfigError(f"unknown model spec {label!r}")
-
-    def experiment(self) -> ExperimentConfig:
-        return ExperimentConfig(
-            master_seed=self.master_seed,
-            eta_grid=self.eta_grid,
-            k_folds=self.k_folds,
-            n_instances=self.n_instances,
-            min_sensitivity=self.min_sensitivity,
-            stratify=self.stratify,
-            holdout_selection=self.holdout_selection,
-            max_rounds=self.max_rounds,
-            patience=self.patience,
-            max_depth=self.max_depth,
-            min_child_hessian=self.min_child_hessian,
-            l2_reg=self.l2_reg,
-            gamma=self.gamma,
-            split_ratio=self.split_ratio,
-        )
-
-
-_BOOL_KEYS = {"stratify", "holdout_selection"}
-_INT_KEYS = {"master_seed", "k_folds", "n_instances", "max_rounds", "patience", "max_depth"}
-_FLOAT_KEYS = {"min_sensitivity", "pre_ms", "post_ms", "min_child_hessian", "l2_reg",
-               "gamma", "split_ratio"}
-_PATH_KEYS = {"ecg_dir", "fiducial_dir", "cohort_table", "out_dir"}
-_SYNTH_PREFIX = "synth_"
-
-
-def _parse_bool(value: str, key: str) -> bool:
-    if value.lower() in ("1", "true", "yes"):
-        return True
-    if value.lower() in ("0", "false", "no"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+        if not (0.0 <= self.pre_ms < math.inf and 0.0 <= self.post_ms < math.inf):
+            raise ConfigError("pre_ms and post_ms must be finite and non-negative")
 
 
 def read_config_file(path) -> dict:
     """Flat key=value text; blank lines and # comments ignored."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -113,49 +88,47 @@ def read_config_file(path) -> dict:
     return values
 
 
-def build_run_config(raw: dict) -> RunConfig:
-    known = {f.name for f in dataclasses.fields(RunConfig)}
+def fields_from_raw(cls, raw: dict, prefix: str = ""):
+    """Build dataclass `cls` from the text values raw[prefix + field name].
+
+    Each value is converted by its field's annotation; a field whose type is
+    itself a dataclass is built from the same flat keys. Absent keys keep
+    their defaults.
+    """
+    def typed(hint, text: str):
+        if typing.get_origin(hint) is tuple:
+            return tuple(typed(typing.get_args(hint)[0], v.strip())
+                         for v in text.split(",") if v.strip())
+        if hint is bool:
+            return {"1": True, "true": True, "yes": True,
+                    "0": False, "false": False, "no": False}[text.lower()]
+        return hint(text)
+
     kwargs = {}
-    for key, value in raw.items():
-        if key.startswith(_SYNTH_PREFIX):
-            continue
+    for name, hint in typing.get_type_hints(cls).items():
+        key = prefix + name
+        if dataclasses.is_dataclass(hint):
+            kwargs[name] = fields_from_raw(hint, raw, prefix)
+        elif key in raw:
+            try:
+                kwargs[name] = typed(hint, raw[key])
+            except (KeyError, ValueError):
+                raise ConfigError(f"{key}: cannot parse {raw[key]!r}") from None
+    return cls(**kwargs)
+
+
+def load_config(args) -> tuple[RunConfig, dict]:
+    """The run config from --config and the flags, plus the raw keys."""
+    known = {f.name for cls in (RunConfig, ExperimentConfig) for f in dataclasses.fields(cls)}
+    known |= {SYNTH_PREFIX + f.name for f in dataclasses.fields(synth.SynthConfig)}
+    known -= {"experiment", SYNTH_PREFIX + "seed"}  # nested config; synth seeds from master_seed
+    raw = read_config_file(args.config) if args.config else {}
+    # each flag is stored under the config key it overrides
+    raw.update({k: v for k, v in vars(args).items() if k in known and v is not None})
+    for key in raw:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-        try:
-            if key in _BOOL_KEYS:
-                kwargs[key] = _parse_bool(value, key)
-            elif key in _INT_KEYS:
-                kwargs[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(value)
-            elif key in _PATH_KEYS:
-                kwargs[key] = Path(value)
-            elif key == "eta_grid":
-                kwargs[key] = tuple(float(v) for v in value.split(",") if v)
-            elif key == "specs":
-                kwargs[key] = tuple(v.strip().upper() for v in value.split(",") if v.strip())
-            else:
-                kwargs[key] = value
-        except ValueError:
-            raise ConfigError(f"{key}: cannot parse {value!r}") from None
-    return RunConfig(**kwargs)
-
-
-def build_synth_config(raw: dict, master_seed: int) -> synth.SynthConfig:
-    known = {f.name for f in dataclasses.fields(synth.SynthConfig)}
-    kwargs = {"seed": master_seed}
-    for key, value in raw.items():
-        if not key.startswith(_SYNTH_PREFIX):
-            continue
-        name = key[len(_SYNTH_PREFIX):]
-        if name not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-        field_type = {f.name: f.type for f in dataclasses.fields(synth.SynthConfig)}[name]
-        try:
-            kwargs[name] = int(value) if field_type == "int" else float(value)
-        except ValueError:
-            raise ConfigError(f"{key}: cannot parse {value!r}") from None
-    return synth.SynthConfig(**kwargs)
+    return fields_from_raw(RunConfig, raw), raw
 
 
 def _require(path: Path, what: str) -> Path:
@@ -195,17 +168,13 @@ def cmd_extract(cfg: RunConfig) -> int:
             corrected = baseline_correct(beat)
             geh = compute_geh(kors_transform(corrected))
             standard = ecg_ingest.standard_measures(corrected)
-        except DegenerateStatsError as exc:
-            out_rows.append(record)
-            log_lines.append(f"{record.id}\tdegenerate\t{exc}")
-            continue
         except TriageError as exc:
+            status = "degenerate" if isinstance(exc, DegenerateStatsError) else "failed"
             out_rows.append(record)
-            log_lines.append(f"{record.id}\tfailed\t{exc}")
+            log_lines.append(f"{record.id}\t{status}\t{exc}")
             continue
         out_rows.append(dataclasses.replace(record, standard=standard, geh=geh))
-        note = ",".join(geh.degenerate)
-        log_lines.append(f"{record.id}\tok\t{note}")
+        log_lines.append(f"{record.id}\tok\t{','.join(geh.degenerate)}")
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_cohort(out_rows, cfg.out_dir / "features.csv")
@@ -240,15 +209,15 @@ def cmd_train_eval(cfg: RunConfig) -> int:
     """Evaluate every requested feature set over one shared train/test split."""
     _require(cfg.cohort_table, "cohort table")
     cohort = load_cohort(cfg.cohort_table)
-    experiment = cfg.experiment()
+    experiment = cfg.experiment
     plan = split(cohort, experiment.master_seed, ratio=experiment.split_ratio,
                  stratified=experiment.stratify)
 
     reports_dir = cfg.out_dir / "reports"
-    summary_rows = []
-    best = None
+    reports, summary_rows = [], []
     for label in cfg.specs:
         report = evaluate_model(ModelSpec(label), cohort, experiment, split_plan=plan)
+        reports.append(report)
         _write_json(reports_dir / f"report_{label}.json", report.to_dict())
         _report_tables(report, reports_dir)
         summary_rows.append({
@@ -261,10 +230,10 @@ def cmd_train_eval(cfg: RunConfig) -> int:
         log.info("model %s: AUC %.3f, AUCPR %.3f, F2 %.3f, sens %.4f, spec %.4f",
                  label, report.auc, report.aucpr, report.f2,
                  report.sensitivity, report.specificity)
-        if best is None or (report.f2, report.auc) > (best[0].f2, best[0].auc):
-            best = (report, label)
 
-    winner_report, winner = best
+    # highest F2, then AUC; the first listed spec wins a full tie
+    winner_report = max(reports, key=lambda r: (r.f2, r.auc))
+    winner = winner_report.label
     imp = ["name,gain,percent"] + [
         f"{e.name},{e.gain!r},{e.percent!r}"
         for e in sorted(winner_report.importance.entries, key=lambda e: -e.gain)
@@ -282,7 +251,8 @@ def cmd_train_eval(cfg: RunConfig) -> int:
 
 
 def cmd_synth(cfg: RunConfig, raw: dict) -> int:
-    sc = build_synth_config(raw, cfg.master_seed)
+    sc = dataclasses.replace(fields_from_raw(synth.SynthConfig, raw, SYNTH_PREFIX),
+                             seed=cfg.experiment.master_seed)
     summary = synth.generate(sc, cfg.out_dir)
     _write_json(cfg.out_dir / "synth_summary.json", summary)
     log.info("synthesized %d patients (%d positive) under %s",
@@ -293,40 +263,20 @@ def cmd_synth(cfg: RunConfig, raw: dict) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ecgtriage")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, help="flat key=value config file")
-    common.add_argument("--seed", type=int, help="master seed override")
-    common.add_argument("--out", type=Path, help="output directory override")
+    common.add_argument("--config", help="flat key=value config file")
+    common.add_argument("--seed", dest="master_seed", help="master seed override")
+    common.add_argument("--out", dest="out_dir", help="output directory override")
     common.add_argument("--specs", help="comma list of model labels, e.g. s,r,g,srg")
-    common.add_argument("--no-stratify", action="store_true",
+    common.add_argument("--no-stratify", dest="stratify", action="store_const", const="false",
                         help="plain random split instead of outcome-stratified")
-    common.add_argument("--holdout-selection", action="store_true",
+    common.add_argument("--holdout-selection", action="store_const", const="true",
                         help="score instance selection on a train holdout, not the test set")
-    common.add_argument("--min-sens", type=float, help="sensitivity floor for thresholding")
+    common.add_argument("--min-sens", dest="min_sensitivity",
+                        help="sensitivity floor for thresholding")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("extract", "table-one", "train-eval", "synth", "version"):
         sub.add_parser(name, parents=[common])
     return parser
-
-
-def _merged_config(args) -> tuple[RunConfig, dict]:
-    raw = read_config_file(args.config) if args.config else {}
-    cfg = build_run_config(raw)
-    updates = {}
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if args.specs is not None:
-        updates["specs"] = tuple(v.strip().upper() for v in args.specs.split(",") if v.strip())
-    if args.no_stratify:
-        updates["stratify"] = False
-    if args.holdout_selection:
-        updates["holdout_selection"] = True
-    if args.min_sens is not None:
-        updates["min_sensitivity"] = args.min_sens
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-    return cfg, raw
 
 
 def main(argv=None) -> int:
@@ -336,7 +286,7 @@ def main(argv=None) -> int:
         print(f"ecgtriage {__version__}")
         return 0
     try:
-        cfg, raw = _merged_config(args)
+        cfg, raw = load_config(args)
         if args.command == "extract":
             return cmd_extract(cfg)
         if args.command == "table-one":

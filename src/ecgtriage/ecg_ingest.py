@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     BadHeader,
+    DataFormatError,
     LengthMismatch,
     MissingFiducial,
     MissingLead,
@@ -82,9 +83,6 @@ class Wave:
     def __post_init__(self):
         if not self.onset <= self.peak <= self.offset:
             raise SchemaError(f"wave landmarks out of order: {self.onset},{self.peak},{self.offset}")
-
-    def shifted(self, k: int) -> "Wave":
-        return Wave(self.onset + k, self.peak + k, self.offset + k)
 
 
 @dataclass(frozen=True)
@@ -177,24 +175,35 @@ def _parse_header(line: str, path) -> tuple[float, float]:
     for key in ("sample_rate_hz", "gain_uv_per_unit"):
         if key not in fields:
             raise BadHeader(f"{path}: header missing {key}")
-    if fields["sample_rate_hz"] <= 0:
-        raise BadHeader(f"{path}: sample_rate_hz must be positive")
+    if not all(math.isfinite(v) for v in fields.values()):
+        raise BadHeader(f"{path}: non-finite header value")
     if fields["sample_rate_hz"] < MIN_SAMPLING_RATE_HZ:
         raise BadHeader(f"{path}: sample_rate_hz below supported minimum {MIN_SAMPLING_RATE_HZ}")
     return fields["sample_rate_hz"], fields["gain_uv_per_unit"]
 
 
+def _is_numeric_row(line: str) -> bool:
+    try:
+        list(map(float, line.split(",")))
+    except ValueError:
+        return False
+    return True
+
+
 def parse_ecg(path) -> EcgRecord:
     """Read a trace file and return a validated EcgRecord in mV."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{path}: unreadable trace ({exc})") from None
     if not lines:
         raise BadHeader(f"{path}: empty file")
     rate, gain_uv = _parse_header(lines[0], path)
 
     body = lines[1:]
-    if body and any(c.isalpha() for c in body[0]):
+    if body and not _is_numeric_row(body[0]):
         names = [c.strip() for c in body[0].split(",")]
         for want in LEAD_NAMES:
             if want not in names:
@@ -225,29 +234,31 @@ def parse_ecg(path) -> EcgRecord:
 def _parse_wave(obj, path, what) -> Wave:
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: {what} is not an object")
-    try:
-        return Wave(int(obj["onset"]), int(obj["peak"]), int(obj["offset"]))
-    except (KeyError, TypeError, ValueError):
-        raise SchemaError(f"{path}: {what} needs integer onset/peak/offset") from None
+    marks = [obj.get(key) for key in ("onset", "peak", "offset")]
+    if any(type(m) is not int for m in marks):
+        raise SchemaError(f"{path}: {what} needs integer onset/peak/offset")
+    return Wave(*marks)
 
 
 def parse_fiducials(path) -> FiducialSet:
-    """Read a JSON annotation file and return a validated FiducialSet."""
+    """Read a JSON annotation file and return a validated FiducialSet.
+
+    Landmarks must be JSON integers: 20.9, true and "20" are not sample indices.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON ({exc})") from None
+    except (OSError, ValueError, RecursionError) as exc:
+        raise SchemaError(f"{path}: unreadable or invalid JSON ({exc})") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("beats"), list):
         raise SchemaError(f"{path}: expected object with a 'beats' array")
     beats = []
     for i, raw in enumerate(doc["beats"]):
         if not isinstance(raw, dict):
             raise SchemaError(f"{path}: beat {i} is not an object")
-        try:
-            baseline = int(raw["baseline"])
-        except (KeyError, TypeError, ValueError):
-            raise SchemaError(f"{path}: beat {i} needs integer baseline") from None
+        baseline = raw.get("baseline")
+        if type(baseline) is not int:
+            raise SchemaError(f"{path}: beat {i} needs integer baseline")
         p = None if raw.get("p") is None else _parse_wave(raw["p"], path, f"beat {i} p")
         qrs = _parse_wave(raw.get("qrs"), path, f"beat {i} qrs")
         t = _parse_wave(raw.get("t"), path, f"beat {i} t")
@@ -351,14 +362,3 @@ def standard_measures(beat: MedianBeat) -> StandardEcgMeasures:
         rr_ms=beat.rr_ms,
     )
 
-
-def shift_fiducials(beat: MedianBeat, k: int) -> MedianBeat:
-    """Return a copy with all window landmarks moved by k samples (for tests/tools)."""
-    f = beat.fiducials
-    shifted = ConsolidatedFiducials(
-        baseline=f.baseline + k,
-        p=None if f.p is None else f.p.shifted(k),
-        qrs=f.qrs.shifted(k),
-        t=f.t.shifted(k),
-    )
-    return replace(beat, fiducials=shifted)

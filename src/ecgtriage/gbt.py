@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class TrainConfig:
     min_child_hessian: float = 1.0
     l2_reg: float = 1.0
     gamma: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate <= 1.0:
@@ -44,7 +43,7 @@ class TrainConfig:
             raise SchemaError("num_rounds must be >= 1")
         if self.max_depth < 1:
             raise SchemaError("max_depth must be >= 1")
-        if self.l2_reg < 0 or self.gamma < 0:
+        if not (self.l2_reg >= 0 and self.gamma >= 0):
             raise SchemaError("l2_reg and gamma must be non-negative")
 
 
@@ -241,10 +240,6 @@ class Booster:
         self._margins = np.full(len(y), base)
         # column-wise presorted row orders, reused by every node
         self._order = np.argsort(X, axis=0, kind="stable")
-
-    @property
-    def margins(self) -> np.ndarray:
-        return self._margins.copy()
 
     def train_loss(self) -> float:
         return mean_logistic_loss(self.y, self._margins)

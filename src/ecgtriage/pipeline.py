@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from . import gbt
 from .cohort import FeatureMatrix, ModelSpec, assemble_features
 from .ecg_ingest import round_half_up
-from .errors import NoPositives, SingleClass, TooFewPerClass, TooSmall
+from .errors import ConfigError, NoPositives, SchemaError, SingleClass, TooFewPerClass, TooSmall
 from .gbt import Booster, Ensemble, TrainConfig, importance_gain
 
 STREAM_SPLIT = 1
@@ -50,13 +50,26 @@ class ExperimentConfig:
     gamma: float = 0.0
     split_ratio: float = 0.7
 
-    def tree_params(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "min_child_hessian": self.min_child_hessian,
-            "l2_reg": self.l2_reg,
-            "gamma": self.gamma,
-        }
+    def __post_init__(self):
+        for name, ok, rule in (("master_seed", self.master_seed >= 0, ">= 0"),
+                               ("eta_grid", len(self.eta_grid) > 0, "non-empty"),
+                               ("k_folds", self.k_folds >= 2, ">= 2"),
+                               ("n_instances", self.n_instances >= 1, ">= 1"),
+                               ("patience", self.patience >= 1, ">= 1"),
+                               ("min_sensitivity", 0.0 < self.min_sensitivity <= 1.0, "in (0, 1]"),
+                               ("split_ratio", 0.0 < self.split_ratio < 1.0, "in (0, 1)")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        try:  # the booster's own checks cover the grid and the tree parameters
+            for eta in self.eta_grid:
+                self.train_config(eta, self.max_rounds)
+        except SchemaError as exc:
+            raise ConfigError(str(exc)) from None
+
+    def train_config(self, learning_rate: float, num_rounds: int) -> TrainConfig:
+        return TrainConfig(learning_rate=learning_rate, num_rounds=num_rounds,
+                           max_depth=self.max_depth, min_child_hessian=self.min_child_hessian,
+                           l2_reg=self.l2_reg, gamma=self.gamma)
 
     def hash(self) -> str:
         text = json.dumps(
@@ -312,8 +325,7 @@ def cv_tune(X, y, config: ExperimentConfig) -> CvResult:
 
     entries = []
     for eta in sorted(set(config.eta_grid)):
-        tc = TrainConfig(learning_rate=eta, num_rounds=config.max_rounds,
-                         seed=config.master_seed, **config.tree_params())
+        tc = config.train_config(eta, config.max_rounds)
         fold_aucprs, fold_rounds = [], []
         for train_rows, val_rows in rebalanced:
             booster = Booster(X[train_rows], y[train_rows], tc)
@@ -523,8 +535,7 @@ def evaluate_model(spec: ModelSpec, cohort, config: ExperimentConfig,
             raise SingleClass(f"{name} part lost a class after feature drops")
 
     cv = cv_tune(train_m.X, train_m.y, config)
-    tc = TrainConfig(learning_rate=cv.chosen_eta, num_rounds=cv.chosen_rounds,
-                     seed=config.master_seed, **config.tree_params())
+    tc = config.train_config(cv.chosen_eta, cv.chosen_rounds)
     rep = train_representative(
         train_m.X, train_m.y, test_m.X, test_m.y, tc,
         n_instances=config.n_instances, master_seed=config.master_seed,

@@ -82,10 +82,3 @@ def kors_transform(beat: MedianBeat) -> Vcg:
         fiducials=beat.fiducials,
     )
 
-
-def dump_vcg(vcg: Vcg) -> str:
-    """Plain-text debug table: one 'x,y,z' row per sample, in mV."""
-    lines = ["x_mv,y_mv,z_mv"]
-    for i in range(vcg.n_samples):
-        lines.append(f"{float(vcg.x[i])!r},{float(vcg.y[i])!r},{float(vcg.z[i])!r}")
-    return "\n".join(lines) + "\n"

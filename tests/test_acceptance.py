@@ -450,7 +450,7 @@ def test_criterion_11_determinism(cohort300, tmp_path):
     tc = TrainConfig(
         learning_rate=report_doc["tuning"]["chosen_eta"],
         num_rounds=report_doc["tuning"]["chosen_rounds"],
-        max_depth=3, seed=5)
+        max_depth=3)
     probe = report_doc["selection"]["auc_log"][3]
     _, rerun = run_instance(train_m.X, train_m.y, test_m.X, test_m.y, tc,
                             master_seed=5, index=probe["instance"])

@@ -1,22 +1,28 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ecgtriage import ecg_ingest
 from ecgtriage.ecg_ingest import (
     LEAD_NAMES,
+    ConsolidatedFiducials,
     EcgRecord,
+    FiducialSet,
     MedianBeat,
+    Wave,
     median_beat,
     parse_ecg,
     parse_fiducials,
     round_half_up,
-    shift_fiducials,
     standard_measures,
 )
 from ecgtriage.errors import (
     BadHeader,
+    DataFormatError,
     LengthMismatch,
     MissingLead,
     NonFiniteSample,
@@ -37,6 +43,20 @@ def write_trace(path, matrix_mv, fs=240.0, gain=1000.0, name_line=True):
         # file units chosen so that value * gain / 1000 = mV
         lines.append(",".join(repr(float(v) * 1000.0 / gain) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def shift_fiducials(beat: MedianBeat, k: int) -> MedianBeat:
+    """Copy of `beat` with every window landmark moved by k samples."""
+    def shifted(w: Wave) -> Wave:
+        return Wave(w.onset + k, w.peak + k, w.offset + k)
+
+    f = beat.fiducials
+    return replace(beat, fiducials=ConsolidatedFiducials(
+        baseline=f.baseline + k,
+        p=None if f.p is None else shifted(f.p),
+        qrs=shifted(f.qrs),
+        t=shifted(f.t),
+    ))
 
 
 class TestParseEcg:
@@ -100,6 +120,44 @@ class TestParseEcg:
         rec = parse_ecg(tmp_path / "a.csv")
         assert rec.leads["I"][0] == pytest.approx(0.25)  # 100 * 2.5 uV = 0.25 mV
 
+    def test_exponent_first_row_is_data_not_names(self, tmp_path):
+        lines = ["sample_rate_hz=240 gain_uv_per_unit=1000.0", ",".join(["1e-3"] + ["0"] * 11)]
+        lines += [",".join(["0"] * 12)] * 4
+        (tmp_path / "a.csv").write_text("\n".join(lines), encoding="utf-8")
+        rec = parse_ecg(tmp_path / "a.csv")
+        assert rec.n_samples == 5
+        assert rec.leads["I"][0] == pytest.approx(1e-3)
+
+    def test_nan_first_row_is_data_not_names(self, tmp_path):
+        lines = ["sample_rate_hz=240 gain_uv_per_unit=1000.0",
+                 ",".join(["0"] * 5 + ["nan"] + ["0"] * 6)]
+        lines += [",".join(["0"] * 12)] * 4
+        (tmp_path / "a.csv").write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(NonFiniteSample) as err:
+            parse_ecg(tmp_path / "a.csv")
+        assert err.value.lead == "aVF"
+        assert err.value.row == 0
+
+    @pytest.mark.parametrize("header", ["sample_rate_hz=nan gain_uv_per_unit=1",
+                                        "sample_rate_hz=1e999 gain_uv_per_unit=1",
+                                        "sample_rate_hz=240 gain_uv_per_unit=inf"])
+    def test_non_finite_header_rejected(self, tmp_path, header):
+        (tmp_path / "a.csv").write_text(header + "\n" + ",".join(["0"] * 12) + "\n")
+        with pytest.raises(BadHeader):
+            parse_ecg(tmp_path / "a.csv")
+
+    def test_non_utf8_trace_is_data_error(self, tmp_path):
+        write_trace(tmp_path / "a.csv", np.zeros((12, 20)))
+        data = (tmp_path / "a.csv").read_bytes()
+        (tmp_path / "a.csv").write_bytes(data.replace(b",", b",\xff", 1))
+        with pytest.raises(DataFormatError, match="unreadable"):
+            parse_ecg(tmp_path / "a.csv")
+
+    def test_unreadable_trace_is_data_error(self, tmp_path):
+        (tmp_path / "a.csv").mkdir()
+        with pytest.raises(DataFormatError, match="unreadable"):
+            parse_ecg(tmp_path / "a.csv")
+
 
 class TestParseFiducials:
     def test_roundtrip(self, tmp_path):
@@ -114,7 +172,6 @@ class TestParseFiducials:
              "qrs": {"onset": 490, "peak": 500, "offset": 512},
              "t": {"onset": 530, "peak": 555, "offset": 580}},
         ]}
-        import json
         (tmp_path / "f.json").write_text(json.dumps(doc))
         fs = parse_fiducials(tmp_path / "f.json")
         assert len(fs.beats) == 3
@@ -122,7 +179,6 @@ class TestParseFiducials:
         assert fs.beats[0].qrs.peak == 100
 
     def test_two_beats_rejected(self, tmp_path):
-        import json
         beat = {"baseline": 70, "p": None,
                 "qrs": {"onset": 90, "peak": 100, "offset": 112},
                 "t": {"onset": 130, "peak": 155, "offset": 180}}
@@ -134,13 +190,94 @@ class TestParseFiducials:
             parse_fiducials(tmp_path / "f.json")
 
     def test_out_of_order_waves_rejected(self, tmp_path):
-        import json
         beat = {"baseline": 70, "p": None,
                 "qrs": {"onset": 100, "peak": 95, "offset": 112},
                 "t": {"onset": 130, "peak": 155, "offset": 180}}
         (tmp_path / "f.json").write_text(json.dumps({"beats": [beat] * 3}))
         with pytest.raises(SchemaError):
             parse_fiducials(tmp_path / "f.json")
+
+    @pytest.mark.parametrize("bad", [20.9, 20.0, True, "20"])
+    @pytest.mark.parametrize("where", ["baseline", "onset", "peak", "offset"])
+    def test_landmark_must_be_json_integer(self, tmp_path, where, bad):
+        beats = [{"baseline": c - 30, "p": None,
+                  "qrs": {"onset": c - 10, "peak": c, "offset": c + 12},
+                  "t": {"onset": c + 30, "peak": c + 55, "offset": c + 80}}
+                 for c in (100, 300, 500)]
+        if where == "baseline":
+            beats[1]["baseline"] = bad
+        else:
+            beats[1]["t"][where] = bad
+        (tmp_path / "f.json").write_text(json.dumps({"beats": beats}))
+        with pytest.raises(SchemaError, match="integer"):
+            parse_fiducials(tmp_path / "f.json")
+
+    def test_non_utf8_annotations_are_data_error(self, tmp_path):
+        (tmp_path / "f.json").write_bytes(b'{"beats": [\xff]}')
+        with pytest.raises(DataFormatError):
+            parse_fiducials(tmp_path / "f.json")
+
+    def test_unreadable_annotations_are_data_error(self, tmp_path):
+        (tmp_path / "f.json").mkdir()
+        with pytest.raises(DataFormatError, match="unreadable"):
+            parse_fiducials(tmp_path / "f.json")
+
+
+# --- parser fuzzing: any bytes give a valid record or a DataFormatError --------
+
+_CELLS = st.one_of(st.sampled_from(["0", "-1.5", "1e-3", "nan", "inf", "", " ", "abc", "I", "V6"]),
+                   st.floats(allow_nan=True, allow_infinity=True).map(repr))
+_ROWS = st.lists(_CELLS, min_size=10, max_size=13).map(",".join)
+_HEADERS = st.sampled_from(["sample_rate_hz=240 gain_uv_per_unit=1000",
+                            "sample_rate_hz=100 gain_uv_per_unit=0",
+                            "sample_rate_hz=nan gain_uv_per_unit=1",
+                            "sample_rate_hz=240", "gain_uv_per_unit=1 sample_rate_hz=1e300",
+                            "garbage", ""])
+_TRACES = st.one_of(
+    st.binary(max_size=300),
+    st.builds(lambda header, names, rows, tail: "\n".join(
+        [header] + ([",".join(LEAD_NAMES)] if names else []) + rows).encode() + tail,
+        _HEADERS, st.booleans(), st.lists(_ROWS, max_size=6), st.binary(max_size=3)),
+)
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 2000) | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=12,
+)
+_INDEX = st.one_of(st.integers(-10, 3000), st.floats(0, 3000), st.booleans(), st.just("20"),
+                   st.none())
+_WAVE = st.one_of(st.fixed_dictionaries({"onset": _INDEX, "peak": _INDEX, "offset": _INDEX}), _JSON)
+_BEAT = st.fixed_dictionaries({"baseline": _INDEX, "qrs": _WAVE, "t": _WAVE},
+                              optional={"p": st.one_of(st.none(), _WAVE)})
+_ANNOTATIONS = st.one_of(
+    st.binary(max_size=200),
+    _JSON.map(lambda doc: json.dumps(doc).encode()),
+    st.lists(_BEAT, max_size=5).map(lambda beats: json.dumps({"beats": beats}).encode()),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=_TRACES)
+def test_parse_ecg_any_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz_trace.csv"
+    path.write_bytes(data)
+    try:
+        assert isinstance(parse_ecg(path), EcgRecord)
+    except DataFormatError:
+        pass
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=_ANNOTATIONS)
+def test_parse_fiducials_any_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz_annotations.json"
+    path.write_bytes(data)
+    try:
+        assert isinstance(parse_fiducials(path), FiducialSet)
+    except DataFormatError:
+        pass
 
 
 def _record_with_beats(window_per_beat, centers, n=2400, fs=240.0):

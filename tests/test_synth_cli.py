@@ -1,6 +1,9 @@
 import csv
+import dataclasses
 import json
+import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from ecgtriage import cli
 from ecgtriage.cohort import COHORT_COLUMNS, GEH_COLUMNS, load_cohort
 from ecgtriage.ecg_ingest import parse_ecg, parse_fiducials, round_half_up
 from ecgtriage.errors import ConfigError
+from ecgtriage.pipeline import ExperimentConfig
 from ecgtriage.synth import SYNTH_MATRIX, SynthConfig, generate
 from ecgtriage.vcg import KORS_MATRIX
 
@@ -147,6 +151,85 @@ class TestCliBasics:
                         out_dir=tmp_path / "o")
         assert cli.main(["train-eval", "--config", cfg, "--min-sens", "1.5"]) == 2
 
+    @pytest.mark.parametrize("line", [
+        "eta_grid=", "specs=", "specs=X", "eta_grid=2.0", "eta_grid=0.1,abc", "split_ratio=1.5",
+        "k_folds=0", "k_folds=1", "k_folds=2.5", "max_rounds=0", "max_depth=0", "master_seed=-1",
+        "n_instances=0", "patience=0", "min_sensitivity=0", "l2_reg=nan", "gamma=-1",
+        "stratify=maybe", "beat_aggregation=mode", "pre_ms=nan", "post_ms=inf",
+        "synth_seed=3", "experiment=1",
+    ])
+    def test_bad_value_exits_2(self, tmp_path, synth_cohort_dir, caplog, line):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"cohort_table={synth_cohort_dir / 'extract' / 'features.csv'}\n"
+                       f"out_dir={tmp_path / 'o'}\n{line}\n", encoding="utf-8")
+        with caplog.at_level(logging.ERROR, logger="ecgtriage"):
+            assert cli.main(["train-eval", "--config", str(cfg)]) == 2
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == ["config error"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("content", [None, b"master_seed=1\n\xff\n"])
+    def test_unreadable_config_file_exits_2(self, tmp_path, caplog, content):
+        cfg = tmp_path / "c.cfg"
+        if content is not None:
+            cfg.write_bytes(content)
+        with caplog.at_level(logging.ERROR, logger="ecgtriage"):
+            assert cli.main(["table-one", "--config", str(cfg)]) == 2
+        assert caplog.records[-1].getMessage().startswith("config error: cannot read config file")
+
+
+def load(argv):
+    return cli.load_config(cli.build_parser().parse_args(argv))
+
+
+class TestConfigPath:
+    def test_every_field_round_trips(self, tmp_path):
+        run = {"ecg_dir": Path("e"), "fiducial_dir": Path("f"), "cohort_table": Path("c.csv"),
+               "out_dir": Path("o"), "specs": ("SRG", "G"), "beat_aggregation": "mean",
+               "pre_ms": 250.5, "post_ms": 450.25}
+        experiment = {"master_seed": 12, "eta_grid": (0.05, 0.2), "k_folds": 4,
+                      "n_instances": 7, "min_sensitivity": 0.85, "stratify": False,
+                      "holdout_selection": True, "max_rounds": 90, "patience": 9,
+                      "max_depth": 5, "min_child_hessian": 0.5, "l2_reg": 2.5,
+                      "gamma": 0.125, "split_ratio": 0.6}
+        synth = {f.name: f.default + (1 if f.type == "int" else 0.125)
+                 for f in dataclasses.fields(SynthConfig) if f.name != "seed"}
+        assert set(run) | {"experiment"} == {f.name for f in dataclasses.fields(cli.RunConfig)}
+        assert set(experiment) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+        def text(v):
+            return ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+
+        lines = [f"{k}={text(v)}" for k, v in (run | experiment).items()]
+        lines += [f"synth_{k}={v!r}" for k, v in synth.items()]
+        lines[lines.index("specs=SRG,G")] = "specs=srg, g"
+        (tmp_path / "c.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg, raw = load(["synth", "--config", str(tmp_path / "c.cfg")])
+
+        assert cfg == cli.RunConfig(**run, experiment=ExperimentConfig(**experiment))
+        sc = cli.fields_from_raw(SynthConfig, raw, "synth_")
+        assert sc == SynthConfig(**synth)
+        for obj in (cfg, cfg.experiment, sc):
+            for f in dataclasses.fields(obj):
+                value = getattr(obj, f.name)
+                if not dataclasses.is_dataclass(value):
+                    assert type(value).__name__ in f.type or isinstance(value, Path), f.name
+
+    def test_flags_override_file_keys(self, tmp_path):
+        cfg_path = write_cfg(tmp_path / "c.cfg", master_seed=3, out_dir="a", specs="S",
+                             min_sensitivity=0.5, stratify="yes", holdout_selection="no")
+        cfg, _ = load(["train-eval", "--config", cfg_path, "--seed", "4", "--out", "b",
+                       "--specs", "r,srg", "--min-sens", "0.75", "--no-stratify",
+                       "--holdout-selection"])
+        assert cfg.out_dir == Path("b")
+        assert cfg.specs == ("R", "SRG")
+        assert cfg.experiment == ExperimentConfig(master_seed=4, min_sensitivity=0.75,
+                                                  stratify=False, holdout_selection=True)
+
+    def test_defaults_without_config_file(self):
+        cfg, raw = load(["table-one"])
+        assert raw == {}
+        assert cfg == cli.RunConfig()
+
 
 class TestExtractCommand:
     def test_three_patient_fixture_counts(self, tmp_path):
@@ -189,6 +272,21 @@ class TestExtractCommand:
         out = {r["id"]: r for r in read_rows(tmp_path / "o" / "features.csv")}
         assert out["p0004"]["svg_mvms"] == ""
         assert out["p0005"]["svg_mvms"] != ""
+
+    def test_undecodable_files_are_isolated(self, tmp_path):
+        data = generate(SynthConfig(n_patients=10, seed=6, positive_fraction=0.4),
+                        tmp_path / "d")
+        trace = tmp_path / "d" / "ecg" / "p0004.csv"
+        trace.write_bytes(trace.read_bytes().replace(b",", b",\xff", 1))
+        (tmp_path / "d" / "fiducials" / "p0007.json").write_bytes(b"\xfe\xff{")
+        cfg = write_cfg(tmp_path / "c.cfg", ecg_dir=tmp_path / "d" / "ecg",
+                        fiducial_dir=tmp_path / "d" / "fiducials",
+                        cohort_table=data["cohort_table"], out_dir=tmp_path / "o")
+        assert cli.main(["extract", "--config", cfg]) == 0
+        log = (tmp_path / "o" / "extract_log.txt").read_text().splitlines()
+        statuses = {ln.split("\t")[0]: ln.split("\t")[1] for ln in log}
+        assert {pid for pid, s in statuses.items() if s != "ok"} == {"p0004", "p0007"}
+        assert statuses["p0004"] == statuses["p0007"] == "failed"
 
     def test_zero_t_wave_flagged_degenerate(self, tmp_path):
         # handcrafted patient: depolarization bump only, flat repolarization

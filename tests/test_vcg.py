@@ -9,7 +9,6 @@ from ecgtriage.vcg import (
     KORS_INPUT_LEADS,
     KORS_MATRIX,
     baseline_correct,
-    dump_vcg,
     kors_transform,
 )
 
@@ -145,12 +144,3 @@ class TestBaselineCorrect:
         with pytest.raises(MissingFiducial):
             baseline_correct(beat)
 
-
-def test_dump_vcg_format(rng):
-    vcg = kors_transform(median_beat_from(rng.normal(size=(12, 5))))
-    text = dump_vcg(vcg)
-    lines = text.strip().split("\n")
-    assert lines[0] == "x_mv,y_mv,z_mv"
-    assert len(lines) == 6
-    x, y, z = (float(c) for c in lines[1].split(","))
-    assert x == vcg.x[0] and y == vcg.y[0] and z == vcg.z[0]
