@@ -157,9 +157,11 @@ def _parse_bool_cell(cell: str, row: int, column: str) -> bool:
 def load_cohort(path) -> list[PatientRecord]:
     """Read and validate a cohort table."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaError(f"{path}: unreadable cohort table ({exc})") from None
     if not rows:
         raise SchemaError(f"{path}: empty cohort table")
     if tuple(rows[0]) != COHORT_COLUMNS:

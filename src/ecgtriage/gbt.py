@@ -10,8 +10,10 @@ over the exact midpoints between sorted distinct feature values. Leaf weight is
 -G/(H + lambda). The prediction is sigmoid(base_score + lr * sum of tree
 outputs), with base_score the log-odds of the training prevalence.
 
-Everything is deterministic: tied gains resolve to the lowest feature index and
-then the lowest threshold, so repeated fits serialize identically.
+A node scores all columns in one pass: one stable sort of its rows per column,
+so tied values keep row order, then column-wise cumulative sums of g and h in
+that order. Tied gains resolve to the lowest feature index and then the lowest
+threshold, so repeated fits serialize identically.
 """
 
 from __future__ import annotations
@@ -192,20 +194,6 @@ def _sigmoid(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def mean_logistic_loss(y: np.ndarray, margins: np.ndarray) -> float:
-    """Mean of log(1 + exp(m)) - y*m, numerically stable."""
-    return float(np.mean(np.logaddexp(0.0, margins) - y * margins))
-
-
-class _NodeBest:
-    __slots__ = ("gain", "feature", "threshold")
-
-    def __init__(self):
-        self.gain = -math.inf
-        self.feature = -1
-        self.threshold = math.nan
-
-
 class Booster:
     """Incremental trainer: one call to step() grows and applies one tree."""
 
@@ -238,11 +226,6 @@ class Booster:
             feature_names=tuple(feature_names),
         )
         self._margins = np.full(len(y), base)
-        # column-wise presorted row orders, reused by every node
-        self._order = np.argsort(X, axis=0, kind="stable")
-
-    def train_loss(self) -> float:
-        return mean_logistic_loss(self.y, self._margins)
 
     def step(self) -> Tree:
         p = _sigmoid(self._margins)
@@ -270,56 +253,37 @@ class Booster:
             leaf_values[idx] = weight
             return TreeNode(weight=weight)
 
-        if depth >= cfg.max_depth or len(idx) < 2:
+        if depth >= cfg.max_depth or len(idx) < 2 or self.X.shape[1] == 0:
             return leaf()
 
-        best = _NodeBest()
-        parent_term = G * G / (H + cfg.l2_reg)
-        member = np.zeros(len(self.y), dtype=bool)
-        member[idx] = True
-        for j in range(self.X.shape[1]):
-            ordered = self._order[:, j][member[self._order[:, j]]]
-            values = self.X[ordered, j]
-            if values[0] == values[-1]:
-                continue
-            gl = np.cumsum(g[ordered])[:-1]
-            hl = np.cumsum(h[ordered])[:-1]
-            gr = G - gl
-            hr = H - hl
-            boundary = values[:-1] < values[1:]
-            feasible = np.flatnonzero(
-                boundary & (hl >= cfg.min_child_hessian) & (hr >= cfg.min_child_hessian)
-            )
-            if feasible.size == 0:
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gains = (
-                    0.5 * (gl[feasible] ** 2 / (hl[feasible] + cfg.l2_reg)
-                           + gr[feasible] ** 2 / (hr[feasible] + cfg.l2_reg)
-                           - parent_term)
-                    - cfg.gamma
-                )
-            gains = np.where(np.isfinite(gains), gains, -np.inf)
-            k = int(feasible[np.argmax(gains)])
-            top = float(np.max(gains))
-            if top > best.gain:
-                best.gain = top
-                best.feature = j
-                best.threshold = float((values[k] + values[k + 1]) / 2.0)
-
-        if best.feature < 0 or best.gain <= 0.0:
+        # every column of the node at once: rows in (value, row index) order
+        order = idx[np.argsort(self.X[idx], axis=0, kind="stable")]
+        values = np.take_along_axis(self.X, order, axis=0)
+        gl = np.cumsum(g[order], axis=0)[:-1]
+        hl = np.cumsum(h[order], axis=0)[:-1]
+        gr = G - gl
+        hr = H - hl
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = 0.5 * (gl ** 2 / (hl + cfg.l2_reg) + gr ** 2 / (hr + cfg.l2_reg)
+                           - G * G / (H + cfg.l2_reg)) - cfg.gamma
+        keep = ((values[:-1] < values[1:]) & (hl >= cfg.min_child_hessian)
+                & (hr >= cfg.min_child_hessian) & np.isfinite(gains))
+        # feature-major flat argmax: lowest feature first, then lowest threshold
+        gains = np.where(keep, gains, -np.inf).T
+        feature, k = divmod(int(np.argmax(gains)), gains.shape[1])
+        gain = float(gains[feature, k])
+        if gain <= 0.0:
             return leaf()
 
-        col = self.X[idx, best.feature]
-        left_idx = idx[col < best.threshold]
-        right_idx = idx[~(col < best.threshold)]
+        threshold = float((values[k, feature] + values[k + 1, feature]) / 2.0)
+        goes_left = self.X[idx, feature] < threshold
         return TreeNode(
-            feature=best.feature,
-            threshold=best.threshold,
+            feature=feature,
+            threshold=threshold,
             default_left=True,
-            gain=best.gain,
-            left=self._grow(left_idx, g, h, depth + 1, leaf_values),
-            right=self._grow(right_idx, g, h, depth + 1, leaf_values),
+            gain=gain,
+            left=self._grow(idx[goes_left], g, h, depth + 1, leaf_values),
+            right=self._grow(idx[~goes_left], g, h, depth + 1, leaf_values),
         )
 
 

@@ -19,12 +19,17 @@ from pathlib import Path
 import numpy as np
 
 from .cohort import PatientRecord, save_cohort
-from .ecg_ingest import round_half_up
+from .ecg_ingest import MIN_SAMPLING_RATE_HZ, round_half_up
 from .errors import ConfigError
 from .vcg import KORS_INPUT_LEADS, KORS_MATRIX
 
 # fixed 8x3 synthesis matrix: right-inverse of the lead-reduction matrix
 SYNTH_MATRIX = np.linalg.pinv(KORS_MATRIX)
+
+# beat timing: first R peak, longest RR interval, and the room kept after the last R
+_LEAD_IN_MS, _MAX_RR_MS, _TAIL_MS = 400.0, 1200.0, 520.0
+# shortest trace holding the three beats extract needs at the longest RR, before jitter
+MIN_DURATION_S = (_LEAD_IN_MS + 2 * _MAX_RR_MS + _TAIL_MS) / 1000.0
 
 # covariate prevalences (negative class) and their positive-class targets
 _RISK_RATES = {
@@ -74,6 +79,10 @@ class SynthConfig:
             raise ConfigError("positive_fraction must be in (0, 1)")
         if self.noise_sd_mv < 0:
             raise ConfigError("noise_sd_mv must be non-negative")
+        if not MIN_SAMPLING_RATE_HZ <= self.sampling_rate_hz < math.inf:
+            raise ConfigError(f"sampling_rate_hz must be finite and >= {MIN_SAMPLING_RATE_HZ:g}")
+        if not MIN_DURATION_S <= self.duration_s < math.inf:
+            raise ConfigError(f"duration_s must be finite and >= {MIN_DURATION_S:g} (three beats)")
 
 
 def _unit(v):
@@ -201,10 +210,10 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
         shape, angle, scale = _draw_shape(cfg, rng, positive)
 
         # beat centers on integer samples, spaced by a jittered RR interval
-        rr_ms = float(np.clip(rng.normal(cfg.rr_mean_ms, cfg.rr_sd_ms), 600.0, 1200.0))
+        rr_ms = float(np.clip(rng.normal(cfg.rr_mean_ms, cfg.rr_sd_ms), 600.0, _MAX_RR_MS))
         centers = []
-        c = 400.0
-        while c <= cfg.duration_s * 1000.0 - 520.0:
+        c = _LEAD_IN_MS
+        while c <= cfg.duration_s * 1000.0 - _TAIL_MS:
             centers.append(round_half_up(c * fs / 1000.0))
             c += rr_ms + float(rng.normal(0.0, 4.0))
 

@@ -44,10 +44,6 @@ class Vcg:
     def n_samples(self) -> int:
         return len(self.x)
 
-    def as_matrix(self) -> np.ndarray:
-        """3 x n array, rows x, y, z."""
-        return np.vstack([self.x, self.y, self.z])
-
 
 def baseline_correct(beat: MedianBeat) -> MedianBeat:
     """Subtract each lead's amplitude at the consolidated baseline sample.

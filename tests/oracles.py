@@ -2,13 +2,17 @@
 
 Everything here is deliberately written the slow, obvious way (loops,
 enumeration, dense grids) and must not call into ecgtriage feature or metric
-code.
+code. The one exception is PerFeatureScanBooster, which subclasses
+gbt.Booster only to reuse its set-up and boosting loop around a reference split
+search.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from ecgtriage.gbt import Booster, TreeNode
 
 
 def median_sort_and_pick(values):
@@ -318,3 +322,73 @@ def dense_grid_geh(bumps, qrs_on_ms, qrs_off_ms, t_off_ms, baseline_ms=None, gri
         "vm_qti_mvms": magnitude_integral(qrs_on_ms, t_off_ms),
         "svg_mvms": float(np.linalg.norm(svg_area)),
     }
+
+
+class PerFeatureScanBooster(Booster):
+    """Booster whose split search is the earlier exact-greedy layout: presorted
+    column orders, a membership mask, and one cumsum scan per feature, keeping
+    a feature's best only when it strictly beats the lower features' best."""
+
+    def __init__(self, X, y, config, feature_names=None):
+        super().__init__(X, y, config, feature_names)
+        self._order = np.argsort(self.X, axis=0, kind="stable")
+
+    def _grow(self, idx, g, h, depth, leaf_values):
+        cfg = self.config
+        G = float(g[idx].sum())
+        H = float(h[idx].sum())
+
+        def leaf():
+            weight = 0.0 if H + cfg.l2_reg == 0 else -G / (H + cfg.l2_reg)
+            leaf_values[idx] = weight
+            return TreeNode(weight=weight)
+
+        if depth >= cfg.max_depth or len(idx) < 2:
+            return leaf()
+
+        best_gain, best_feature, best_threshold = -math.inf, -1, math.nan
+        parent_term = G * G / (H + cfg.l2_reg)
+        member = np.zeros(len(self.y), dtype=bool)
+        member[idx] = True
+        for j in range(self.X.shape[1]):
+            ordered = self._order[:, j][member[self._order[:, j]]]
+            values = self.X[ordered, j]
+            if values[0] == values[-1]:
+                continue
+            gl = np.cumsum(g[ordered])[:-1]
+            hl = np.cumsum(h[ordered])[:-1]
+            gr = G - gl
+            hr = H - hl
+            boundary = values[:-1] < values[1:]
+            feasible = np.flatnonzero(
+                boundary & (hl >= cfg.min_child_hessian) & (hr >= cfg.min_child_hessian)
+            )
+            if feasible.size == 0:
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gains = (
+                    0.5 * (gl[feasible] ** 2 / (hl[feasible] + cfg.l2_reg)
+                           + gr[feasible] ** 2 / (hr[feasible] + cfg.l2_reg)
+                           - parent_term)
+                    - cfg.gamma
+                )
+            gains = np.where(np.isfinite(gains), gains, -np.inf)
+            k = int(feasible[np.argmax(gains)])
+            top = float(np.max(gains))
+            if top > best_gain:
+                best_gain = top
+                best_feature = j
+                best_threshold = float((values[k] + values[k + 1]) / 2.0)
+
+        if best_feature < 0 or best_gain <= 0.0:
+            return leaf()
+
+        col = self.X[idx, best_feature]
+        return TreeNode(
+            feature=best_feature,
+            threshold=best_threshold,
+            default_left=True,
+            gain=best_gain,
+            left=self._grow(idx[col < best_threshold], g, h, depth + 1, leaf_values),
+            right=self._grow(idx[~(col < best_threshold)], g, h, depth + 1, leaf_values),
+        )

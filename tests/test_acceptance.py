@@ -51,6 +51,11 @@ def report(line):
     print(f"\nACCEPTANCE {line}")
 
 
+def xyz(v):
+    """3 x n array of a Vcg's x, y, z rows."""
+    return np.vstack([v.x, v.y, v.z])
+
+
 @pytest.fixture(scope="module")
 def cohort300(tmp_path_factory):
     """Synthetic 300-patient cohort at the 223:51 class ratio, extracted once."""
@@ -79,9 +84,9 @@ def test_criterion_01_kors_transform(rng):
         ma = rng.normal(size=(12, 30))
         mb = rng.normal(size=(12, 30))
         a, b = rng.uniform(-5, 5, size=2)
-        lhs = kors_transform(median_beat_from(a * ma + b * mb)).as_matrix()
-        rhs = (a * kors_transform(median_beat_from(ma)).as_matrix()
-               + b * kors_transform(median_beat_from(mb)).as_matrix())
+        lhs = xyz(kors_transform(median_beat_from(a * ma + b * mb)))
+        rhs = (a * xyz(kors_transform(median_beat_from(ma)))
+               + b * xyz(kors_transform(median_beat_from(mb))))
         scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-30)
         max_rel = max(max_rel, float(np.abs(lhs - rhs).max() / scale))
     assert max_rel <= 1e-12
@@ -131,7 +136,7 @@ def test_criterion_02_geh_geometry(rng):
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
-        m = q @ base.as_matrix()
+        m = q @ xyz(base)
         gr = compute_geh(vcg_from(m[0], m[1], m[2], fiducials=base.fiducials))
         for name in ("peak_qrst_angle_deg", "area_qrst_angle_deg",
                      "svg_mvms", "peak_svg_mv", "vm_qti_mvms"):
@@ -333,10 +338,15 @@ def test_criterion_07_boosted_tree_correctness(rng):
         y = (X[:, 1] + rng.normal(size=100) > 0).astype(int)
         booster = Booster(X, y, TrainConfig(learning_rate=0.3, num_rounds=25,
                                             max_depth=4, gamma=0.0))
-        losses = [booster.train_loss()]
+
+        def train_loss():
+            m = booster.ensemble.margins(X)
+            return np.mean(np.logaddexp(0, m) - y * m)
+
+        losses = [train_loss()]
         for _ in range(25):
             booster.step()
-            losses.append(booster.train_loss())
+            losses.append(train_loss())
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
         table = importance_gain(booster.ensemble)

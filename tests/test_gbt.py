@@ -12,10 +12,9 @@ from ecgtriage.gbt import (
     TrainConfig,
     fit,
     importance_gain,
-    mean_logistic_loss,
 )
 
-from oracles import first_tree_bruteforce
+from oracles import PerFeatureScanBooster, first_tree_bruteforce
 
 
 def tree_shape(node):
@@ -131,10 +130,15 @@ class TestFit:
         X = rng.normal(size=(80, 4))
         y = (X[:, 0] + rng.normal(size=80) > 0).astype(int)
         booster = Booster(X, y, config(learning_rate=0.3, num_rounds=30, gamma=0.0))
-        losses = [booster.train_loss()]
+
+        def train_loss():
+            m = booster.ensemble.margins(X)
+            return np.mean(np.logaddexp(0, m) - y * m)
+
+        losses = [train_loss()]
         for _ in range(30):
             booster.step()
-            losses.append(booster.train_loss())
+            losses.append(train_loss())
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_deterministic_serialization(self, rng):
@@ -152,6 +156,47 @@ class TestFit:
         np.testing.assert_array_equal(model.predict(X), restored.predict(X))
         assert restored.feature_names == ("a", "b", "c", "d")
         assert restored.to_json() == model.to_json()
+
+
+class TestSplitSearch:
+    """The one-pass node search against the per-feature reference scan."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(),
+           n=st.integers(4, 40),
+           width=st.integers(1, 4),
+           min_child_hessian=st.sampled_from([0.0, 1.0]),
+           l2_reg=st.sampled_from([0.0, 1.0]),
+           max_depth=st.integers(1, 5),
+           num_rounds=st.integers(1, 4))
+    def test_fit_equals_per_feature_scan(self, data, n, width, min_child_hessian,
+                                         l2_reg, max_depth, num_rounds):
+        # small integers and duplicated columns make tied values and tied gains
+        cells = data.draw(st.lists(st.integers(0, 2), min_size=n * width,
+                                   max_size=n * width))
+        base = np.array(cells, dtype=float).reshape(n, width)
+        copies = data.draw(st.lists(st.integers(0, width - 1), max_size=4))
+        X = np.column_stack([base] + [base[:, j] for j in copies])
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        y[:2] = [0, 1]
+        cfg = config(num_rounds=num_rounds, max_depth=max_depth,
+                     min_child_hessian=min_child_hessian, l2_reg=l2_reg)
+        model = fit(X, y, cfg)
+        reference = PerFeatureScanBooster(X, y, cfg).run(cfg.num_rounds)
+        assert model == reference
+        assert model.to_json() == reference.to_json()
+
+    def test_identical_columns_split_on_lower_index(self):
+        v = np.array([-2.0, -1.0, 1.0, 2.0])
+        X = np.column_stack([np.zeros(4), v, v])
+        y = np.array([0, 0, 1, 1])
+        root = fit(X, y, config()).trees[0].root
+        assert root.feature == 1
+        assert root.threshold == 0.0
+
+    def test_no_columns_grows_leaves(self):
+        model = fit(np.zeros((4, 0)), np.array([0, 1, 0, 1]), config(num_rounds=2))
+        assert all(tree.root.is_leaf for tree in model.trees)
 
 
 class TestPredict:
@@ -234,10 +279,3 @@ class TestImportance:
             assert e.gain == pytest.approx(totals[j], rel=1e-12)
             assert e.percent == pytest.approx(100.0 * totals[j] / grand, rel=1e-12)
 
-
-def test_mean_logistic_loss_matches_direct():
-    y = np.array([0.0, 1.0, 1.0])
-    m = np.array([0.2, -0.3, 1.4])
-    p = 1.0 / (1.0 + np.exp(-m))
-    direct = float(np.mean(-(y * np.log(p) + (1 - y) * np.log(1 - p))))
-    assert mean_logistic_loss(y, m) == pytest.approx(direct, rel=1e-12)

@@ -218,7 +218,7 @@ class TestComputeGeh:
             q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             if np.linalg.det(q) < 0:
                 q[:, 0] = -q[:, 0]
-            m = q @ v.as_matrix()
+            m = q @ np.vstack([v.x, v.y, v.z])
             gr = compute_geh(vcg_from(m[0], m[1], m[2], fiducials=v.fiducials))
             assert gr.peak_qrst_angle_deg == pytest.approx(g.peak_qrst_angle_deg, rel=1e-6, abs=1e-6)
             assert gr.area_qrst_angle_deg == pytest.approx(g.area_qrst_angle_deg, rel=1e-6, abs=1e-6)
@@ -237,7 +237,7 @@ class TestComputeGeh:
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
-        m = q @ v.as_matrix()
+        m = q @ np.vstack([v.x, v.y, v.z])
         gr = compute_geh(vcg_from(m[0], m[1], m[2], fiducials=v.fiducials))
         expected = q @ unit_from(g.area_svg_azimuth_deg, g.area_svg_elevation_deg)
         got = unit_from(gr.area_svg_azimuth_deg, gr.area_svg_elevation_deg)

@@ -13,7 +13,7 @@ from ecgtriage.cohort import COHORT_COLUMNS, GEH_COLUMNS, load_cohort
 from ecgtriage.ecg_ingest import parse_ecg, parse_fiducials, round_half_up
 from ecgtriage.errors import ConfigError
 from ecgtriage.pipeline import ExperimentConfig
-from ecgtriage.synth import SYNTH_MATRIX, SynthConfig, generate
+from ecgtriage.synth import MIN_DURATION_S, SYNTH_MATRIX, SynthConfig, generate
 from ecgtriage.vcg import KORS_MATRIX
 
 from oracles import dense_grid_geh, gaussian_loop_vcg
@@ -59,6 +59,11 @@ class TestSynthGenerator:
             SynthConfig(positive_fraction=1.5)
         with pytest.raises(ConfigError):
             SynthConfig(noise_sd_mv=-0.1)
+
+    def test_shortest_duration_gives_three_beats(self, tmp_path):
+        generate(SynthConfig(n_patients=10, duration_s=MIN_DURATION_S), tmp_path)
+        for path in sorted((tmp_path / "fiducials").glob("*.json")):
+            assert len(parse_fiducials(path).beats) >= 3
 
     def test_angle_shift_separates_truth(self, tmp_path):
         out = generate(SynthConfig(n_patients=60, seed=4, positive_fraction=0.4,
@@ -132,6 +137,18 @@ class TestCliBasics:
         bad.write_text("id,sex\np1,M\n")
         cfg = write_cfg(tmp_path / "c.cfg", cohort_table=bad, out_dir=tmp_path / "o")
         assert cli.main(["table-one", "--config", cfg]) == 3
+
+    @pytest.mark.parametrize("kind", ["non_utf8", "directory"])
+    def test_unreadable_cohort_table_is_data_error(self, tmp_path, caplog, kind):
+        bad = tmp_path / "bad.csv"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(",".join(COHORT_COLUMNS).encode() + b"\np\xff1\n")
+        cfg = write_cfg(tmp_path / "c.cfg", cohort_table=bad, out_dir=tmp_path / "o")
+        with caplog.at_level(logging.ERROR, logger="ecgtriage"):
+            assert cli.main(["table-one", "--config", cfg]) == 3
+        assert caplog.records[-1].getMessage().startswith("data error:")
 
     def test_single_class_train_is_degenerate_error(self, tmp_path, synth_cohort_dir):
         rows = read_rows(synth_cohort_dir / "extract" / "features.csv")
@@ -462,3 +479,16 @@ class TestSynthCommand:
     def test_bad_synth_key(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", synth_bogus=3)
         assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+
+    @pytest.mark.parametrize("line", [
+        "synth_sampling_rate_hz=0", "synth_sampling_rate_hz=99", "synth_sampling_rate_hz=nan",
+        "synth_sampling_rate_hz=inf", "synth_duration_s=0", "synth_duration_s=-1",
+        "synth_duration_s=3.3", "synth_duration_s=nan", "synth_duration_s=inf",
+    ])
+    def test_bad_synth_value_exits_2(self, tmp_path, caplog, line):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"synth_n_patients=10\n{line}\n", encoding="utf-8")
+        with caplog.at_level(logging.ERROR, logger="ecgtriage"):
+            assert cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == ["config error"]
+        assert not (tmp_path / "s").exists()
