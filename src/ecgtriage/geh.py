@@ -112,14 +112,21 @@ def area_vector(vcg: Vcg, onset: int, offset: int) -> SpatialVector:
 
 
 def spatial_angle(u: SpatialVector, v: SpatialVector) -> float:
-    """Angle between two spatial vectors in degrees, range [0, 180]."""
-    mu, mv = u.magnitude, v.magnitude
-    if mu == 0.0:
+    """Angle between two spatial vectors in degrees, range [0, 180].
+
+    Taken as atan2(|u x v|, u . v): acos of the normalised dot product loses
+    about 1e-6 degrees next to 0 and 180, where rounding moves the cosine by
+    one ulp, so parallel vectors of different lengths would not read 0.
+    """
+    if u.magnitude == 0.0:
         raise ZeroVector("first vector")
-    if mv == 0.0:
+    if v.magnitude == 0.0:
         raise ZeroVector("second vector")
-    cosine = (u.x * v.x + u.y * v.y + u.z * v.z) / (mu * mv)
-    return math.degrees(math.acos(max(-1.0, min(1.0, cosine))))
+    cx = u.y * v.z - u.z * v.y
+    cy = u.z * v.x - u.x * v.z
+    cz = u.x * v.y - u.y * v.x
+    dot = u.x * v.x + u.y * v.y + u.z * v.z
+    return math.degrees(math.atan2(math.hypot(cx, cy, cz), dot))
 
 
 def azimuth_elevation(v: SpatialVector) -> Direction:
