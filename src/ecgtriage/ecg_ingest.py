@@ -3,7 +3,12 @@
 Trace file format: one header line ``sample_rate_hz=<num> gain_uv_per_unit=<num>``,
 an optional second line naming the 12 columns, then one comma-separated row per
 sample in lead order I,II,III,aVR,aVL,aVF,V1..V6. Amplitudes are stored in file
-units and converted to mV via the header gain.
+units and converted to mV via the header gain. All rows are converted in one
+C-level call (``np.loadtxt``). A per-row pass with ``float()`` runs only when
+that call rejects the body, to name the bad row or to read the few cells that
+only ``float()`` takes (``1_0``, non-ASCII digits), or when the text holds one
+of the separator characters U+001C-U+001F, which only ``loadtxt`` skips. Both
+paths thus accept the same files with the same values.
 
 Annotation file format: JSON document with an array ``beats``; each beat carries
 an integer ``baseline`` sample plus ``p``/``qrs``/``t`` objects with integer
@@ -34,6 +39,10 @@ from .errors import (
 LEAD_NAMES = ("I", "II", "III", "aVR", "aVL", "aVF", "V1", "V2", "V3", "V4", "V5", "V6")
 
 MIN_SAMPLING_RATE_HZ = 100.0
+
+# loadtxt strips these ASCII separators around a number as whitespace, float()
+# rejects them: a trace holding one is read by the per-row pass
+_FLOAT_REJECTED_PADDING = "\x1c\x1d\x1e\x1f"
 
 
 def round_half_up(x: float) -> int:
@@ -190,14 +199,29 @@ def _is_numeric_row(line: str) -> bool:
     return True
 
 
+def _parse_rows(body: list[str], order: list[int], path) -> np.ndarray:
+    """Convert the rows one cell at a time with float(), naming the first bad row."""
+    rows = np.empty((len(body), len(LEAD_NAMES)))
+    for i, line in enumerate(body):
+        cells = line.split(",")
+        if len(cells) != len(LEAD_NAMES):
+            raise LengthMismatch(f"{path}: row {i} has {len(cells)} columns, expected 12")
+        try:
+            rows[i] = [float(cells[j]) for j in order]
+        except ValueError:
+            raise SchemaError(f"{path}: non-numeric value", row=i) from None
+    return rows
+
+
 def parse_ecg(path) -> EcgRecord:
     """Read a trace file and return a validated EcgRecord in mV."""
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: unreadable trace ({exc})") from None
+    lines = [ln for ln in map(str.strip, text.split("\n")) if ln]
     if not lines:
         raise BadHeader(f"{path}: empty file")
     rate, gain_uv = _parse_header(lines[0], path)
@@ -215,15 +239,16 @@ def parse_ecg(path) -> EcgRecord:
     else:
         order = list(range(len(LEAD_NAMES)))
 
-    rows = np.empty((len(body), len(LEAD_NAMES)))
-    for i, line in enumerate(body):
-        cells = line.split(",")
-        if len(cells) != len(LEAD_NAMES):
-            raise LengthMismatch(f"{path}: row {i} has {len(cells)} columns, expected 12")
+    rows = None  # loadtxt warns on an empty body, which the per-row pass reads
+    if body and not any(c in text for c in _FLOAT_REJECTED_PADDING):
         try:
-            rows[i] = [float(cells[j]) for j in order]
+            rows = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)
         except ValueError:
-            raise SchemaError(f"{path}: non-numeric value", row=i) from None
+            pass
+    if rows is not None and rows.shape[1] == len(LEAD_NAMES):
+        rows = rows[:, order]
+    else:
+        rows = _parse_rows(body, order, path)
 
     # file units -> uV -> mV
     rows *= gain_uv / 1000.0
@@ -299,13 +324,12 @@ def median_beat(
                 f"beat window around sample {beat.qrs.peak} leaves the record"
             )
 
-    stacked = {name: np.empty((len(beats), width)) for name in LEAD_NAMES}
-    for b, beat in enumerate(beats):
-        lo = beat.qrs.peak - pre
-        for name in LEAD_NAMES:
-            stacked[name][b] = record.leads[name][lo:lo + width]
+    # (12, beats, width): every beat window of every lead in one gather
+    starts = np.asarray([beat.qrs.peak - pre for beat in beats])
+    stacked = np.stack([record.leads[name] for name in LEAD_NAMES])
+    windows = stacked[:, starts[:, None] + np.arange(width)]
     agg = np.median if statistic == "median" else np.mean
-    leads = {name: agg(stacked[name], axis=0) for name in LEAD_NAMES}
+    leads = dict(zip(LEAD_NAMES, agg(windows, axis=1)))
 
     def consolidate(pick) -> Wave:
         onset = _consolidate_relative([pick(b).onset - b.qrs.peak for b in beats]) + pre

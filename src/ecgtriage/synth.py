@@ -28,7 +28,7 @@ SYNTH_MATRIX = np.linalg.pinv(KORS_MATRIX)
 
 # beat timing: first R peak, longest RR interval, and the room kept after the last R
 _LEAD_IN_MS, _MAX_RR_MS, _TAIL_MS = 400.0, 1200.0, 520.0
-# shortest trace holding the three beats extract needs at the longest RR, before jitter
+# shortest trace holding the three beats extract needs at the longest RR
 MIN_DURATION_S = (_LEAD_IN_MS + 2 * _MAX_RR_MS + _TAIL_MS) / 1000.0
 
 # covariate prevalences (negative class) and their positive-class targets
@@ -209,13 +209,14 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1, i)))
         shape, angle, scale = _draw_shape(cfg, rng, positive)
 
-        # beat centers on integer samples, spaced by a jittered RR interval
-        rr_ms = float(np.clip(rng.normal(cfg.rr_mean_ms, cfg.rr_sd_ms), 600.0, _MAX_RR_MS))
+        # beat centers on integer samples, spaced by a jittered RR interval that
+        # never exceeds _MAX_RR_MS, so MIN_DURATION_S holds three beats
+        rr_ms = max(float(rng.normal(cfg.rr_mean_ms, cfg.rr_sd_ms)), 600.0)
         centers = []
         c = _LEAD_IN_MS
         while c <= cfg.duration_s * 1000.0 - _TAIL_MS:
             centers.append(round_half_up(c * fs / 1000.0))
-            c += rr_ms + float(rng.normal(0.0, 4.0))
+            c += min(rr_ms + float(rng.normal(0.0, 4.0)), _MAX_RR_MS)
 
         v = np.zeros((3, n_samples))
         t_axis_ms = np.arange(n_samples) * 1000.0 / fs

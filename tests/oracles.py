@@ -2,9 +2,10 @@
 
 Everything here is deliberately written the slow, obvious way (loops,
 enumeration, dense grids) and must not call into ecgtriage feature or metric
-code. The one exception is PerFeatureScanBooster, which subclasses
-gbt.Booster only to reuse its set-up and boosting loop around a reference split
-search.
+code. Two exceptions reuse package code around a reference core:
+PerFeatureScanBooster subclasses gbt.Booster only to reuse its set-up and
+boosting loop around a reference split search, and parse_ecg_per_cell reuses
+the trace header parser and EcgRecord's checks around a per-cell conversion.
 """
 
 import itertools
@@ -12,6 +13,8 @@ import math
 
 import numpy as np
 
+from ecgtriage.ecg_ingest import LEAD_NAMES, EcgRecord, _is_numeric_row, _parse_header
+from ecgtriage.errors import BadHeader, DataFormatError, LengthMismatch, MissingLead, SchemaError
 from ecgtriage.gbt import Booster, TreeNode
 
 
@@ -392,3 +395,42 @@ class PerFeatureScanBooster(Booster):
             left=self._grow(idx[col < best_threshold], g, h, depth + 1, leaf_values),
             right=self._grow(idx[~(col < best_threshold)], g, h, depth + 1, leaf_values),
         )
+
+
+def parse_ecg_per_cell(path):
+    """ecg_ingest.parse_ecg converting one cell at a time with float()."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{path}: unreadable trace ({exc})") from None
+    if not lines:
+        raise BadHeader(f"{path}: empty file")
+    rate, gain_uv = _parse_header(lines[0], path)
+
+    body = lines[1:]
+    if body and not _is_numeric_row(body[0]):
+        names = [c.strip() for c in body[0].split(",")]
+        for want in LEAD_NAMES:
+            if want not in names:
+                raise MissingLead(want)
+        if len(names) != len(LEAD_NAMES):
+            raise BadHeader(f"{path}: unexpected column names {names}")
+        order = [names.index(want) for want in LEAD_NAMES]
+        body = body[1:]
+    else:
+        order = list(range(len(LEAD_NAMES)))
+
+    rows = np.empty((len(body), len(LEAD_NAMES)))
+    for i, line in enumerate(body):
+        cells = line.split(",")
+        if len(cells) != len(LEAD_NAMES):
+            raise LengthMismatch(f"{path}: row {i} has {len(cells)} columns, expected 12")
+        try:
+            rows[i] = [float(cells[j]) for j in order]
+        except ValueError:
+            raise SchemaError(f"{path}: non-numeric value", row=i) from None
+
+    rows *= gain_uv / 1000.0
+    leads = {name: np.ascontiguousarray(rows[:, k]) for k, name in enumerate(LEAD_NAMES)}
+    return EcgRecord(leads=leads, sampling_rate_hz=rate, duration_s=len(body) / rate)

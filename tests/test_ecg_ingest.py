@@ -32,7 +32,7 @@ from ecgtriage.errors import (
 )
 
 from conftest import fiducials_at, record_from_matrix
-from oracles import median_sort_and_pick
+from oracles import median_sort_and_pick, parse_ecg_per_cell
 
 
 def write_trace(path, matrix_mv, fs=240.0, gain=1000.0, name_line=True):
@@ -158,6 +158,29 @@ class TestParseEcg:
         with pytest.raises(DataFormatError, match="unreadable"):
             parse_ecg(tmp_path / "a.csv")
 
+    @pytest.mark.parametrize("cell, value", [("1_0", 10.0), ("١٢", 12.0)])
+    def test_cell_read_by_float_only_is_accepted(self, tmp_path, cell, value):
+        lines = ["sample_rate_hz=240 gain_uv_per_unit=1000.0", ",".join(LEAD_NAMES),
+                 ",".join(["0"] * 4 + [cell] + ["0"] * 7)]
+        (tmp_path / "a.csv").write_text("\n".join(lines), encoding="utf-8")
+        rec = parse_ecg(tmp_path / "a.csv")
+        assert rec.leads["aVL"][0] == value
+
+    # "\x1f1": float() rejects the ASCII separator padding that loadtxt strips;
+    # "1#2" last in its row: no comment syntax, so nothing after "#" is dropped
+    @pytest.mark.parametrize("cell, column", [("abc", 7), ("\x1f1", 7), ("1#2", 11)])
+    def test_bad_cell_late_in_full_trace_names_row(self, tmp_path, rng, cell, column):
+        write_trace(tmp_path / "a.csv", rng.normal(size=(12, 1680)))
+        lines = (tmp_path / "a.csv").read_text(encoding="utf-8").split("\n")
+        cells = lines[2 + 1200].split(",")  # after the header and column-name lines
+        cells[column] = cell
+        lines[2 + 1200] = ",".join(cells)
+        (tmp_path / "a.csv").write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            parse_ecg(tmp_path / "a.csv")
+        assert err.value.row == 1200
+        assert str(err.value).endswith("non-numeric value (row 1200)")
+
 
 class TestParseFiducials:
     def test_roundtrip(self, tmp_path):
@@ -269,6 +292,48 @@ def test_parse_ecg_any_bytes(tmp_path_factory, data):
         pass
 
 
+# --- fast parser against the per-cell reference ---------------------------------
+
+# "\x1c1"/"1\x1f": ASCII separators that loadtxt strips as padding and float() rejects
+_ODD_CELLS = st.sampled_from(["1_0", "١٢", "\t1", "1\x0b", "1#2", "", " ", "nan", "-inf", "abc",
+                              "\x1c1", "1\x1f"])
+_NUMBER_CELLS = st.one_of(st.sampled_from(["0", "-1.5", "1e-3", " 2 "]),
+                          st.floats(allow_nan=False, allow_infinity=False).map(repr))
+_FULL_ROWS = st.lists(_NUMBER_CELLS, min_size=12, max_size=12)
+_TEXT_ROWS = st.one_of(
+    _FULL_ROWS.map(",".join),
+    st.builds(lambda cells, k, odd: ",".join(cells[:k] + [odd] + cells[k + 1:]),
+              _FULL_ROWS, st.integers(0, 11), _ODD_CELLS),
+    st.lists(st.one_of(_NUMBER_CELLS, _ODD_CELLS), min_size=10, max_size=13).map(",".join),
+    st.sampled_from(["", "  ", "\t"]),
+)
+_TEXT_TRACES = st.builds(
+    lambda header, names, rows, newline: newline.join([header] + names + rows) + newline,
+    st.sampled_from(["sample_rate_hz=240 gain_uv_per_unit=1000",
+                     "sample_rate_hz=500 gain_uv_per_unit=4.88"]),
+    st.one_of(st.just([]), st.permutations(LEAD_NAMES).map(lambda names: [",".join(names)])),
+    st.lists(_TEXT_ROWS, max_size=8),
+    st.sampled_from(["\n", "\r\n"]),
+)
+
+
+def _outcome(parse, path):
+    try:
+        rec = parse(path)
+    except DataFormatError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+    return (rec.sampling_rate_hz, rec.duration_s,
+            [rec.leads[name].tobytes() for name in LEAD_NAMES])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=_TEXT_TRACES)
+def test_parse_ecg_matches_per_cell_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "text_trace.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(parse_ecg, path) == _outcome(parse_ecg_per_cell, path)
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=_ANNOTATIONS)
 def test_parse_fiducials_any_bytes(tmp_path_factory, data):
@@ -375,8 +440,9 @@ class TestMedianBeat:
         beat = median_beat(rec, fiducials_at(centers), statistic="mean")
         pre = round_half_up(300 * 240 / 1000)
         post = round_half_up(500 * 240 / 1000)
-        stack = np.stack([rec.leads["V2"][c - pre:c + post + 1] for c in centers])
-        np.testing.assert_allclose(beat.leads["V2"], stack.mean(axis=0), rtol=1e-12)
+        for name in LEAD_NAMES:
+            stack = np.stack([rec.leads[name][c - pre:c + post + 1] for c in centers])
+            assert beat.leads[name].tobytes() == stack.mean(axis=0).tobytes()
 
     def test_window_out_of_range(self):
         centers = (60, 500, 1000)  # valid landmarks, but pre-window leaves the record

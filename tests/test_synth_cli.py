@@ -65,6 +65,13 @@ class TestSynthGenerator:
         for path in sorted((tmp_path / "fiducials").glob("*.json")):
             assert len(parse_fiducials(path).beats) >= 3
 
+    def test_shortest_duration_gives_three_beats_at_longest_rr(self, tmp_path):
+        # RR draws near 1400 ms sit above the longest RR that MIN_DURATION_S allows for
+        generate(SynthConfig(n_patients=20, duration_s=MIN_DURATION_S, rr_mean_ms=1400.0),
+                 tmp_path)
+        for path in sorted((tmp_path / "fiducials").glob("*.json")):
+            assert len(parse_fiducials(path).beats) >= 3
+
     def test_angle_shift_separates_truth(self, tmp_path):
         out = generate(SynthConfig(n_patients=60, seed=4, positive_fraction=0.4,
                                    qrst_angle_shift_deg=30.0), tmp_path / "s")
