@@ -10,10 +10,15 @@ over the exact midpoints between sorted distinct feature values. Leaf weight is
 -G/(H + lambda). The prediction is sigmoid(base_score + lr * sum of tree
 outputs), with base_score the log-odds of the training prevalence.
 
-A node scores all columns in one pass: one stable sort of its rows per column,
-so tied values keep row order, then column-wise cumulative sums of g and h in
-that order. Tied gains resolve to the lowest feature index and then the lowest
-threshold, so repeated fits serialize identically.
+The matrix never changes while a booster trains, so each column is sorted
+once, stably (tied values keep row order, NaN last), when the booster is built;
+every tree starts from that order, the column block of exact greedy XGBoost
+(Chen & Guestrin 2016, section 4.1). A split hands each child its rows' order by
+a stable partition of the parent's, which is the order a stable sort of the
+child's rows would give. A node then scores all columns in one pass: cumulative
+sums of g and h along each column's order. Tied gains resolve to the lowest
+feature index and then the lowest threshold, so repeated fits serialize
+identically.
 """
 
 from __future__ import annotations
@@ -45,8 +50,10 @@ class TrainConfig:
             raise SchemaError("num_rounds must be >= 1")
         if self.max_depth < 1:
             raise SchemaError("max_depth must be >= 1")
-        if not (self.l2_reg >= 0 and self.gamma >= 0):
-            raise SchemaError("l2_reg and gamma must be non-negative")
+        for name in ("min_child_hessian", "l2_reg", "gamma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise SchemaError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass
@@ -217,6 +224,11 @@ class Booster:
         self.X = X
         self.y = y
         self.config = config
+        # feature-major copy and its stable per-column presort, both (F, n);
+        # row i of column j sits at j * n + i of the flat copy
+        self._XT = np.ascontiguousarray(X.T)
+        self._order = np.argsort(self._XT, axis=1, kind="stable")
+        self._offsets = np.arange(0, X.size, len(X))[:, None]
         prevalence = float(y.mean())
         base = math.log(prevalence / (1.0 - prevalence))
         self.ensemble = Ensemble(
@@ -232,7 +244,8 @@ class Booster:
         g = p - self.y
         h = p * (1.0 - p)
         leaf_values = np.empty(len(self.y))
-        root = self._grow(np.arange(len(self.y)), g, h, depth=0, leaf_values=leaf_values)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = self._grow(np.arange(len(self.y)), self._order, g, h, 0, leaf_values)
         tree = Tree(root)
         self.ensemble.trees.append(tree)
         self._margins = self._margins + self.config.learning_rate * leaf_values
@@ -243,7 +256,9 @@ class Booster:
             self.step()
         return self.ensemble
 
-    def _grow(self, idx, g, h, depth, leaf_values) -> TreeNode:
+    def _grow(self, idx, order, g, h, depth, leaf_values) -> TreeNode:
+        """Grow the subtree of the rows idx (ascending); order is (F, len(idx)),
+        each column's rows in (value, row index) order, or None at max_depth."""
         cfg = self.config
         G = float(g[idx].sum())
         H = float(h[idx].sum())
@@ -253,37 +268,41 @@ class Booster:
             leaf_values[idx] = weight
             return TreeNode(weight=weight)
 
-        if depth >= cfg.max_depth or len(idx) < 2 or self.X.shape[1] == 0:
+        if depth >= cfg.max_depth or len(idx) < 2 or len(order) == 0:
             return leaf()
 
-        # every column of the node at once: rows in (value, row index) order
-        order = idx[np.argsort(self.X[idx], axis=0, kind="stable")]
-        values = np.take_along_axis(self.X, order, axis=0)
-        gl = np.cumsum(g[order], axis=0)[:-1]
-        hl = np.cumsum(h[order], axis=0)[:-1]
+        values = self._XT.take(order + self._offsets)
+        gl = np.add.accumulate(g.take(order), axis=1)[:, :-1]
+        hl = np.add.accumulate(h.take(order), axis=1)[:, :-1]
         gr = G - gl
         hr = H - hl
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gains = 0.5 * (gl ** 2 / (hl + cfg.l2_reg) + gr ** 2 / (hr + cfg.l2_reg)
-                           - G * G / (H + cfg.l2_reg)) - cfg.gamma
-        keep = ((values[:-1] < values[1:]) & (hl >= cfg.min_child_hessian)
+        gains = 0.5 * (gl ** 2 / (hl + cfg.l2_reg) + gr ** 2 / (hr + cfg.l2_reg)
+                       - G * G / (H + cfg.l2_reg)) - cfg.gamma
+        keep = ((values[:, :-1] < values[:, 1:]) & (hl >= cfg.min_child_hessian)
                 & (hr >= cfg.min_child_hessian) & np.isfinite(gains))
         # feature-major flat argmax: lowest feature first, then lowest threshold
-        gains = np.where(keep, gains, -np.inf).T
+        gains = np.where(keep, gains, -np.inf)
         feature, k = divmod(int(np.argmax(gains)), gains.shape[1])
         gain = float(gains[feature, k])
         if gain <= 0.0:
             return leaf()
 
-        threshold = float((values[k, feature] + values[k + 1, feature]) / 2.0)
-        goes_left = self.X[idx, feature] < threshold
+        threshold = float((values[feature, k] + values[feature, k + 1]) / 2.0)
+        left = self._XT[feature] < threshold
+        goes_left = left[idx]
+        left_order = right_order = None
+        if depth + 1 < cfg.max_depth:
+            # a stable partition keeps each column's (value, row index) order
+            flat, mask = order.ravel(), left.take(order).ravel()
+            left_order = flat.compress(mask).reshape(len(order), -1)
+            right_order = flat.compress(~mask).reshape(len(order), -1)
         return TreeNode(
             feature=feature,
             threshold=threshold,
             default_left=True,
             gain=gain,
-            left=self._grow(idx[goes_left], g, h, depth + 1, leaf_values),
-            right=self._grow(idx[~goes_left], g, h, depth + 1, leaf_values),
+            left=self._grow(idx[goes_left], left_order, g, h, depth + 1, leaf_values),
+            right=self._grow(idx[~goes_left], right_order, g, h, depth + 1, leaf_values),
         )
 
 

@@ -336,7 +336,8 @@ class PerFeatureScanBooster(Booster):
         super().__init__(X, y, config, feature_names)
         self._order = np.argsort(self.X, axis=0, kind="stable")
 
-    def _grow(self, idx, g, h, depth, leaf_values):
+    def _grow(self, idx, order, g, h, depth, leaf_values):
+        # order is the package's presorted row order; the reference ignores it
         cfg = self.config
         G = float(g[idx].sum())
         H = float(h[idx].sum())
@@ -392,8 +393,8 @@ class PerFeatureScanBooster(Booster):
             threshold=best_threshold,
             default_left=True,
             gain=best_gain,
-            left=self._grow(idx[col < best_threshold], g, h, depth + 1, leaf_values),
-            right=self._grow(idx[~(col < best_threshold)], g, h, depth + 1, leaf_values),
+            left=self._grow(idx[col < best_threshold], None, g, h, depth + 1, leaf_values),
+            right=self._grow(idx[~(col < best_threshold)], None, g, h, depth + 1, leaf_values),
         )
 
 

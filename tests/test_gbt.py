@@ -13,6 +13,7 @@ from ecgtriage.gbt import (
     fit,
     importance_gain,
 )
+from ecgtriage.pipeline import rebalance
 
 from oracles import PerFeatureScanBooster, first_tree_bruteforce
 
@@ -171,9 +172,10 @@ class TestSplitSearch:
            num_rounds=st.integers(1, 4))
     def test_fit_equals_per_feature_scan(self, data, n, width, min_child_hessian,
                                          l2_reg, max_depth, num_rounds):
-        # small integers and duplicated columns make tied values and tied gains
-        cells = data.draw(st.lists(st.integers(0, 2), min_size=n * width,
-                                   max_size=n * width))
+        # small integers and duplicated columns make tied values and tied gains;
+        # NaN cells sort last and go right
+        cells = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, math.nan]),
+                                   min_size=n * width, max_size=n * width))
         base = np.array(cells, dtype=float).reshape(n, width)
         copies = data.draw(st.lists(st.integers(0, width - 1), max_size=4))
         X = np.column_stack([base] + [base[:, j] for j in copies])
@@ -184,6 +186,26 @@ class TestSplitSearch:
         model = fit(X, y, cfg)
         reference = PerFeatureScanBooster(X, y, cfg).run(cfg.num_rounds)
         assert model == reference
+        assert model.to_json() == reference.to_json()
+
+    def test_protocol_shaped_fit_equals_per_feature_scan(self):
+        # a train-eval instance: 210 rebalanced rows with bootstrap duplicates,
+        # binary, 1/240 s-quantised and continuous columns in mixed order
+        rng = np.random.default_rng(7)
+        n = 210
+        columns = np.column_stack([
+            rng.integers(0, 2, size=(n, 8)).astype(float),
+            np.round(rng.normal(100.0, 12.0, size=(n, 8)) * 0.24) / 0.24,
+            rng.normal(size=(n, 8)),
+        ])[:, rng.permutation(24)]
+        score = columns[:, :3].sum(axis=1) + rng.normal(size=n)
+        labels = (score > np.quantile(score, 0.8)).astype(int)
+        rows = rebalance(labels, seed=3)
+        X, y = columns[rows], labels[rows]
+        assert X.shape == (210, 24) and len(np.unique(rows)) < 210
+        cfg = config(learning_rate=0.1, num_rounds=20, max_depth=4)
+        model = fit(X, y, cfg)
+        reference = PerFeatureScanBooster(X, y, cfg).run(cfg.num_rounds)
         assert model.to_json() == reference.to_json()
 
     def test_identical_columns_split_on_lower_index(self):

@@ -179,6 +179,8 @@ class TestCliBasics:
         "eta_grid=", "specs=", "specs=X", "eta_grid=2.0", "eta_grid=0.1,abc", "split_ratio=1.5",
         "k_folds=0", "k_folds=1", "k_folds=2.5", "max_rounds=0", "max_depth=0", "master_seed=-1",
         "n_instances=0", "patience=0", "min_sensitivity=0", "l2_reg=nan", "gamma=-1",
+        "min_child_hessian=nan", "min_child_hessian=inf", "min_child_hessian=-1", "l2_reg=inf",
+        "gamma=inf",
         "stratify=maybe", "beat_aggregation=mode", "pre_ms=nan", "post_ms=inf",
         "synth_seed=3", "experiment=1",
     ])
