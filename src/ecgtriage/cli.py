@@ -8,14 +8,15 @@ The flags --seed, --out, --specs, --min-sens, --no-stratify and
 --holdout-selection overwrite its keys master_seed, out_dir, specs,
 min_sensitivity, stratify and holdout_selection; fields_from_raw then parses
 all keys once. The keys are the fields of RunConfig (ecg_dir, fiducial_dir,
-cohort_table, out_dir, specs, beat_aggregation, pre_ms, post_ms), of its nested
-ExperimentConfig (master_seed, eta_grid, k_folds, n_instances, min_sensitivity,
-stratify, holdout_selection, max_rounds, patience, max_depth,
-min_child_hessian, l2_reg, gamma, split_ratio) and, prefixed synth_, of
-synth.SynthConfig except its seed, which is master_seed. A value takes its
-field's annotated type: int, float, str or Path from the text, bool from
-1/true/yes or 0/false/no, a tuple from a comma-separated list. Each config
-class validates its own values.
+cohort_table, out_dir, specs, pre_ms, post_ms), of its nested ExperimentConfig
+(master_seed, eta_grid, k_folds, n_instances, min_sensitivity, stratify,
+holdout_selection, max_rounds, patience, max_depth, min_child_hessian, l2_reg,
+gamma, split_ratio) and, prefixed synth_, of synth.SynthConfig except its seed,
+which is master_seed (n_patients, positive_fraction, sampling_rate_hz,
+duration_s, noise_sd_mv, qrst_angle_shift_deg, svg_scale, risk_effect). A
+value takes its field's annotated type: int, float, str or Path from the text,
+bool from 1/true/yes or 0/false/no, a tuple from a comma-separated list. Each
+config class validates its own values.
 
 Exit codes: 0 success; 2 configuration error (unknown key, bad value,
 unreadable config file, missing input path); 3 data error (malformed input);
@@ -54,7 +55,6 @@ class RunConfig:
     cohort_table: Path = Path("cohort.csv")
     out_dir: Path = Path("out")
     specs: tuple[str, ...] = ("S", "R", "G", "SRG")
-    beat_aggregation: str = "median"
     pre_ms: float = 300.0
     post_ms: float = 500.0
     experiment: ExperimentConfig = ExperimentConfig()
@@ -64,8 +64,6 @@ class RunConfig:
         object.__setattr__(self, "specs", tuple(label.upper() for label in self.specs))
         if not self.specs or not set(self.specs) <= {"S", "R", "G", "SRG"}:
             raise ConfigError(f"specs must list models among S, R, G, SRG, got {self.specs}")
-        if self.beat_aggregation not in ("median", "mean"):
-            raise ConfigError("beat_aggregation must be median or mean")
         if not (0.0 <= self.pre_ms < math.inf and 0.0 <= self.post_ms < math.inf):
             raise ConfigError("pre_ms and post_ms must be finite and non-negative")
 
@@ -163,8 +161,7 @@ def cmd_extract(cfg: RunConfig) -> int:
             ecg = ecg_ingest.parse_ecg(_require(cfg.ecg_dir / f"{record.id}.csv", "trace file"))
             fiducials = ecg_ingest.parse_fiducials(
                 _require(cfg.fiducial_dir / f"{record.id}.json", "fiducial file"))
-            beat = ecg_ingest.median_beat(ecg, fiducials, pre_ms=cfg.pre_ms,
-                                          post_ms=cfg.post_ms, statistic=cfg.beat_aggregation)
+            beat = ecg_ingest.median_beat(ecg, fiducials, pre_ms=cfg.pre_ms, post_ms=cfg.post_ms)
             corrected = baseline_correct(beat)
             geh = compute_geh(kors_transform(corrected))
             standard = ecg_ingest.standard_measures(corrected)

@@ -291,26 +291,19 @@ def parse_fiducials(path) -> FiducialSet:
     return FiducialSet(beats=tuple(beats))
 
 
-def _consolidate_relative(values: list[int]) -> int:
-    return round_half_up(float(np.median(np.asarray(values, dtype=float))))
-
-
 def median_beat(
     record: EcgRecord,
     fiducials: FiducialSet,
     pre_ms: float = 300.0,
     post_ms: float = 500.0,
-    statistic: str = "median",
 ) -> MedianBeat:
     """Consolidate the annotated beats into one beat aligned on the QRS peak.
 
-    Each output sample is the per-sample median (or mean, per ``statistic``)
-    across beats over the window [peak - pre_ms, peak + post_ms]. Landmarks are
-    consolidated as the median of the beat-relative offsets, rounded half up;
-    rr_ms is the median spacing of successive QRS peaks.
+    Each output sample is the per-sample median across beats over the window
+    [peak - pre_ms, peak + post_ms]. Each landmark is the median of its
+    beat-relative offsets, rounded half up; rr_ms is the median spacing of
+    successive QRS peaks.
     """
-    if statistic not in ("median", "mean"):
-        raise ValueError(f"statistic must be 'median' or 'mean', got {statistic!r}")
     fiducials.validate_against(record)
     fs = record.sampling_rate_hz
     pre = round_half_up(pre_ms * fs / 1000.0)
@@ -325,39 +318,36 @@ def median_beat(
             )
 
     # (12, beats, width): every beat window of every lead in one gather
-    starts = np.asarray([beat.qrs.peak - pre for beat in beats])
+    peaks = np.asarray([beat.qrs.peak for beat in beats])
     stacked = np.stack([record.leads[name] for name in LEAD_NAMES])
-    windows = stacked[:, starts[:, None] + np.arange(width)]
-    agg = np.median if statistic == "median" else np.mean
-    leads = dict(zip(LEAD_NAMES, agg(windows, axis=1)))
-
-    def consolidate(pick) -> Wave:
-        onset = _consolidate_relative([pick(b).onset - b.qrs.peak for b in beats]) + pre
-        peak = _consolidate_relative([pick(b).peak - b.qrs.peak for b in beats]) + pre
-        offset = _consolidate_relative([pick(b).offset - b.qrs.peak for b in beats]) + pre
-        for idx in (onset, peak, offset):
-            if idx < 0 or idx >= width:
-                raise WindowOutOfRange(
-                    f"consolidated landmark at window index {idx} outside [0, {width})"
-                )
-        return Wave(onset, peak, offset)
+    windows = stacked[:, (peaks - pre)[:, None] + np.arange(width)]
+    leads = dict(zip(LEAD_NAMES, np.median(windows, axis=1)))
 
     # P is consolidated only when every beat carries one; mixed annotation
     # means the wave was not reliably identifiable, so it is treated as absent.
-    p_wave = None
-    if all(b.p is not None for b in beats):
-        p_wave = consolidate(lambda b: b.p)
-    baseline = _consolidate_relative([b.baseline - b.qrs.peak for b in beats]) + pre
+    waves = ("p", "qrs", "t") if all(b.p is not None for b in beats) else ("qrs", "t")
+    # (landmarks, beats) sample indices: the baseline, then onset, peak and
+    # offset of each wave; one median over the beats consolidates them all
+    marks = [[b.baseline for b in beats]]
+    marks += [[getattr(getattr(b, w), m) for b in beats]
+              for w in waves for m in ("onset", "peak", "offset")]
+    baseline, *idx = (round_half_up(float(x)) + pre
+                      for x in np.median(np.asarray(marks) - peaks, axis=1))
+    wave_at = {w: Wave(*idx[3 * k:3 * k + 3]) for k, w in enumerate(waves)}
+
+    def in_window(wave: Wave) -> Wave:
+        for i in (wave.onset, wave.peak, wave.offset):
+            if i < 0 or i >= width:
+                raise WindowOutOfRange(
+                    f"consolidated landmark at window index {i} outside [0, {width})"
+                )
+        return wave
+
+    p_wave = in_window(wave_at["p"]) if "p" in wave_at else None
     if baseline < 0 or baseline >= width:
         raise WindowOutOfRange(f"consolidated baseline index {baseline} outside window")
-
     cons = ConsolidatedFiducials(
-        baseline=baseline,
-        p=p_wave,
-        qrs=consolidate(lambda b: b.qrs),
-        t=consolidate(lambda b: b.t),
-    )
-    peaks = np.asarray([b.qrs.peak for b in beats], dtype=float)
+        baseline=baseline, p=p_wave, qrs=in_window(wave_at["qrs"]), t=in_window(wave_at["t"]))
     rr_ms = float(np.median(np.diff(peaks)) * 1000.0 / fs)
     return MedianBeat(leads=leads, fiducials=cons, sampling_rate_hz=fs, rr_ms=rr_ms)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMatrix, SchemaError, SingleClass, WidthMismatch
+from .errors import ConfigError, EmptyMatrix, SchemaError, SingleClass, WidthMismatch
 
 SERIALIZATION_VERSION = 1
 
@@ -45,15 +45,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate <= 1.0:
-            raise SchemaError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
+            raise ConfigError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
         if self.num_rounds < 1:
-            raise SchemaError("num_rounds must be >= 1")
+            raise ConfigError("num_rounds must be >= 1")
         if self.max_depth < 1:
-            raise SchemaError("max_depth must be >= 1")
+            raise ConfigError("max_depth must be >= 1")
         for name in ("min_child_hessian", "l2_reg", "gamma"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
-                raise SchemaError(f"{name} must be finite and >= 0, got {value!r}")
+                raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass

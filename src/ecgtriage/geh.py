@@ -4,10 +4,9 @@ Nine outputs: peak and area QRS-T angles, peak and area gradient-vector azimuth
 and elevation, peak gradient magnitude (mV), QT vector-magnitude integral and
 gradient-area magnitude (both mV*ms).
 
-Axis convention (kept in one place so it can be flipped without touching the
-feature math): x points left, y points inferior, z points posterior. Azimuth is
-measured in the transverse x-z plane from +x toward +z; elevation is measured
-down from the +y axis.
+Axis convention: x points left, y points inferior, z points posterior. Azimuth
+is measured in the transverse x-z plane from +x toward +z, atan2(z, x);
+elevation is measured down from the +y axis.
 """
 
 from __future__ import annotations
@@ -20,11 +19,6 @@ import numpy as np
 
 from .errors import EmptyWindow, MissingFiducial, ZeroVector
 from .vcg import Vcg
-
-# azimuth = atan2(AZIMUTH_SIN_AXIS, AZIMUTH_COS_AXIS); elevation from ELEVATION_AXIS
-AZIMUTH_COS_AXIS = "x"
-AZIMUTH_SIN_AXIS = "z"
-ELEVATION_AXIS = "y"
 
 
 @dataclass(frozen=True)
@@ -138,13 +132,10 @@ def azimuth_elevation(v: SpatialVector) -> Direction:
     """
     if v.magnitude == 0.0:
         raise ZeroVector("direction of zero vector")
-    cos_c = getattr(v, AZIMUTH_COS_AXIS)
-    sin_c = getattr(v, AZIMUTH_SIN_AXIS)
-    elev_c = getattr(v, ELEVATION_AXIS)
-    elevation = math.degrees(math.acos(max(-1.0, min(1.0, elev_c / v.magnitude))))
-    if cos_c == 0.0 and sin_c == 0.0:
+    elevation = math.degrees(math.acos(max(-1.0, min(1.0, v.y / v.magnitude))))
+    if v.x == 0.0 and v.z == 0.0:
         return Direction(0.0, elevation, True)
-    azimuth = math.degrees(math.atan2(sin_c, cos_c))
+    azimuth = math.degrees(math.atan2(v.z, v.x))
     if azimuth <= -180.0:
         azimuth += 360.0
     return Direction(azimuth, elevation, False)

@@ -20,7 +20,7 @@ import numpy as np
 from . import gbt
 from .cohort import FeatureMatrix, ModelSpec, assemble_features
 from .ecg_ingest import round_half_up
-from .errors import ConfigError, NoPositives, SchemaError, SingleClass, TooFewPerClass, TooSmall
+from .errors import ConfigError, NoPositives, SingleClass, TooFewPerClass, TooSmall
 from .gbt import Booster, Ensemble, TrainConfig, importance_gain
 
 STREAM_SPLIT = 1
@@ -60,11 +60,9 @@ class ExperimentConfig:
                                ("split_ratio", 0.0 < self.split_ratio < 1.0, "in (0, 1)")):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-        try:  # the booster's own checks cover the grid and the tree parameters
-            for eta in self.eta_grid:
-                self.train_config(eta, self.max_rounds)
-        except SchemaError as exc:
-            raise ConfigError(str(exc)) from None
+        # the booster's own checks cover the grid and the tree parameters
+        for eta in self.eta_grid:
+            self.train_config(eta, self.max_rounds)
 
     def train_config(self, learning_rate: float, num_rounds: int) -> TrainConfig:
         return TrainConfig(learning_rate=learning_rate, num_rounds=num_rounds,

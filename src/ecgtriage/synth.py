@@ -4,9 +4,13 @@ Beats are built in vectorcardiogram space as sums of Gaussian bumps (P, a
 biphasic R/S pair, T) along unit directions, then mapped to the 8 independent
 leads with the pseudoinverse of the lead-reduction matrix, so extraction
 recovers the injected loops up to noise. The four derived limb leads are
-reconstructed from I and II. Class effects are injected in VCG space: positives
-get their repolarization axis rotated away from the depolarization axis and
-their whole loop amplitude rescaled; risk covariates shift by a separate knob.
+reconstructed from I and II. Each patient's bump amplitudes and widths, QRS-T
+angle and RR interval are drawn around the fixed table BEAT_TEMPLATE, so
+SynthConfig holds only the study design (cohort size, class ratio, seed, class
+effects) and the recording format (sampling rate, duration, noise). Class
+effects are injected in VCG space: positives get their repolarization axis
+rotated away from the depolarization axis and their whole loop amplitude
+rescaled; risk covariates shift by a separate knob.
 """
 
 from __future__ import annotations
@@ -30,6 +34,17 @@ SYNTH_MATRIX = np.linalg.pinv(KORS_MATRIX)
 _LEAD_IN_MS, _MAX_RR_MS, _TAIL_MS = 400.0, 1200.0, 520.0
 # shortest trace holding the three beats extract needs at the longest RR
 MIN_DURATION_S = (_LEAD_IN_MS + 2 * _MAX_RR_MS + _TAIL_MS) / 1000.0
+
+# per-patient beat template: each wave's (amplitude mV, width ms) is scaled by
+# exp(N(0, jitter)) with the jitter of its kind; the QRS-T angle (deg) and the
+# RR interval (ms) are drawn as normal (mean, sd)
+BEAT_TEMPLATE = {
+    "waves": {"r": (1.4, 16.0), "s": (0.5, 12.0), "t": (0.30, 45.0), "p": (0.08, 24.0)},
+    "amp_jitter": 0.12,
+    "width_jitter": 0.08,
+    "qrst_angle_deg": (40.0, 15.0),
+    "rr_ms": (870.0, 80.0),
+}
 
 # covariate prevalences (negative class) and their positive-class targets
 _RISK_RATES = {
@@ -55,34 +70,21 @@ class SynthConfig:
     qrst_angle_shift_deg: float = 30.0
     svg_scale: float = 0.75
     risk_effect: float = 1.0
-    # wave shapes (amplitudes mV, widths ms)
-    r_amp_mv: float = 1.4
-    r_width_ms: float = 16.0
-    s_amp_mv: float = 0.5
-    s_width_ms: float = 12.0
-    t_amp_mv: float = 0.30
-    t_width_ms: float = 45.0
-    p_amp_mv: float = 0.08
-    p_width_ms: float = 24.0
-    # geometry and timing
-    qrst_angle_base_deg: float = 40.0
-    qrst_angle_sd_deg: float = 15.0
-    rr_mean_ms: float = 870.0
-    rr_sd_ms: float = 80.0
-    amp_jitter: float = 0.12
-    width_jitter: float = 0.08
 
     def __post_init__(self):
         if self.n_patients < 10:
             raise ConfigError("n_patients must be at least 10")
         if not 0.0 < self.positive_fraction < 1.0:
             raise ConfigError("positive_fraction must be in (0, 1)")
-        if self.noise_sd_mv < 0:
-            raise ConfigError("noise_sd_mv must be non-negative")
+        if not 0.0 <= self.noise_sd_mv < math.inf:
+            raise ConfigError("noise_sd_mv must be finite and non-negative")
         if not MIN_SAMPLING_RATE_HZ <= self.sampling_rate_hz < math.inf:
             raise ConfigError(f"sampling_rate_hz must be finite and >= {MIN_SAMPLING_RATE_HZ:g}")
         if not MIN_DURATION_S <= self.duration_s < math.inf:
             raise ConfigError(f"duration_s must be finite and >= {MIN_DURATION_S:g} (three beats)")
+        for name in ("qrst_angle_shift_deg", "svg_scale", "risk_effect"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 def _unit(v):
@@ -117,16 +119,12 @@ class _BeatShape:
 
 def _draw_shape(cfg: SynthConfig, rng, positive: bool):
     jit = lambda base, rel: base * float(np.exp(rng.normal(0.0, rel)))
-    r_amp = jit(cfg.r_amp_mv, cfg.amp_jitter)
-    s_amp = jit(cfg.s_amp_mv, cfg.amp_jitter)
-    t_amp = jit(cfg.t_amp_mv, cfg.amp_jitter)
-    p_amp = jit(cfg.p_amp_mv, cfg.amp_jitter)
-    r_w = jit(cfg.r_width_ms, cfg.width_jitter)
-    s_w = jit(cfg.s_width_ms, cfg.width_jitter)
-    t_w = jit(cfg.t_width_ms, cfg.width_jitter)
-    p_w = jit(cfg.p_width_ms, cfg.width_jitter)
+    waves = BEAT_TEMPLATE["waves"]
+    # the draw order fixes the cohort bytes: r, s, t, p amplitudes, then widths, then the angle
+    amp = {w: jit(a, BEAT_TEMPLATE["amp_jitter"]) for w, (a, _) in waves.items()}
+    width = {w: jit(ms, BEAT_TEMPLATE["width_jitter"]) for w, (_, ms) in waves.items()}
 
-    angle = float(np.clip(rng.normal(cfg.qrst_angle_base_deg, cfg.qrst_angle_sd_deg), 5.0, 150.0))
+    angle = float(np.clip(rng.normal(*BEAT_TEMPLATE["qrst_angle_deg"]), 5.0, 150.0))
     if positive:
         angle = min(angle + cfg.qrst_angle_shift_deg, 170.0)
     scale = cfg.svg_scale if positive else 1.0
@@ -141,18 +139,18 @@ def _draw_shape(cfg: SynthConfig, rng, positive: bool):
 
     qrs_on = -0.35 * qrs_dur
     qrs_off = qrs_on + qrs_dur
-    s_center = qrs_off - 3.0 * s_w
+    s_center = qrs_off - 3.0 * width["s"]
     t_off = qrs_on + qt
-    t_center = t_off - 3.0 * t_w
-    t_on = max(qrs_off + 8.0, t_center - 3.0 * t_w)
+    t_center = t_off - 3.0 * width["t"]
+    t_on = max(qrs_off + 8.0, t_center - 3.0 * width["t"])
     p_on = qrs_on - pr
     p_center = p_on + 0.5 * p_dur
 
     bumps = (
-        (scale * p_amp, p_w, p_center, _unit(_BASE_P_DIR + rng.normal(0.0, 0.05, size=3))),
-        (scale * r_amp, r_w, 0.0, u_q),
-        (-scale * s_amp, s_w, s_center, u_q),
-        (scale * t_amp, t_w, t_center, u_t),
+        (scale * amp["p"], width["p"], p_center, _unit(_BASE_P_DIR + rng.normal(0.0, 0.05, size=3))),
+        (scale * amp["r"], width["r"], 0.0, u_q),
+        (-scale * amp["s"], width["s"], s_center, u_q),
+        (scale * amp["t"], width["t"], t_center, u_t),
     )
     landmarks = {
         "baseline": -80.0,
@@ -211,7 +209,7 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
 
         # beat centers on integer samples, spaced by a jittered RR interval that
         # never exceeds _MAX_RR_MS, so MIN_DURATION_S holds three beats
-        rr_ms = max(float(rng.normal(cfg.rr_mean_ms, cfg.rr_sd_ms)), 600.0)
+        rr_ms = max(float(rng.normal(*BEAT_TEMPLATE["rr_ms"])), 600.0)
         centers = []
         c = _LEAD_IN_MS
         while c <= cfg.duration_s * 1000.0 - _TAIL_MS:

@@ -433,17 +433,6 @@ class TestMedianBeat:
         assert beat.fiducials.baseline == pre - 30
         assert beat.fiducials.p.onset == pre - 60
 
-    def test_mean_statistic_option(self, rng):
-        contents = [rng.normal(size=(12, 192)) for _ in range(3)]
-        centers = CENTERS[:3]
-        rec = _record_with_beats(contents, centers)
-        beat = median_beat(rec, fiducials_at(centers), statistic="mean")
-        pre = round_half_up(300 * 240 / 1000)
-        post = round_half_up(500 * 240 / 1000)
-        for name in LEAD_NAMES:
-            stack = np.stack([rec.leads[name][c - pre:c + post + 1] for c in centers])
-            assert beat.leads[name].tobytes() == stack.mean(axis=0).tobytes()
-
     def test_window_out_of_range(self):
         centers = (60, 500, 1000)  # valid landmarks, but pre-window leaves the record
         rec = _record_with_beats([np.zeros((12, 80))] * 3, centers, n=1600)

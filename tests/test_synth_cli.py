@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecgtriage import cli
+from ecgtriage import cli, synth
 from ecgtriage.cohort import COHORT_COLUMNS, GEH_COLUMNS, load_cohort
 from ecgtriage.ecg_ingest import parse_ecg, parse_fiducials, round_half_up
 from ecgtriage.errors import ConfigError
@@ -65,10 +65,10 @@ class TestSynthGenerator:
         for path in sorted((tmp_path / "fiducials").glob("*.json")):
             assert len(parse_fiducials(path).beats) >= 3
 
-    def test_shortest_duration_gives_three_beats_at_longest_rr(self, tmp_path):
+    def test_shortest_duration_gives_three_beats_at_longest_rr(self, tmp_path, monkeypatch):
         # RR draws near 1400 ms sit above the longest RR that MIN_DURATION_S allows for
-        generate(SynthConfig(n_patients=20, duration_s=MIN_DURATION_S, rr_mean_ms=1400.0),
-                 tmp_path)
+        monkeypatch.setitem(synth.BEAT_TEMPLATE, "rr_ms", (1400.0, synth.BEAT_TEMPLATE["rr_ms"][1]))
+        generate(SynthConfig(n_patients=20, duration_s=MIN_DURATION_S), tmp_path)
         for path in sorted((tmp_path / "fiducials").glob("*.json")):
             assert len(parse_fiducials(path).beats) >= 3
 
@@ -181,8 +181,8 @@ class TestCliBasics:
         "n_instances=0", "patience=0", "min_sensitivity=0", "l2_reg=nan", "gamma=-1",
         "min_child_hessian=nan", "min_child_hessian=inf", "min_child_hessian=-1", "l2_reg=inf",
         "gamma=inf",
-        "stratify=maybe", "beat_aggregation=mode", "pre_ms=nan", "post_ms=inf",
-        "synth_seed=3", "experiment=1",
+        "stratify=maybe", "beat_aggregation=mode", "beat_aggregation=mean", "pre_ms=nan",
+        "post_ms=inf", "synth_seed=3", "experiment=1",
     ])
     def test_bad_value_exits_2(self, tmp_path, synth_cohort_dir, caplog, line):
         cfg = tmp_path / "c.cfg"
@@ -210,8 +210,7 @@ def load(argv):
 class TestConfigPath:
     def test_every_field_round_trips(self, tmp_path):
         run = {"ecg_dir": Path("e"), "fiducial_dir": Path("f"), "cohort_table": Path("c.csv"),
-               "out_dir": Path("o"), "specs": ("SRG", "G"), "beat_aggregation": "mean",
-               "pre_ms": 250.5, "post_ms": 450.25}
+               "out_dir": Path("o"), "specs": ("SRG", "G"), "pre_ms": 250.5, "post_ms": 450.25}
         experiment = {"master_seed": 12, "eta_grid": (0.05, 0.2), "k_folds": 4,
                       "n_instances": 7, "min_sensitivity": 0.85, "stratify": False,
                       "holdout_selection": True, "max_rounds": 90, "patience": 9,
@@ -493,6 +492,11 @@ class TestSynthCommand:
         "synth_sampling_rate_hz=0", "synth_sampling_rate_hz=99", "synth_sampling_rate_hz=nan",
         "synth_sampling_rate_hz=inf", "synth_duration_s=0", "synth_duration_s=-1",
         "synth_duration_s=3.3", "synth_duration_s=nan", "synth_duration_s=inf",
+        # the beat template is fixed: its constants are not config keys
+        "synth_rr_sd_ms=-1", "synth_amp_jitter=-0.1", "synth_qrst_angle_sd_deg=-5",
+        "synth_t_width_ms=inf", "synth_r_width_ms=0", "synth_rr_mean_ms=nan",
+        "synth_noise_sd_mv=inf", "synth_noise_sd_mv=nan", "synth_qrst_angle_shift_deg=nan",
+        "synth_svg_scale=nan", "synth_risk_effect=nan", "synth_risk_effect=inf",
     ])
     def test_bad_synth_value_exits_2(self, tmp_path, caplog, line):
         cfg = tmp_path / "c.cfg"
