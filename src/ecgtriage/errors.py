@@ -100,6 +100,10 @@ class DegenerateTable(DegenerateStatsError):
     pass
 
 
+class UndefinedStatistic(DegenerateStatsError):
+    pass
+
+
 class SingleClass(DegenerateStatsError):
     pass
 

@@ -82,9 +82,12 @@ class SynthConfig:
             raise ConfigError(f"sampling_rate_hz must be finite and >= {MIN_SAMPLING_RATE_HZ:g}")
         if not MIN_DURATION_S <= self.duration_s < math.inf:
             raise ConfigError(f"duration_s must be finite and >= {MIN_DURATION_S:g} (three beats)")
-        for name in ("qrst_angle_shift_deg", "svg_scale", "risk_effect"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not 0.0 <= self.qrst_angle_shift_deg < math.inf:
+            raise ConfigError("qrst_angle_shift_deg must be finite and non-negative")
+        if not 0.0 < self.svg_scale < math.inf:
+            raise ConfigError("svg_scale must be finite and positive")
+        if not math.isfinite(self.risk_effect):
+            raise ConfigError(f"risk_effect must be finite, got {self.risk_effect!r}")
 
 
 def _unit(v):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from ecgtriage.cohort import (
     summarize_table_one,
     welch_t,
 )
+from ecgtriage.cohort import _t_two_sided
 from ecgtriage.ecg_ingest import StandardEcgMeasures
 from ecgtriage.errors import (
     DegenerateTable,
@@ -32,6 +34,7 @@ from ecgtriage.errors import (
     EmptyGroup,
     MissingFeature,
     SchemaError,
+    UndefinedStatistic,
 )
 from ecgtriage.geh import GehMeasures
 
@@ -234,6 +237,61 @@ class TestFisherWelch:
             ref = scipy.stats.ttest_ind(a, b, equal_var=False)
             assert t == pytest.approx(ref.statistic, rel=1e-10)
             assert p == pytest.approx(ref.pvalue, rel=1e-10)
+
+    def test_welch_non_finite_moments_are_undefined(self):
+        # the variance of +-1e200 overflows, so df is inf/inf
+        with pytest.raises(UndefinedStatistic):
+            welch_t([1e200, -1e200, 400.0], [400.0, 410.0, 420.0])
+
+    def test_welch_zero_variance(self):
+        assert welch_t([3.0, 3.0], [3.0, 3.0, 3.0]) == (0.0, 1.0)
+
+
+class TestStudentTail:
+    """_t_two_sided(t, df) = P(|T| >= |t|), checked without scipy where a closed form exists."""
+
+    # near t = 0 the closed forms, not scipy, are the reference: 2 * stdtr(1, -1e-8) is 3e-9 off
+    T_GRID = np.concatenate([[1e-12, 1e-10, 1e-8, 1e-6], np.geomspace(1e-4, 1e6, 400)])
+
+    def test_df1_closed_form(self):
+        # 1 - (2/pi) atan|t| == (2/pi) atan(1/|t|), the form without cancellation at large |t|
+        for t in self.T_GRID:
+            expected = 2.0 / math.pi * math.atan(1.0 / t)
+            assert _t_two_sided(t, 1.0) == pytest.approx(expected, rel=1e-14)
+            assert _t_two_sided(-t, 1.0) == _t_two_sided(t, 1.0)
+
+    def test_df2_closed_form(self):
+        # 1 - |t|/sqrt(2+t^2) == 2/(s (s + |t|)) with s = sqrt(2+t^2), without cancellation
+        for t in self.T_GRID:
+            s = math.sqrt(2.0 + t * t)
+            assert _t_two_sided(t, 2.0) == pytest.approx(2.0 / (s * (s + t)), rel=1e-14)
+
+    @pytest.mark.parametrize("df", [1.0, 1.5, 2.0, 7.3, 80.0, 1e4])
+    def test_ends(self, df):
+        assert _t_two_sided(0.0, df) == 1.0
+        assert _t_two_sided(math.inf, df) == 0.0
+        assert _t_two_sided(-math.inf, df) == 0.0
+
+    def test_grid_matches_scipy_down_to_1e_300(self):
+        df = np.geomspace(1.0, 1e4, 40)[:, None]
+        t = np.geomspace(1e-3, 1e150, 300)[None, :]
+        ref = 2.0 * scipy.special.stdtr(df, -t)
+        rows, cols = np.nonzero(ref >= 1e-300)
+        assert ref[rows, cols].min() < 1e-290
+        for i, j in zip(rows, cols):
+            assert _t_two_sided(float(t[0, j]), float(df[i, 0])) == pytest.approx(ref[i, j], rel=1e-10)
+
+    def test_large_df_keeps_the_docstring_accuracy(self):
+        # ln B(df/2, 1/2) as a difference of lgamma values would be 6e-11 off here
+        df = np.geomspace(100.0, 1e4, 30)[:, None]
+        t = np.geomspace(1e-3, 12.0, 200)[None, :]
+        ref = 2.0 * scipy.special.stdtr(df, -t)
+        for i, j in np.ndindex(ref.shape):
+            assert _t_two_sided(float(t[0, j]), float(df[i, 0])) == pytest.approx(ref[i, j], rel=2e-12)
+
+    def test_no_convergence_is_typed(self):
+        with pytest.raises(UndefinedStatistic):
+            _t_two_sided(4.6e10, 1e15)
 
 
 def test_percentile_worked_examples():

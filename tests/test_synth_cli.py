@@ -3,6 +3,10 @@ import dataclasses
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -425,6 +429,25 @@ class TestTableOneCommand:
         assert (tmp_path / "a" / "table_one.json").read_bytes() == \
             (tmp_path / "b" / "table_one.json").read_bytes()
 
+    def test_non_finite_welch_moments_give_na(self, tmp_path, synth_cohort_dir, capfd):
+        rows = read_rows(synth_cohort_dir / "extract" / "features.csv")
+        negatives = [r for r in rows if r["outcome"] == "negative"]
+        negatives[0]["qtc_ms"], negatives[1]["qtc_ms"] = "1e200", "-1e200"
+        table = tmp_path / "huge.csv"
+        with open(table, "w", newline="") as fh:
+            w = csv.DictWriter(fh, fieldnames=COHORT_COLUMNS, lineterminator="\n")
+            w.writeheader()
+            w.writerows(rows)
+        cfg = write_cfg(tmp_path / "c.cfg", cohort_table=table, out_dir=tmp_path / "o")
+        capfd.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["table-one", "--config", cfg]) == 0
+        assert capfd.readouterr().err == ""
+        doc = json.loads((tmp_path / "o" / "table_one.json").read_text())
+        [row] = [r for r in doc["rows"] if r["variable"] == "Corrected QTi, ms"]
+        assert row["p_value"] == "NA"
+
 
 class TestTrainEvalCommand:
     def run_cfg(self, tmp_path, synth_cohort_dir, out, **extra):
@@ -497,6 +520,7 @@ class TestSynthCommand:
         "synth_t_width_ms=inf", "synth_r_width_ms=0", "synth_rr_mean_ms=nan",
         "synth_noise_sd_mv=inf", "synth_noise_sd_mv=nan", "synth_qrst_angle_shift_deg=nan",
         "synth_svg_scale=nan", "synth_risk_effect=nan", "synth_risk_effect=inf",
+        "synth_qrst_angle_shift_deg=-60", "synth_svg_scale=0", "synth_svg_scale=-1",
     ])
     def test_bad_synth_value_exits_2(self, tmp_path, caplog, line):
         cfg = tmp_path / "c.cfg"
@@ -505,3 +529,44 @@ class TestSynthCommand:
             assert cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
         assert [r.getMessage().split(":")[0] for r in caplog.records] == ["config error"]
         assert not (tmp_path / "s").exists()
+
+
+# Runs the whole CLI with scipy made unimportable: numpy is the only runtime dependency.
+NO_SCIPY_PIPELINE = r"""
+import sys
+sys.modules["scipy"] = None
+from ecgtriage import cli
+out = sys.argv[1]
+steps = [
+    ("synth", "synth_n_patients=40\nsynth_positive_fraction=0.3\n", f"{out}/data"),
+    ("extract", f"ecg_dir={out}/data/ecg\nfiducial_dir={out}/data/fiducials\n"
+                f"cohort_table={out}/data/cohort.csv\n", f"{out}/extract"),
+    ("table-one", f"cohort_table={out}/extract/features.csv\n", f"{out}/table"),
+    ("train-eval", f"cohort_table={out}/extract/features.csv\nn_instances=2\nmax_rounds=5\n"
+                   "eta_grid=0.3\nk_folds=2\n", f"{out}/models"),
+]
+for command, keys, dest in steps:
+    with open(f"{out}/{command}.cfg", "w") as fh:
+        fh.write(keys)
+    print(command, cli.main([command, "--config", f"{out}/{command}.cfg", "--out", dest, "--seed", "5"]))
+"""
+
+
+class TestRuntimeDependencies:
+    def run_python(self, *args, cwd):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    def test_pipeline_runs_without_scipy(self, tmp_path):
+        done = self.run_python("-c", NO_SCIPY_PIPELINE, str(tmp_path), cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["synth", "0", "extract", "0", "table-one", "0", "train-eval", "0"]
+        assert (tmp_path / "models" / "reports" / "summary.json").exists()
+
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        done = self.run_python(
+            "-c", "import sys, ecgtriage.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+            cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
