@@ -40,7 +40,7 @@ from . import __version__, ecg_ingest, synth
 from .cohort import ModelSpec, load_cohort, save_cohort, summarize_table_one
 from .errors import ConfigError, DataFormatError, DegenerateStatsError, TriageError
 from .geh import compute_geh
-from .pipeline import EvalReport, ExperimentConfig, evaluate_model, split
+from .pipeline import ExperimentConfig, evaluate_model, split
 from .vcg import baseline_correct, kors_transform
 
 log = logging.getLogger("ecgtriage")
@@ -190,16 +190,17 @@ def cmd_table_one(cfg: RunConfig) -> int:
     return 0
 
 
-def _report_tables(report: EvalReport, reports_dir: Path):
-    label = report.label
-    roc = ["fpr,tpr"] + [f"{x!r},{y!r}" for x, y in report.roc_points]
-    _write_text(reports_dir / f"roc_{label}.txt", "\n".join(roc) + "\n")
-    pr = ["recall,precision"] + [f"{x!r},{y!r}" for x, y in report.pr_points]
-    _write_text(reports_dir / f"pr_{label}.txt", "\n".join(pr) + "\n")
-    imp = ["name,gain,percent"] + [
-        f"{e.name},{e.gain!r},{e.percent!r}" for e in report.importance.entries
-    ]
-    _write_text(reports_dir / f"importance_{label}.txt", "\n".join(imp) + "\n")
+def _write_table(path: Path, header: str, rows):
+    """One comma-separated line per row; str of a float is its shortest repr."""
+    _write_text(path, "\n".join([header] + [",".join(map(str, row)) for row in rows]) + "\n")
+
+
+def _report_tables(report: dict, reports_dir: Path):
+    label = report["model"]
+    _write_table(reports_dir / f"roc_{label}.txt", "fpr,tpr", report["roc_points"])
+    _write_table(reports_dir / f"pr_{label}.txt", "recall,precision", report["pr_points"])
+    _write_table(reports_dir / f"importance_{label}.txt", "name,gain,percent",
+                 [e.values() for e in report["importance"]["features"]])
 
 
 def cmd_train_eval(cfg: RunConfig) -> int:
@@ -215,27 +216,25 @@ def cmd_train_eval(cfg: RunConfig) -> int:
     for label in cfg.specs:
         report = evaluate_model(ModelSpec(label), cohort, experiment, split_plan=plan)
         reports.append(report)
-        _write_json(reports_dir / f"report_{label}.json", report.to_dict())
+        _write_json(reports_dir / f"report_{label}.json", report)
         _report_tables(report, reports_dir)
+        m = report["metrics"]
         summary_rows.append({
             "model": label,
-            "f2": f"{report.f2:.2f}",
-            "auc_pct": f"{100.0 * report.auc:.1f}",
-            "sensitivity_pct": f"{100.0 * report.sensitivity:.2f}",
-            "specificity_pct": f"{100.0 * report.specificity:.2f}",
+            "f2": f"{m['f2']:.2f}",
+            "auc_pct": f"{100.0 * m['auc']:.1f}",
+            "sensitivity_pct": f"{100.0 * m['sensitivity']:.2f}",
+            "specificity_pct": f"{100.0 * m['specificity']:.2f}",
         })
         log.info("model %s: AUC %.3f, AUCPR %.3f, F2 %.3f, sens %.4f, spec %.4f",
-                 label, report.auc, report.aucpr, report.f2,
-                 report.sensitivity, report.specificity)
+                 label, m["auc"], m["aucpr"], m["f2"], m["sensitivity"], m["specificity"])
 
     # highest F2, then AUC; the first listed spec wins a full tie
-    winner_report = max(reports, key=lambda r: (r.f2, r.auc))
-    winner = winner_report.label
-    imp = ["name,gain,percent"] + [
-        f"{e.name},{e.gain!r},{e.percent!r}"
-        for e in sorted(winner_report.importance.entries, key=lambda e: -e.gain)
-    ]
-    _write_text(reports_dir / "winner_importance.txt", "\n".join(imp) + "\n")
+    winner_report = max(reports, key=lambda r: (r["metrics"]["f2"], r["metrics"]["auc"]))
+    winner = winner_report["model"]
+    _write_table(reports_dir / "winner_importance.txt", "name,gain,percent",
+                 [e.values() for e in sorted(winner_report["importance"]["features"],
+                                             key=lambda e: -e["gain"])])
     _write_json(reports_dir / "summary.json", {
         "format": "train-eval-summary/1",
         "winner": winner,

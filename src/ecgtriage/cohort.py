@@ -5,14 +5,20 @@ order: id, sex, age_years, bmi, prev_cs, prev_mi, prev_pci, prev_stroke, htn,
 dm, outcome, the six standard interval measures, then the nine heterogeneity
 measures. Booleans are 0/1, sex is F/M, outcome is positive/negative, feature
 cells may be empty when extraction failed for that patient.
+
+The measure columns are the fields, in order, of the record dataclasses
+ecg_ingest.StandardEcgMeasures and geh.GehMeasures (less its degenerate flags).
+A measure block loads when every cell of a plain float field is filled.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import logging
 import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -32,14 +38,22 @@ from .geh import GehMeasures
 
 log = logging.getLogger(__name__)
 
-STANDARD_COLUMNS = ("p_dur_ms", "pr_ms", "qrs_ms", "qt_ms", "qtc_ms", "rr_ms")
-GEH_COLUMNS = GehMeasures.FIELD_ORDER
-RISK_COLUMNS = ("sex_f", "age_years", "bmi", "prev_cs", "prev_mi", "prev_pci", "prev_stroke", "htn", "dm")
+STANDARD_COLUMNS, GEH_COLUMNS = (
+    tuple(f.name for f in dataclasses.fields(cls) if f.name != "degenerate")
+    for cls in (StandardEcgMeasures, GehMeasures))
 BOOL_COLUMNS = ("prev_cs", "prev_mi", "prev_pci", "prev_stroke", "htn", "dm")
+RISK_COLUMNS = ("sex_f", "age_years", "bmi") + BOOL_COLUMNS
 COHORT_COLUMNS = (
     ("id", "sex", "age_years", "bmi") + BOOL_COLUMNS + ("outcome",)
     + STANDARD_COLUMNS + GEH_COLUMNS
 )
+# the attribute of a PatientRecord that holds each feature column; None: the record itself
+_OWNER = {**dict.fromkeys(RISK_COLUMNS), **dict.fromkeys(STANDARD_COLUMNS, "standard"),
+          **dict.fromkeys(GEH_COLUMNS, "geh")}
+# each measure block: its class, its columns, and those whose field is a plain float
+_MEASURE_BLOCKS = tuple(
+    (cls, columns, [c for c in columns if typing.get_type_hints(cls)[c] is float])
+    for cls, columns in ((StandardEcgMeasures, STANDARD_COLUMNS), (GehMeasures, GEH_COLUMNS)))
 
 # exact enumeration below this pooled size, normal approximation above
 EXACT_RANK_TEST_MAX_N = 16
@@ -82,20 +96,9 @@ class PatientRecord:
     def feature_value(self, column: str) -> float | None:
         if column == "sex_f":
             return 1.0 if self.sex == "F" else 0.0
-        if column in ("age_years", "bmi"):
-            return float(getattr(self, column))
-        if column in BOOL_COLUMNS:
-            return 1.0 if getattr(self, column) else 0.0
-        if column in STANDARD_COLUMNS:
-            if self.standard is None:
-                return None
-            value = getattr(self.standard, column)
-            return None if value is None else float(value)
-        if column in GEH_COLUMNS:
-            if self.geh is None:
-                return None
-            return float(getattr(self.geh, column))
-        raise KeyError(column)
+        owner = self if _OWNER[column] is None else getattr(self, _OWNER[column])
+        value = None if owner is None else getattr(owner, column)
+        return None if value is None else float(value)
 
 
 @dataclass(frozen=True)
@@ -189,18 +192,10 @@ def load_cohort(path) -> list[PatientRecord]:
                 raise SchemaError("required cell is empty", row=i, column=column)
             return value
 
-        standard = None
-        core = [_parse_float_cell(cell[c], i, c) for c in ("qrs_ms", "qt_ms", "qtc_ms", "rr_ms")]
-        if all(v is not None for v in core):
-            standard = StandardEcgMeasures(
-                p_dur_ms=_parse_float_cell(cell["p_dur_ms"], i, "p_dur_ms"),
-                pr_ms=_parse_float_cell(cell["pr_ms"], i, "pr_ms"),
-                qrs_ms=core[0], qt_ms=core[1], qtc_ms=core[2], rr_ms=core[3],
-            )
-        geh = None
-        geh_cells = [_parse_float_cell(cell[c], i, c) for c in GEH_COLUMNS]
-        if all(v is not None for v in geh_cells):
-            geh = GehMeasures(**dict(zip(GEH_COLUMNS, geh_cells)))
+        measure = {c: _parse_float_cell(cell[c], i, c) for c in STANDARD_COLUMNS + GEH_COLUMNS}
+        standard, geh = (
+            None if any(measure[c] is None for c in required) else cls(**{c: measure[c] for c in columns})
+            for cls, columns, required in _MEASURE_BLOCKS)
 
         try:
             record = PatientRecord(
@@ -208,15 +203,10 @@ def load_cohort(path) -> list[PatientRecord]:
                 sex=cell["sex"],
                 age_years=req("age_years"),
                 bmi=req("bmi"),
-                prev_cs=_parse_bool_cell(cell["prev_cs"], i, "prev_cs"),
-                prev_mi=_parse_bool_cell(cell["prev_mi"], i, "prev_mi"),
-                prev_pci=_parse_bool_cell(cell["prev_pci"], i, "prev_pci"),
-                prev_stroke=_parse_bool_cell(cell["prev_stroke"], i, "prev_stroke"),
-                htn=_parse_bool_cell(cell["htn"], i, "htn"),
-                dm=_parse_bool_cell(cell["dm"], i, "dm"),
                 outcome=cell["outcome"],
                 standard=standard,
                 geh=geh,
+                **{c: _parse_bool_cell(cell[c], i, c) for c in BOOL_COLUMNS},
             )
         except SchemaError as exc:
             raise SchemaError(f"{exc} (row {i})") from None
@@ -244,8 +234,7 @@ def save_cohort(records, path):
             row = [r.id, r.sex, _cell_str(r.age_years), _cell_str(r.bmi)]
             row += ["1" if getattr(r, c) else "0" for c in BOOL_COLUMNS]
             row.append(r.outcome)
-            row += [_cell_str(r.feature_value(c)) for c in STANDARD_COLUMNS]
-            row += [_cell_str(r.feature_value(c)) for c in GEH_COLUMNS]
+            row += [_cell_str(r.feature_value(c)) for c in STANDARD_COLUMNS + GEH_COLUMNS]
             writer.writerow(row)
 
 
@@ -458,8 +447,12 @@ def _median_iqr(values) -> str:
 
 def _mean_sd(values) -> str:
     v = np.asarray(values, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return f"{v.mean():.1f} ({v.std(ddof=1):.1f})" if len(v) > 1 else f"{v.mean():.1f} (0.0)"
+    # scaled by a power of two into (-1, 1): exact, and the squares cannot overflow
+    e = math.frexp(float(np.max(np.abs(v))))[1]
+    w = np.ldexp(v, -e)
+    with np.errstate(over="ignore"):
+        sd = np.ldexp(w.std(ddof=1), e) if len(v) > 1 else 0.0
+        return f"{np.ldexp(w.mean(), e):.1f} ({sd:.1f})"
 
 
 class _Variable(NamedTuple):

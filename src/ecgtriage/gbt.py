@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyMatrix, SchemaError, SingleClass, WidthMismatch
 
-SERIALIZATION_VERSION = 1
+SERIALIZATION_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,6 @@ class TreeNode:
     weight: float | None = None
     feature: int | None = None
     threshold: float | None = None
-    default_left: bool = True
     gain: float | None = None
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
@@ -78,7 +77,6 @@ class TreeNode:
         return {
             "feature": self.feature,
             "threshold": self.threshold,
-            "default": "left" if self.default_left else "right",
             "gain": self.gain,
             "left": self.left.to_dict(),
             "right": self.right.to_dict(),
@@ -91,7 +89,6 @@ class TreeNode:
         return TreeNode(
             feature=doc["feature"],
             threshold=doc["threshold"],
-            default_left=doc["default"] == "left",
             gain=doc["gain"],
             left=TreeNode.from_dict(doc["left"]),
             right=TreeNode.from_dict(doc["right"]),
@@ -103,7 +100,8 @@ class Tree:
     root: TreeNode
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Raw leaf weights for each row; NaN cells follow the default direction."""
+        """Raw leaf weights for each row; a row goes left when its cell is below
+        the threshold, so a NaN cell goes right, as it does in training."""
         out = np.empty(len(X))
         stack = [(self.root, np.arange(len(X)))]
         while stack:
@@ -113,10 +111,7 @@ class Tree:
             if node.is_leaf:
                 out[idx] = node.weight
                 continue
-            col = X[idx, node.feature]
-            nan = np.isnan(col)
-            goes_left = col < node.threshold
-            goes_left[nan] = node.default_left
+            goes_left = X[idx, node.feature] < node.threshold
             stack.append((node.left, idx[goes_left]))
             stack.append((node.right, idx[~goes_left]))
         return out
@@ -299,7 +294,6 @@ class Booster:
         return TreeNode(
             feature=feature,
             threshold=threshold,
-            default_left=True,
             gain=gain,
             left=self._grow(idx[goes_left], left_order, g, h, depth + 1, leaf_values),
             right=self._grow(idx[~goes_left], right_order, g, h, depth + 1, leaf_values),

@@ -59,21 +59,6 @@ class GehMeasures:
     svg_mvms: float
     degenerate: tuple[str, ...] = ()
 
-    FIELD_ORDER = (
-        "peak_qrst_angle_deg",
-        "area_qrst_angle_deg",
-        "peak_svg_azimuth_deg",
-        "area_svg_azimuth_deg",
-        "peak_svg_elevation_deg",
-        "area_svg_elevation_deg",
-        "peak_svg_mv",
-        "vm_qti_mvms",
-        "svg_mvms",
-    )
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in self.FIELD_ORDER}
-
 
 def _check_window(vcg: Vcg, onset: int, offset: int):
     if onset > offset or onset < 0 or offset >= vcg.n_samples:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -443,81 +443,18 @@ def train_representative(X_train, y_train, X_test, y_test, tc: TrainConfig,
 
 # --- full evaluation --------------------------------------------------------
 
-@dataclass(frozen=True)
-class EvalReport:
-    label: str
-    auc: float
-    aucpr: float
-    f2: float
-    sensitivity: float
-    specificity: float
-    threshold: float
-    orientation: str
-    confusion: Confusion
-    roc_points: tuple
-    pr_points: tuple
-    importance: gbt.ImportanceTable
-    cv: CvResult
-    runs: tuple[InstanceRun, ...]
-    selected_index: int
-    selection_on: str
-    n_train: int
-    n_test: int
-    dropped_ids: tuple[str, ...]
-    master_seed: int
-    config_hash: str
-
-    def to_dict(self) -> dict:
-        return {
-            "format": "eval-report/1",
-            "model": self.label,
-            "metrics": {
-                "auc": self.auc,
-                "aucpr": self.aucpr,
-                "f2": self.f2,
-                "sensitivity": self.sensitivity,
-                "specificity": self.specificity,
-            },
-            "threshold": {"value": self.threshold, "orientation": self.orientation},
-            "confusion": {"tp": self.confusion.tp, "fp": self.confusion.fp,
-                          "fn": self.confusion.fn, "tn": self.confusion.tn},
-            "selection": {
-                "on": self.selection_on,
-                "instance": self.selected_index,
-                "auc_log": [{"instance": r.index, "seed_key": list(r.seed_key), "auc": r.auc}
-                            for r in self.runs],
-            },
-            "tuning": {
-                "chosen_eta": self.cv.chosen_eta,
-                "chosen_rounds": self.cv.chosen_rounds,
-                "grid": [{
-                    "eta": e.eta,
-                    "fold_aucprs": list(e.fold_aucprs),
-                    "fold_rounds": list(e.fold_rounds),
-                    "mean_aucpr": e.mean_aucpr,
-                    "std_aucpr": e.std_aucpr,
-                } for e in self.cv.entries],
-            },
-            "importance": {
-                "no_splits": self.importance.no_splits,
-                "features": [{"name": e.name, "gain": e.gain, "percent": e.percent}
-                             for e in self.importance.entries],
-            },
-            "data": {"n_train": self.n_train, "n_test": self.n_test,
-                     "dropped_ids": list(self.dropped_ids)},
-            "seeds": {"master_seed": self.master_seed},
-            "config_hash": self.config_hash,
-            "roc_points": [list(p) for p in self.roc_points],
-            "pr_points": [list(p) for p in self.pr_points],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
-
 def evaluate_model(spec: ModelSpec, cohort, config: ExperimentConfig,
-                   split_plan: SplitPlan | None = None) -> EvalReport:
-    """Full protocol for one feature set; bit-reproducible for a fixed config."""
+                   split_plan: SplitPlan | None = None) -> dict:
+    """Full protocol for one feature set; bit-reproducible for a fixed config.
+
+    Returns the eval-report/1 document, ready for json.dumps (tuples are its
+    arrays): the model label;
+    test-set metrics (auc, aucpr, f2, sensitivity, specificity); the threshold
+    chosen at the sensitivity floor and its confusion counts; the selection
+    log of every trained instance; the tuning grid; the representative's gain
+    importance; train/test sizes and dropped ids; the master seed; the config
+    hash; and the ROC and PR points.
+    """
     labels = {r.label for r in cohort}
     if len(labels) < 2:
         raise SingleClass("cohort contains a single outcome class")
@@ -544,27 +481,39 @@ def evaluate_model(spec: ModelSpec, cohort, config: ExperimentConfig,
     roc_points, auc = roc_auc(test_m.y, scores)
     pr_points, aucpr = pr_aucpr(test_m.y, scores)
     choice = choose_threshold(test_m.y, scores, min_sens=config.min_sensitivity)
+    importance = importance_gain(rep.ensemble)
 
-    return EvalReport(
-        label=spec.label,
-        auc=auc,
-        aucpr=aucpr,
-        f2=f2(choice.confusion),
-        sensitivity=choice.sensitivity,
-        specificity=choice.specificity,
-        threshold=choice.threshold,
-        orientation=choice.orientation,
-        confusion=choice.confusion,
-        roc_points=tuple(roc_points),
-        pr_points=tuple(pr_points),
-        importance=importance_gain(rep.ensemble),
-        cv=cv,
-        runs=rep.runs,
-        selected_index=rep.selected_index,
-        selection_on=rep.selection_on,
-        n_train=len(train_m.ids),
-        n_test=len(test_m.ids),
-        dropped_ids=matrix.dropped_ids,
-        master_seed=config.master_seed,
-        config_hash=config.hash(),
-    )
+    return {
+        "format": "eval-report/1",
+        "model": spec.label,
+        "metrics": {
+            "auc": auc,
+            "aucpr": aucpr,
+            "f2": f2(choice.confusion),
+            "sensitivity": choice.sensitivity,
+            "specificity": choice.specificity,
+        },
+        "threshold": {"value": choice.threshold, "orientation": choice.orientation},
+        "confusion": choice.confusion._asdict(),
+        "selection": {
+            "on": rep.selection_on,
+            "instance": rep.selected_index,
+            "auc_log": [{"instance": r.index, "seed_key": r.seed_key, "auc": r.auc}
+                        for r in rep.runs],
+        },
+        "tuning": {
+            "chosen_eta": cv.chosen_eta,
+            "chosen_rounds": cv.chosen_rounds,
+            "grid": [asdict(e) for e in cv.entries],
+        },
+        "importance": {
+            "no_splits": importance.no_splits,
+            "features": [asdict(e) for e in importance.entries],
+        },
+        "data": {"n_train": len(train_m.ids), "n_test": len(test_m.ids),
+                 "dropped_ids": matrix.dropped_ids},
+        "seeds": {"master_seed": config.master_seed},
+        "config_hash": config.hash(),
+        "roc_points": roc_points,
+        "pr_points": pr_points,
+    }

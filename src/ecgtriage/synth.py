@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cohort import PatientRecord, save_cohort
+from .cohort import BOOL_COLUMNS, PatientRecord, save_cohort
 from .ecg_ingest import MIN_SAMPLING_RATE_HZ, round_half_up
 from .errors import ConfigError
 from .vcg import KORS_INPUT_LEADS, KORS_MATRIX
@@ -181,8 +181,7 @@ def _draw_covariates(cfg: SynthConfig, rng, positive: bool):
     sex = "F" if rng.random() < rate("sex_f") else "M"
     age = float(np.clip(rng.normal(57.3 + (cfg.risk_effect * 6.4 if positive else 0.0), 11.0), 18.0, 95.0))
     bmi = float(np.clip(rng.normal(26.8 + (cfg.risk_effect * 0.7 if positive else 0.0), 4.2), 15.0, 55.0))
-    flags = {name: bool(rng.random() < rate(name))
-             for name in ("prev_cs", "prev_mi", "prev_pci", "prev_stroke", "htn", "dm")}
+    flags = {name: bool(rng.random() < rate(name)) for name in BOOL_COLUMNS}
     return sex, age, bmi, flags
 
 

@@ -391,7 +391,6 @@ class PerFeatureScanBooster(Booster):
         return TreeNode(
             feature=best_feature,
             threshold=best_threshold,
-            default_left=True,
             gain=best_gain,
             left=self._grow(idx[col < best_threshold], None, g, h, depth + 1, leaf_values),
             right=self._grow(idx[~(col < best_threshold)], None, g, h, depth + 1, leaf_values),

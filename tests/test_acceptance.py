@@ -228,7 +228,7 @@ def test_criterion_03_closed_form_beat_oracle():
             baseline=0, p=None,
             qrs=Wave(center + qrs_on, center, center + qrs_off),
             t=Wave(center + qrs_off + 1, center + t_center, center + t_off))
-        got = compute_geh(vcg_from(v[0], v[1], v[2], fiducials=fids)).as_dict()
+        got = vars(compute_geh(vcg_from(v[0], v[1], v[2], fiducials=fids)))
         for name, value in expected.items():
             rel = abs(got[name] - value) / abs(value)
             worst = max(worst, rel)
@@ -398,8 +398,8 @@ def test_criterion_09_end_to_end_synthetic(cohort300):
         plan = split(cohort, seed)
         srg = evaluate_model(ModelSpec("SRG"), cohort, cfg, split_plan=plan)
         r_only = evaluate_model(ModelSpec("R"), cohort, cfg, split_plan=plan)
-        wins += srg.auc > r_only.auc
-        srg_aucs.append(srg.auc)
+        wins += srg["metrics"]["auc"] > r_only["metrics"]["auc"]
+        srg_aucs.append(srg["metrics"]["auc"])
 
     elapsed = time.monotonic() - t0 + cohort300["prep_seconds"]
     median_auc = float(np.median(srg_aucs))

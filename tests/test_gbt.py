@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecgtriage.errors import EmptyMatrix, SingleClass, WidthMismatch
+from ecgtriage.errors import EmptyMatrix, SchemaError, SingleClass, WidthMismatch
 from ecgtriage.gbt import (
     Booster,
     Ensemble,
@@ -158,6 +159,14 @@ class TestFit:
         assert restored.feature_names == ("a", "b", "c", "d")
         assert restored.to_json() == model.to_json()
 
+    def test_version_1_document_refused(self, rng):
+        # version 1 carried a per-node NaN direction that prediction no longer reads
+        X = rng.normal(size=(20, 2))
+        doc = json.loads(fit(X, (X[:, 0] > 0).astype(int), config()).to_json())
+        doc["version"] = 1
+        with pytest.raises(SchemaError):
+            Ensemble.from_json(json.dumps(doc))
+
 
 class TestSplitSearch:
     """The one-pass node search against the per-feature reference scan."""
@@ -256,8 +265,21 @@ class TestPredict:
         X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         y = np.array([0, 0, 1, 1])
         model = fit(X, y, config())
-        left = model.predict(np.array([[-2.0]]))[0]
-        assert model.predict(np.array([[np.nan]]))[0] == pytest.approx(left)
+        right = model.predict(np.array([[2.0]]))[0]
+        assert model.predict(np.array([[np.nan]]))[0] == pytest.approx(right)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 10_000), k=st.integers(1, 5))
+    def test_nan_cells_predict_as_trained(self, seed, k):
+        # training sends a NaN cell right (NaN < threshold is False); prediction must agree
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(200, 3))
+        y = (X[:, 0] + X[:, 1] > 0).astype(int)
+        X[rng.random(200) < 0.3, 1] = np.nan
+        booster = Booster(X, y, config(max_depth=4))
+        for _ in range(k):
+            booster.step()
+        assert np.array_equal(booster._margins, booster.ensemble.margins(X))
 
 
 class TestImportance:

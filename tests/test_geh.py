@@ -280,7 +280,7 @@ class TestComputeGeh:
         fids = ConsolidatedFiducials(baseline=4, p=None,
                                      qrs=Wave(qrs_on, 48, qrs_off), t=Wave(90, 120, t_off))
         vcg = vcg_from(v[0], v[1], v[2], fs=fs, fiducials=fids)
-        got = compute_geh(vcg).as_dict()
+        got = vars(compute_geh(vcg))
         expected = dense_grid_geh(bumps, qrs_on * dt, qrs_off * dt, t_off * dt)
         for name, value in expected.items():
             assert got[name] == pytest.approx(value, rel=1e-3), name

@@ -15,7 +15,7 @@ import pytest
 from ecgtriage import cli, synth
 from ecgtriage.cohort import COHORT_COLUMNS, GEH_COLUMNS, load_cohort
 from ecgtriage.ecg_ingest import parse_ecg, parse_fiducials, round_half_up
-from ecgtriage.errors import ConfigError
+from ecgtriage.errors import ConfigError, SchemaError
 from ecgtriage.pipeline import ExperimentConfig
 from ecgtriage.synth import MIN_DURATION_S, SYNTH_MATRIX, SynthConfig, generate
 from ecgtriage.vcg import KORS_MATRIX
@@ -121,7 +121,7 @@ class TestSynthGenerator:
         for seed in range(1, 5):
             ec = ExperimentConfig(master_seed=seed, eta_grid=(0.3,), k_folds=3,
                                   n_instances=3, max_rounds=25, patience=6, max_depth=3)
-            aucs.append(evaluate_model(ModelSpec("SRG"), cohort, ec).auc)
+            aucs.append(evaluate_model(ModelSpec("SRG"), cohort, ec)["metrics"]["auc"])
         assert 0.25 <= float(np.mean(aucs)) <= 0.75
 
 
@@ -147,6 +147,22 @@ class TestCliBasics:
         bad = tmp_path / "bad.csv"
         bad.write_text("id,sex\np1,M\n")
         cfg = write_cfg(tmp_path / "c.cfg", cohort_table=bad, out_dir=tmp_path / "o")
+        assert cli.main(["table-one", "--config", cfg]) == 3
+
+    @pytest.mark.parametrize("column,text", [("p_dur_ms", "abc"), ("pr_ms", "inf")])
+    def test_bad_p_wave_cell_without_core_intervals(self, tmp_path, synth_cohort_dir, column, text):
+        rows = read_rows(synth_cohort_dir / "extract" / "features.csv")
+        rows[0].update(qrs_ms="", qt_ms="", qtc_ms="", rr_ms="")
+        rows[0][column] = text
+        table = tmp_path / "bad.csv"
+        with open(table, "w", newline="") as fh:
+            w = csv.DictWriter(fh, fieldnames=COHORT_COLUMNS, lineterminator="\n")
+            w.writeheader()
+            w.writerows(rows)
+        with pytest.raises(SchemaError) as info:
+            load_cohort(table)
+        assert info.value.column == column
+        cfg = write_cfg(tmp_path / "c.cfg", cohort_table=table, out_dir=tmp_path / "o")
         assert cli.main(["table-one", "--config", cfg]) == 3
 
     @pytest.mark.parametrize("kind", ["non_utf8", "directory"])
@@ -447,6 +463,7 @@ class TestTableOneCommand:
         doc = json.loads((tmp_path / "o" / "table_one.json").read_text())
         [row] = [r for r in doc["rows"] if r["variable"] == "Corrected QTi, ms"]
         assert row["p_value"] == "NA"
+        assert not any("inf" in row[k] for k in ("total", "negative", "positive")), row
 
 
 class TestTrainEvalCommand:
