@@ -197,19 +197,14 @@ def load_cohort(path) -> list[PatientRecord]:
             None if any(measure[c] is None for c in required) else cls(**{c: measure[c] for c in columns})
             for cls, columns, required in _MEASURE_BLOCKS)
 
+        # cell errors name their row and column; only PatientRecord's own checks need the row
+        age_years, bmi = req("age_years"), req("bmi")
+        flags = {c: _parse_bool_cell(cell[c], i, c) for c in BOOL_COLUMNS}
         try:
-            record = PatientRecord(
-                id=cell["id"],
-                sex=cell["sex"],
-                age_years=req("age_years"),
-                bmi=req("bmi"),
-                outcome=cell["outcome"],
-                standard=standard,
-                geh=geh,
-                **{c: _parse_bool_cell(cell[c], i, c) for c in BOOL_COLUMNS},
-            )
+            record = PatientRecord(id=cell["id"], sex=cell["sex"], age_years=age_years, bmi=bmi,
+                                   outcome=cell["outcome"], standard=standard, geh=geh, **flags)
         except SchemaError as exc:
-            raise SchemaError(f"{exc} (row {i})") from None
+            raise SchemaError(str(exc), row=i) from None
         records.append(record)
 
     n_pos = sum(r.label for r in records)

@@ -11,6 +11,12 @@ effects) and the recording format (sampling rate, duration, noise). Class
 effects are injected in VCG space: positives get their repolarization axis
 rotated away from the depolarization axis and their whole loop amplitude
 rescaled; risk covariates shift by a separate knob.
+
+Each trace file is a header line, the lead names, then one row per sample of
+12 cells in microvolts, each written as "%.3f", joined by "," and ended by
+"\n": the same bytes np.savetxt writes with those settings. write_trace_cells
+builds that text with array arithmetic. A trace with a non-finite cell, or
+with any |cell| >= 2**31 / 1000 uV, is written by np.savetxt itself.
 """
 
 from __future__ import annotations
@@ -26,6 +32,9 @@ from .cohort import BOOL_COLUMNS, PatientRecord, save_cohort
 from .ecg_ingest import MIN_SAMPLING_RATE_HZ, round_half_up
 from .errors import ConfigError
 from .vcg import KORS_INPUT_LEADS, KORS_MATRIX
+
+# cells at or above this magnitude (uV) are past the exact integer digit arithmetic
+_FAST_CELL_LIMIT = 2.0 ** 31 / 1000.0
 
 # fixed 8x3 synthesis matrix: right-inverse of the lead-reduction matrix
 SYNTH_MATRIX = np.linalg.pinv(KORS_MATRIX)
@@ -185,6 +194,39 @@ def _draw_covariates(cfg: SynthConfig, rng, positive: bool):
     return sex, age, bmi, flags
 
 
+def write_trace_cells(fh, cells):
+    """Write a 2-D float array as "%.3f" cells, "," between them and "\n" after each row."""
+    if not np.all(np.abs(cells) < _FAST_CELL_LIMIT):  # nan fails the comparison too
+        np.savetxt(fh, cells, fmt="%.3f", delimiter=",", newline="\n")
+        return
+    flat = cells.ravel()
+    y = flat * 1000.0
+    rest = np.abs(np.rint(y))  # thousandths, exact integers below 2**31
+    # y lies within one rounding of a half-integer: the exact product may round
+    # the other way, so take those digits from "%.3f" itself
+    for i in np.flatnonzero(np.abs(y - np.floor(y) - 0.5) <= np.spacing(np.abs(y))):
+        rest[i] = abs(int(("%.3f" % flat[i]).replace(".", "")))
+    n_int = len(str(int(rest.max()) // 1000))
+    # one column per cell: sign, n_int integer digits, ".", 3 decimals, separator
+    width = n_int + 6
+    text = np.empty((width, flat.size), dtype=np.uint8)
+    keep = np.ones((width, flat.size), dtype=bool)
+    text[0] = ord("-")
+    keep[0] = np.signbit(flat)
+    for row in range(width - 2, 0, -1):
+        if row == n_int + 1:
+            text[row] = ord(".")
+            continue
+        if row < n_int:  # a leading integer digit shows only while digits remain
+            keep[row] = rest > 0
+        q = np.floor(rest * 0.1)
+        text[row] = rest - 10.0 * q + 48.0
+        rest = q
+    text[-1] = ord(",")
+    text[-1].reshape(cells.shape)[:, -1] = ord("\n")
+    fh.write(text.T[keep.T].tobytes().decode("ascii"))
+
+
 def generate(cfg: SynthConfig, out_dir) -> dict:
     """Write ECG traces, annotation files, the base cohort table and a ground
     truth table under out_dir; returns summary counts and paths."""
@@ -200,6 +242,7 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
     np.random.default_rng(np.random.SeedSequence((cfg.seed, 0))).shuffle(flags)
 
     fs = cfg.sampling_rate_hz
+    fs_text = f"{fs:g}" if float(f"{fs:g}") == fs else repr(fs)  # parses back to exactly fs
     n_samples = round(cfg.duration_s * fs)
     records, truth_rows = [], []
 
@@ -237,9 +280,9 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
             traces = traces + rng.normal(0.0, cfg.noise_sd_mv, size=traces.shape)
 
         with open(ecg_dir / f"{pid}.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"sample_rate_hz={fs:g} gain_uv_per_unit=1.0\n")
+            fh.write(f"sample_rate_hz={fs_text} gain_uv_per_unit=1.0\n")
             fh.write("I,II,III,aVR,aVL,aVF,V1,V2,V3,V4,V5,V6\n")
-            np.savetxt(fh, traces.T * 1000.0, fmt="%.3f", delimiter=",", newline="\n")
+            write_trace_cells(fh, traces.T * 1000.0)
 
         marks = {k: round_half_up(ms * fs / 1000.0) for k, ms in shape.landmarks_ms.items()}
         beats = []

@@ -8,6 +8,7 @@ boosting loop around a reference split search, and parse_ecg_per_cell reuses
 the trace header parser and EcgRecord's checks around a per-cell conversion.
 """
 
+import io
 import itertools
 import math
 
@@ -434,3 +435,10 @@ def parse_ecg_per_cell(path):
     rows *= gain_uv / 1000.0
     leads = {name: np.ascontiguousarray(rows[:, k]) for k, name in enumerate(LEAD_NAMES)}
     return EcgRecord(leads=leads, sampling_rate_hz=rate, duration_s=len(body) / rate)
+
+
+def savetxt_text(cells):
+    """A trace body as np.savetxt writes it: "%.3f" cells, "," between, "\n" after each row."""
+    buf = io.StringIO()
+    np.savetxt(buf, cells, fmt="%.3f", delimiter=",", newline="\n")
+    return buf.getvalue()

@@ -80,6 +80,26 @@ class TestLoadCohort:
         with pytest.raises(SchemaError, match="row 2"):
             load_cohort(tmp_path / "c.csv")
 
+    def write_one_row(self, path, **cells):
+        save_cohort([make_patient("p1")], path)
+        header, row = path.read_text().splitlines()
+        values = dict(zip(header.split(","), row.split(",")), **cells)
+        path.write_text(header + "\n" + ",".join(values.values()) + "\n")
+
+    def test_bad_bool_cell_names_row_and_column_once(self, tmp_path):
+        self.write_one_row(tmp_path / "c.csv", prev_mi="2")
+        with pytest.raises(SchemaError) as info:
+            load_cohort(tmp_path / "c.csv")
+        assert str(info.value) == "boolean cell must be 0 or 1 (row 1, column prev_mi)"
+        assert (info.value.row, info.value.column) == (1, "prev_mi")
+
+    def test_bad_sex_names_row(self, tmp_path):
+        self.write_one_row(tmp_path / "c.csv", sex="X")
+        with pytest.raises(SchemaError) as info:
+            load_cohort(tmp_path / "c.csv")
+        assert str(info.value) == "sex must be F or M, got 'X' (row 1)"
+        assert (info.value.row, info.value.column) == (1, None)
+
     def test_duplicate_id(self, tmp_path):
         save_cohort([make_patient("p1"), make_patient("p1")], tmp_path / "c.csv")
         with pytest.raises(DuplicateId):

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import logging
 import math
@@ -8,9 +10,12 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ecgtriage import cli, synth
 from ecgtriage.cohort import COHORT_COLUMNS, GEH_COLUMNS, load_cohort
@@ -20,7 +25,7 @@ from ecgtriage.pipeline import ExperimentConfig
 from ecgtriage.synth import MIN_DURATION_S, SYNTH_MATRIX, SynthConfig, generate
 from ecgtriage.vcg import KORS_MATRIX
 
-from oracles import dense_grid_geh, gaussian_loop_vcg
+from oracles import dense_grid_geh, gaussian_loop_vcg, savetxt_text
 
 
 def read_rows(path):
@@ -49,6 +54,13 @@ class TestSynthGenerator:
         fids = parse_fiducials(tmp_path / "s" / "fiducials" / "p0003.json")
         assert len(fids.beats) >= 3
         fids.validate_against(rec)
+
+    def test_header_rate_parses_back_exactly(self, tmp_path):
+        generate(SynthConfig(n_patients=10, seed=2, sampling_rate_hz=1234.5678), tmp_path / "odd")
+        generate(SynthConfig(n_patients=10, seed=2), tmp_path / "default")
+        assert parse_ecg(tmp_path / "odd" / "ecg" / "p0001.csv").sampling_rate_hz == 1234.5678
+        header = (tmp_path / "default" / "ecg" / "p0001.csv").read_text().splitlines()[0]
+        assert header == "sample_rate_hz=240 gain_uv_per_unit=1.0"
 
     def test_deterministic_bytes(self, tmp_path):
         generate(SynthConfig(n_patients=10, seed=3), tmp_path / "a")
@@ -123,6 +135,63 @@ class TestSynthGenerator:
                                   n_instances=3, max_rounds=25, patience=6, max_depth=3)
             aucs.append(evaluate_model(ModelSpec("SRG"), cohort, ec)["metrics"]["auc"])
         assert 0.25 <= float(np.mean(aucs)) <= 0.75
+
+
+_LIMIT = 2.0 ** 31 / 1000.0  # uV; at or above it the trace writer hands over to np.savetxt
+_HALF_WAY = st.integers(-2_000_000_000, 2_000_000_000).map(lambda k: k / 1000 + 0.0005)
+_CELLS = st.one_of(
+    _HALF_WAY,
+    st.tuples(_HALF_WAY, st.sampled_from([-math.inf, math.inf])).map(lambda v: float(np.nextafter(*v))),
+    st.integers(-34_000_000, 34_000_000).map(lambda k: k / 16),  # exact binary ties
+    st.just(-0.0),
+    st.floats(min_value=-0.0005, max_value=0.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=-_LIMIT, max_value=_LIMIT, exclude_min=True, exclude_max=True),
+    st.floats(min_value=-1e4, max_value=1e4),
+)
+_PAST_LIMIT = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, _LIMIT, -_LIMIT]),
+    st.floats(min_value=_LIMIT, max_value=1e300),
+    st.floats(min_value=-1e300, max_value=-_LIMIT),
+)
+
+
+def write_cells(cells):
+    buf = io.StringIO()
+    synth.write_trace_cells(buf, cells)
+    return buf.getvalue()
+
+
+class TestTraceWriter:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 12))
+    def test_matches_savetxt(self, data, rows, cols):
+        cells = np.array(data.draw(st.lists(_CELLS, min_size=rows * cols, max_size=rows * cols)))
+        past = data.draw(st.none() | st.tuples(st.integers(0, cells.size - 1), _PAST_LIMIT))
+        if past is not None:
+            cells[past[0]] = past[1]
+        cells = cells.reshape(rows, cols)
+        expected = savetxt_text(cells)
+        # the arithmetic writes every in-range array, np.savetxt none
+        no_savetxt = mock.patch.object(np, "savetxt", side_effect=AssertionError("savetxt called"))
+        with no_savetxt if past is None else contextlib.nullcontext():
+            assert write_cells(cells) == expected
+
+    def test_signs_ties_and_limit(self):
+        cells = np.array([[0.0, -0.0, -1e-7, -1e-300, 0.0005, -0.0005, 1 / 16, -2.5e-3],
+                          [_LIMIT / 2, -np.nextafter(_LIMIT, 0), 999.9995, 1e-3, -1e6, 7.0, 0.5, -0.5]])
+        assert write_cells(cells) == savetxt_text(cells)
+        assert write_cells(cells).startswith("0.000,-0.000,-0.000,-0.000,0.001,-0.001,0.062,-0.003\n")
+
+    @pytest.mark.parametrize("keys", [{"noise_sd_mv": 0.0}, {"svg_scale": 1e6}])
+    def test_cohort_bytes_match_savetxt(self, tmp_path, monkeypatch, keys):
+        cfg = SynthConfig(n_patients=12, seed=9, **keys)
+        generate(cfg, tmp_path / "shipped")
+        monkeypatch.setattr(synth, "write_trace_cells", lambda fh, cells: fh.write(savetxt_text(cells)))
+        generate(cfg, tmp_path / "oracle")
+        files = sorted(p.relative_to(tmp_path / "oracle") for p in (tmp_path / "oracle").rglob("*.*"))
+        assert len(files) == 2 * 12 + 2
+        for rel in files:
+            assert (tmp_path / "shipped" / rel).read_bytes() == (tmp_path / "oracle" / rel).read_bytes()
 
 
 def write_cfg(path, **keys):
