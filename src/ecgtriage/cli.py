@@ -155,7 +155,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     _require(cfg.fiducial_dir, "fiducial directory")
     cohort = load_cohort(cfg.cohort_table)
 
-    out_rows, log_lines = [], []
+    out_rows, log_lines, n_failed = [], [], 0
     for record in cohort:
         try:
             ecg = ecg_ingest.parse_ecg(_require(cfg.ecg_dir / f"{record.id}.csv", "trace file"))
@@ -169,6 +169,7 @@ def cmd_extract(cfg: RunConfig) -> int:
             status = "degenerate" if isinstance(exc, DegenerateStatsError) else "failed"
             out_rows.append(record)
             log_lines.append(f"{record.id}\t{status}\t{exc}")
+            n_failed += 1
             continue
         out_rows.append(dataclasses.replace(record, standard=standard, geh=geh))
         log_lines.append(f"{record.id}\tok\t{','.join(geh.degenerate)}")
@@ -176,7 +177,6 @@ def cmd_extract(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_cohort(out_rows, cfg.out_dir / "features.csv")
     _write_text(cfg.out_dir / "extract_log.txt", "\n".join(log_lines) + "\n")
-    n_failed = sum(1 for line in log_lines if "\tok\t" not in line)
     log.info("extracted %d patients (%d failed) -> %s",
              len(out_rows), n_failed, cfg.out_dir / "features.csv")
     return 0

@@ -4,7 +4,9 @@ The cohort table is a comma-separated file with one header row. Columns, in
 order: id, sex, age_years, bmi, prev_cs, prev_mi, prev_pci, prev_stroke, htn,
 dm, outcome, the six standard interval measures, then the nine heterogeneity
 measures. Booleans are 0/1, sex is F/M, outcome is positive/negative, feature
-cells may be empty when extraction failed for that patient.
+cells may be empty when extraction failed for that patient. An id names the
+patient's trace and annotation files and keys its extract_log.txt line: it is
+non-empty, holds no control character, "/" or "\\", and is not "." or "..".
 
 The measure columns are the fields, in order, of the record dataclasses
 ecg_ingest.StandardEcgMeasures and geh.GehMeasures (less its degenerate flags).
@@ -18,6 +20,7 @@ import dataclasses
 import itertools
 import logging
 import math
+import re
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +40,9 @@ from .errors import (
 from .geh import GehMeasures
 
 log = logging.getLogger(__name__)
+
+# an id character that would split a log line or leave the trace directory
+_UNSAFE_ID_CHAR = re.compile(r"[\x00-\x1f\x7f-\x9f/\\]")
 
 STANDARD_COLUMNS, GEH_COLUMNS = (
     tuple(f.name for f in dataclasses.fields(cls) if f.name != "degenerate")
@@ -182,6 +188,8 @@ def load_cohort(path) -> list[PatientRecord]:
         cell = dict(zip(COHORT_COLUMNS, cells))
         if cell["id"] == "":
             raise SchemaError("empty id", row=i, column="id")
+        if _UNSAFE_ID_CHAR.search(cell["id"]) or cell["id"] in (".", ".."):
+            raise SchemaError(f"id {cell['id']!r} is not a plain file name", row=i, column="id")
         if cell["id"] in seen:
             raise DuplicateId(f"duplicate patient id {cell['id']!r} (row {i})")
         seen.add(cell["id"])

@@ -3,12 +3,23 @@
 Trace file format: one header line ``sample_rate_hz=<num> gain_uv_per_unit=<num>``,
 an optional second line naming the 12 columns, then one comma-separated row per
 sample in lead order I,II,III,aVR,aVL,aVF,V1..V6. Amplitudes are stored in file
-units and converted to mV via the header gain. All rows are converted in one
-C-level call (``np.loadtxt``). A per-row pass with ``float()`` runs only when
-that call rejects the body, to name the bad row or to read the few cells that
-only ``float()`` takes (``1_0``, non-ASCII digits), or when the text holds one
-of the separator characters U+001C-U+001F, which only ``loadtxt`` skips. Both
-paths thus accept the same files with the same values.
+units and converted to mV via the header gain.
+
+A trace body is read on one of two paths, chosen from its bytes alone, that give
+the same values. The fast path takes the fixed-point text synth writes: rows of
+12 cells ``-?D+`` or ``-?D+.D{q}`` with one q for the whole file, at most 8 bytes
+per cell besides the sign, LF line endings and no blank or padded line. It
+gathers the 8 bytes before each separator as one little-endian word, checks
+every byte and drops the dot inside the word, and turns the 8 digits into an
+integer with three multiply-shift steps (SWAR, Lemire 2021, arXiv:2101.11408).
+That mantissa is below 10**8, well under 2**53, and 10**q is exact for q <= 7, so
+one IEEE division gives the correctly rounded value of the decimal, which is
+what float() returns (Clinger 1990). Every other body (exponents, spaces, CRLF,
+mixed q, longer cells, NaN, faults) is read by ``np.loadtxt``, which takes the
+cells of float()'s syntax written in ASCII without ``_``. Only when ``loadtxt``
+fails, or when the body holds one of the separators U+001C-U+001F, which it
+strips as padding and float() rejects, does a per-row pass run, to name the
+first bad row.
 
 Annotation file format: JSON document with an array ``beats``; each beat carries
 an integer ``baseline`` sample plus ``p``/``qrs``/``t`` objects with integer
@@ -41,8 +52,13 @@ LEAD_NAMES = ("I", "II", "III", "aVR", "aVL", "aVF", "V1", "V2", "V3", "V4", "V5
 MIN_SAMPLING_RATE_HZ = 100.0
 
 # loadtxt strips these ASCII separators around a number as whitespace, float()
-# rejects them: a trace holding one is read by the per-row pass
+# rejects them: a body holding one is refused
 _FLOAT_REJECTED_PADDING = "\x1c\x1d\x1e\x1f"
+
+# the separator bytes of one fixed-point row
+_ROW_SEPARATORS = np.frombuffer(b"," * 11 + b"\n", np.uint8)
+# _TOP_BYTES[k] keeps the top k bytes of a little-endian word: its last k characters
+_TOP_BYTES = np.array([2**64 - 2 ** (64 - 8 * k) for k in range(9)], np.uint64)
 
 
 def round_half_up(x: float) -> int:
@@ -199,29 +215,126 @@ def _is_numeric_row(line: str) -> bool:
     return True
 
 
-def _parse_rows(body: list[str], order: list[int], path) -> np.ndarray:
-    """Convert the rows one cell at a time with float(), naming the first bad row."""
-    rows = np.empty((len(body), len(LEAD_NAMES)))
+def _fixed_point_cells(data: bytes, start: int) -> np.ndarray | None:
+    """The body data[start:] as a (12, rows) array, or None if it leaves the fast grammar."""
+    body = np.frombuffer(data, np.uint8, offset=start)
+    if start < 8 or body.size == 0 or body.max() > ord("9"):  # letters: NaN, exponents, faults
+        return None
+    sep = np.flatnonzero(body < ord("-"))  # "," and "\n" are the grammar's only bytes below "-"
+    n = sep.size
+    if n == 0 or n % len(LEAD_NAMES) or sep[-1] != body.size - 1:
+        return None
+    if not (body[sep].reshape(-1, len(LEAD_NAMES)) == _ROW_SEPARATORS).all():
+        return None
+
+    # digits of each cell, its dot included and its sign not
+    digits = np.empty_like(sep)
+    digits[0] = 0
+    np.add(sep[:-1], 1, out=digits[1:])  # cell starts
+    neg = body[digits] == ord("-")
+    np.subtract(sep, digits, out=digits)
+    digits -= neg
+    if digits.min() < 1 or digits.max() > 8:
+        return None
+    # the decimals of the first cell: its dot is one of its 8 bytes, so q <= 7
+    first = data[start:start + int(sep[0])]
+    q = len(first) - 1 - first.find(b".") if b"." in first else 0
+
+    # the 8 bytes before each separator as one word, in place from here on; an
+    # index gathers from the unaligned view without the aligned copy take() makes
+    words = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))
+    sep += start - 8
+    w = words[sep]
+    scratch = sep.view(np.uint64)
+    np.take(_TOP_BYTES, digits, out=scratch, mode="clip")  # "raise" would copy; 1 <= digits <= 8
+    byte = w.view(np.uint8)
+    byte -= ord("0")  # digits to 0..9, "." to 254
+    w &= scratch  # zero the bytes before the cell
+    if q:
+        if not (byte[7 - q::8] == 254).all():
+            return None
+        np.bitwise_and(w, _TOP_BYTES[q], out=scratch)  # the fraction digits
+        w &= ~_TOP_BYTES[q + 1]  # the integer digits, below the dot
+        w <<= np.uint64(8)
+        w |= scratch
+    if byte.max() > 9:
+        return None
+    # 8 digits -> 4 two-digit -> 2 four-digit -> 1 eight-digit number, first digit highest
+    w *= np.uint64(10 * 2**8 + 1)
+    w >>= np.uint64(8)
+    for keep, mul, shift in ((0x00FF00FF00FF00FF, 100 * 2**16 + 1, 16),
+                             (0x0000FFFF0000FFFF, 10000 * 2**32 + 1, 32)):
+        w &= np.uint64(keep)
+        w *= np.uint64(mul)
+        w >>= np.uint64(shift)
+
+    cells = digits.view(np.float64).reshape(len(LEAD_NAMES), -1)  # reuse the spent buffer
+    np.divide(w.reshape(-1, len(LEAD_NAMES)).T, 10.0**q, out=cells)
+    np.negative(cells, out=cells, where=neg.reshape(-1, len(LEAD_NAMES)).T)  # "-0.000" is -0.0
+    return cells
+
+
+def _read_fixed_point(data: bytes) -> tuple[list[str], np.ndarray] | None:
+    """The header lines and the (12, rows) cells of a trace in fixed-point form, else None."""
+    end1 = data.find(b"\n")
+    end2 = data.find(b"\n", end1 + 1)
+    if end1 < 0 or end2 < 0 or b"\r" in data[:end2]:
+        return None
+    try:
+        first, second = map(str.strip, data[:end2].decode("utf-8").split("\n"))
+    except UnicodeDecodeError:
+        return None
+    if not (first and second):
+        return None
+    if _is_numeric_row(second):
+        lines, start = [first], end1 + 1
+    else:
+        lines, start = [first, second], end2 + 1
+    cells = _fixed_point_cells(data, start)
+    return None if cells is None else (lines, cells)
+
+
+def _read_cells(body: list[str], path) -> np.ndarray:
+    """Convert the rows with np.loadtxt into a (12, rows) array, naming the first bad row."""
+    if not body:  # which loadtxt would warn about
+        return np.empty((len(LEAD_NAMES), 0))
+    try:
+        rows = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        pass
+    else:
+        text = "".join(body)
+        if rows.shape[1] == len(LEAD_NAMES) and not any(c in text for c in _FLOAT_REJECTED_PADDING):
+            return np.ascontiguousarray(rows.T)
+    # loadtxt reads float()'s syntax written in ASCII without "_"; the padding is refused
     for i, line in enumerate(body):
         cells = line.split(",")
         if len(cells) != len(LEAD_NAMES):
             raise LengthMismatch(f"{path}: row {i} has {len(cells)} columns, expected 12")
-        try:
-            rows[i] = [float(cells[j]) for j in order]
-        except ValueError:
-            raise SchemaError(f"{path}: non-numeric value", row=i) from None
-    return rows
+        if not _is_numeric_row(line) or "_" in line or not (
+                line.isascii() or all(cell.strip().isascii() for cell in cells)):
+            raise SchemaError(f"{path}: non-numeric value", row=i)
+    raise SchemaError(f"{path}: non-numeric value")  # a loadtxt refusal no row rule explains
 
 
 def parse_ecg(path) -> EcgRecord:
     """Read a trace file and return a validated EcgRecord in mV."""
     path = Path(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        data = path.read_bytes()
+    except OSError as exc:
         raise DataFormatError(f"{path}: unreadable trace ({exc})") from None
-    lines = [ln for ln in map(str.strip, text.split("\n")) if ln]
+    fast = _read_fixed_point(data)
+    if fast is not None:
+        lines, cells = fast
+    else:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: unreadable trace ({exc})") from None
+        # a lone "\r" ends a line, as in text mode; "\r\n" leaves a blank line
+        lines = [ln for ln in map(str.strip, text.replace("\r", "\n").split("\n")) if ln]
+        cells = None
     if not lines:
         raise BadHeader(f"{path}: empty file")
     rate, gain_uv = _parse_header(lines[0], path)
@@ -237,23 +350,14 @@ def parse_ecg(path) -> EcgRecord:
         order = [names.index(want) for want in LEAD_NAMES]
         body = body[1:]
     else:
-        order = list(range(len(LEAD_NAMES)))
-
-    rows = None  # loadtxt warns on an empty body, which the per-row pass reads
-    if body and not any(c in text for c in _FLOAT_REJECTED_PADDING):
-        try:
-            rows = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)
-        except ValueError:
-            pass
-    if rows is not None and rows.shape[1] == len(LEAD_NAMES):
-        rows = rows[:, order]
-    else:
-        rows = _parse_rows(body, order, path)
+        order = range(len(LEAD_NAMES))
+    if cells is None:
+        cells = _read_cells(body, path)
 
     # file units -> uV -> mV
-    rows *= gain_uv / 1000.0
-    leads = {name: np.ascontiguousarray(rows[:, k]) for k, name in enumerate(LEAD_NAMES)}
-    return EcgRecord(leads=leads, sampling_rate_hz=rate, duration_s=len(body) / rate)
+    cells *= gain_uv / 1000.0
+    leads = {name: cells[k] for name, k in zip(LEAD_NAMES, order)}
+    return EcgRecord(leads=leads, sampling_rate_hz=rate, duration_s=cells.shape[1] / rate)
 
 
 def _parse_wave(obj, path, what) -> Wave:
@@ -291,6 +395,19 @@ def parse_fiducials(path) -> FiducialSet:
     return FiducialSet(beats=tuple(beats))
 
 
+def _sorted_median(a: np.ndarray) -> np.ndarray:
+    """Median along the last axis, sorting `a` in place: the middle value, or
+    (a + b) / 2 of the two middle values for an even count. As from np.median,
+    a zero median is +0.0."""
+    a.sort(axis=-1)
+    k = a.shape[-1] // 2
+    mid = a[..., k] + 0.0
+    if a.shape[-1] % 2 == 0:
+        mid += a[..., k - 1]
+        mid /= 2
+    return mid
+
+
 def median_beat(
     record: EcgRecord,
     fiducials: FiducialSet,
@@ -302,7 +419,9 @@ def median_beat(
     Each output sample is the per-sample median across beats over the window
     [peak - pre_ms, peak + post_ms]. Each landmark is the median of its
     beat-relative offsets, rounded half up; rr_ms is the median spacing of
-    successive QRS peaks.
+    successive QRS peaks. Every median sorts and picks the middle value; for
+    an even count it is (a + b) / 2 of the two middle values. A zero median
+    sample is +0.0, as np.median gives it.
     """
     fiducials.validate_against(record)
     fs = record.sampling_rate_hz
@@ -317,11 +436,13 @@ def median_beat(
                 f"beat window around sample {beat.qrs.peak} leaves the record"
             )
 
-    # (12, beats, width): every beat window of every lead in one gather
+    # (12, width, beats): the beats of one window sample lie contiguous, for the sort
     peaks = np.asarray([beat.qrs.peak for beat in beats])
-    stacked = np.stack([record.leads[name] for name in LEAD_NAMES])
-    windows = stacked[:, (peaks - pre)[:, None] + np.arange(width)]
-    leads = dict(zip(LEAD_NAMES, np.median(windows, axis=1)))
+    at = (peaks - pre) + np.arange(width)[:, None]
+    windows = np.empty((len(LEAD_NAMES), width, len(beats)))
+    for k, name in enumerate(LEAD_NAMES):
+        np.take(record.leads[name], at, out=windows[k])
+    leads = dict(zip(LEAD_NAMES, _sorted_median(windows)))
 
     # P is consolidated only when every beat carries one; mixed annotation
     # means the wave was not reliably identifiable, so it is treated as absent.
@@ -332,7 +453,7 @@ def median_beat(
     marks += [[getattr(getattr(b, w), m) for b in beats]
               for w in waves for m in ("onset", "peak", "offset")]
     baseline, *idx = (round_half_up(float(x)) + pre
-                      for x in np.median(np.asarray(marks) - peaks, axis=1))
+                      for x in _sorted_median(np.asarray(marks) - peaks))
     wave_at = {w: Wave(*idx[3 * k:3 * k + 3]) for k, w in enumerate(waves)}
 
     def in_window(wave: Wave) -> Wave:
@@ -348,7 +469,7 @@ def median_beat(
         raise WindowOutOfRange(f"consolidated baseline index {baseline} outside window")
     cons = ConsolidatedFiducials(
         baseline=baseline, p=p_wave, qrs=in_window(wave_at["qrs"]), t=in_window(wave_at["t"]))
-    rr_ms = float(np.median(np.diff(peaks)) * 1000.0 / fs)
+    rr_ms = float(_sorted_median(np.diff(peaks)) * 1000.0 / fs)
     return MedianBeat(leads=leads, fiducials=cons, sampling_rate_hz=fs, rr_ms=rr_ms)
 
 

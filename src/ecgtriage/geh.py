@@ -90,21 +90,30 @@ def area_vector(vcg: Vcg, onset: int, offset: int) -> SpatialVector:
     )
 
 
+def _power_of_two_scaled(v: SpatialVector, which: str) -> tuple[float, float, float]:
+    """The components of v times the power of two that brings the largest into [0.5, 1)."""
+    if not (v.x or v.y or v.z):
+        raise ZeroVector(which)
+    e = math.frexp(max(abs(v.x), abs(v.y), abs(v.z)))[1]
+    return math.ldexp(v.x, -e), math.ldexp(v.y, -e), math.ldexp(v.z, -e)
+
+
 def spatial_angle(u: SpatialVector, v: SpatialVector) -> float:
     """Angle between two spatial vectors in degrees, range [0, 180].
 
     Taken as atan2(|u x v|, u . v): acos of the normalised dot product loses
     about 1e-6 degrees next to 0 and 180, where rounding moves the cosine by
-    one ulp, so parallel vectors of different lengths would not read 0.
+    one ulp, so parallel vectors of different lengths would not read 0. Each
+    vector is first scaled by a power of two, which is exact for normal
+    components, so that vectors shorter than ~1e-154 or longer than ~1e154,
+    whose products leave the float range, keep their angle.
     """
-    if u.magnitude == 0.0:
-        raise ZeroVector("first vector")
-    if v.magnitude == 0.0:
-        raise ZeroVector("second vector")
-    cx = u.y * v.z - u.z * v.y
-    cy = u.z * v.x - u.x * v.z
-    cz = u.x * v.y - u.y * v.x
-    dot = u.x * v.x + u.y * v.y + u.z * v.z
+    ux, uy, uz = _power_of_two_scaled(u, "first vector")
+    vx, vy, vz = _power_of_two_scaled(v, "second vector")
+    cx = uy * vz - uz * vy
+    cy = uz * vx - ux * vz
+    cz = ux * vy - uy * vx
+    dot = ux * vx + uy * vy + uz * vz
     return math.degrees(math.atan2(math.hypot(cx, cy, cz), dot))
 
 

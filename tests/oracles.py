@@ -11,6 +11,7 @@ the trace header parser and EcgRecord's checks around a per-cell conversion.
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -398,8 +399,17 @@ class PerFeatureScanBooster(Booster):
         )
 
 
+# A trace cell: float()'s syntax in ASCII digits and letters, without "_", padded
+# by Unicode whitespace other than the separators U+001C-U+001F.
+_PAD = r"(?:(?![\x1c-\x1f])\s)*"
+_TRACE_CELL = re.compile(
+    _PAD + r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+    r"|[iI][nN][fF](?:[iI][nN][iI][tT][yY])?|[nN][aA][nN])" + _PAD)
+
+
 def parse_ecg_per_cell(path):
-    """ecg_ingest.parse_ecg converting one cell at a time with float()."""
+    """ecg_ingest.parse_ecg converting one cell at a time with float(), after
+    matching it against _TRACE_CELL."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -427,10 +437,9 @@ def parse_ecg_per_cell(path):
         cells = line.split(",")
         if len(cells) != len(LEAD_NAMES):
             raise LengthMismatch(f"{path}: row {i} has {len(cells)} columns, expected 12")
-        try:
-            rows[i] = [float(cells[j]) for j in order]
-        except ValueError:
-            raise SchemaError(f"{path}: non-numeric value", row=i) from None
+        if not all(_TRACE_CELL.fullmatch(cell) for cell in cells):
+            raise SchemaError(f"{path}: non-numeric value", row=i)
+        rows[i] = [float(cells[j]) for j in order]
 
     rows *= gain_uv / 1000.0
     leads = {name: np.ascontiguousarray(rows[:, k]) for k, name in enumerate(LEAD_NAMES)}

@@ -100,6 +100,20 @@ class TestLoadCohort:
         assert str(info.value) == "sex must be F or M, got 'X' (row 1)"
         assert (info.value.row, info.value.column) == (1, None)
 
+    # an id names trace files and keys a line of extract_log.txt
+    @pytest.mark.parametrize("pid", ["p0001\tok\tforged\np9999", "../p0001", "a/b", "a\\b",
+                                     ".", "..", "p\x00", "p\x7f", "p\x85"])
+    def test_id_that_is_not_a_plain_file_name(self, tmp_path, pid):
+        save_cohort([make_patient("p0"), make_patient(pid)], tmp_path / "c.csv")
+        with pytest.raises(SchemaError) as info:
+            load_cohort(tmp_path / "c.csv")
+        assert (info.value.row, info.value.column) == (2, "id")
+
+    def test_plain_file_name_ids_load(self, tmp_path):
+        ids = ["p.1", "...", "a b", "ü-1", "x..y"]
+        save_cohort([make_patient(pid) for pid in ids], tmp_path / "c.csv")
+        assert [r.id for r in load_cohort(tmp_path / "c.csv")] == ids
+
     def test_duplicate_id(self, tmp_path):
         save_cohort([make_patient("p1"), make_patient("p1")], tmp_path / "c.csv")
         with pytest.raises(DuplicateId):

@@ -59,6 +59,9 @@ def shift_fiducials(beat: MedianBeat, k: int) -> MedianBeat:
     ))
 
 
+HEAD = "sample_rate_hz=240 gain_uv_per_unit=1000\n"
+
+
 class TestParseEcg:
     def test_seven_second_file_roundtrip(self, tmp_path, rng):
         matrix = rng.normal(size=(12, 1680))
@@ -158,13 +161,36 @@ class TestParseEcg:
         with pytest.raises(DataFormatError, match="unreadable"):
             parse_ecg(tmp_path / "a.csv")
 
-    @pytest.mark.parametrize("cell, value", [("1_0", 10.0), ("١٢", 12.0)])
-    def test_cell_read_by_float_only_is_accepted(self, tmp_path, cell, value):
+    @pytest.mark.parametrize("cell", ["1_0", "١٢"])
+    def test_cell_read_by_float_only_is_refused(self, tmp_path, cell):
         lines = ["sample_rate_hz=240 gain_uv_per_unit=1000.0", ",".join(LEAD_NAMES),
-                 ",".join(["0"] * 4 + [cell] + ["0"] * 7)]
+                 ",".join(["0"] * 12), ",".join(["0"] * 4 + [cell] + ["0"] * 7)]
         (tmp_path / "a.csv").write_text("\n".join(lines), encoding="utf-8")
-        rec = parse_ecg(tmp_path / "a.csv")
-        assert rec.leads["aVL"][0] == value
+        with pytest.raises(SchemaError) as err:
+            parse_ecg(tmp_path / "a.csv")
+        assert err.value.row == 1
+
+    @pytest.mark.parametrize("text, fast", [
+        (HEAD + "-0.000," * 11 + "0.000\n", True),  # -0.0, as float() gives it
+        (HEAD + "12345678," * 11 + "-1\n", True),  # 8 bytes besides the sign
+        (HEAD + "-123456.7," * 11 + "0.1\n", True),
+        (HEAD + "123456789," * 11 + "1\n", False),  # 9 bytes
+        (HEAD + "-1234567.8," * 11 + "0.1\n", False),
+        (HEAD + ".12345678," * 11 + "0.00000000\n", False),  # q = 8
+        (HEAD + "1.500," * 11 + "1500\n", False),  # a cell without the file's decimals
+        (HEAD + "1," * 11 + "1\n" + "1,," + "1," * 9 + "1\n", False),  # an empty cell
+        (HEAD + "1," * 11 + "1\n" + "-," + "1," * 10 + "1\n", False),  # a sign alone
+        (HEAD + "1," * 10 + "1\n" + "1," * 12 + "1\n", False),  # 11 and 13 cells
+        (HEAD + "1," * 11 + "1\n5", False),  # a last row without its newline
+        (HEAD.replace(" ", "\r") + "1," * 11 + "1\n", False),  # "\r" ends a line
+        (" \n" + HEAD + "1," * 11 + "1\n", False),  # blank lines are skipped
+        (HEAD + "\n" + "1," * 11 + "1\n", False),
+    ])
+    def test_fast_path_choice(self, tmp_path, text, fast):
+        data = text.encode()
+        (tmp_path / "a.csv").write_bytes(data)
+        assert (ecg_ingest._read_fixed_point(data) is not None) == fast
+        assert _outcome(parse_ecg, tmp_path / "a.csv") == _outcome(parse_ecg_per_cell, tmp_path / "a.csv")
 
     # "\x1f1": float() rejects the ASCII separator padding that loadtxt strips;
     # "1#2" last in its row: no comment syntax, so nothing after "#" is dropped
@@ -307,14 +333,46 @@ _TEXT_ROWS = st.one_of(
     st.lists(st.one_of(_NUMBER_CELLS, _ODD_CELLS), min_size=10, max_size=13).map(",".join),
     st.sampled_from(["", "  ", "\t"]),
 )
+_TEXT_TRACES_HEADERS = st.sampled_from(["sample_rate_hz=240 gain_uv_per_unit=1000",
+                                         "sample_rate_hz=500 gain_uv_per_unit=4.88"])
 _TEXT_TRACES = st.builds(
     lambda header, names, rows, newline: newline.join([header] + names + rows) + newline,
-    st.sampled_from(["sample_rate_hz=240 gain_uv_per_unit=1000",
-                     "sample_rate_hz=500 gain_uv_per_unit=4.88"]),
+    _TEXT_TRACES_HEADERS,
     st.one_of(st.just([]), st.permutations(LEAD_NAMES).map(lambda names: [",".join(names)])),
     st.lists(_TEXT_ROWS, max_size=8),
     st.sampled_from(["\n", "\r\n"]),
 )
+
+
+def _fixed_point_cell(q, max_bytes):
+    """One cell of a file with q decimals: 1..max_bytes bytes besides the sign
+    (at least one integer digit)."""
+    width = max(1, max_bytes - (q + 1 if q else 0))
+    return st.one_of(
+        st.builds(lambda sign, whole, frac: sign + whole + ("." + frac if q else ""),
+                  st.sampled_from(["", "-"]), st.text("0123456789", min_size=1, max_size=width),
+                  st.text("0123456789", min_size=q, max_size=q)),
+        st.just("-0" + ("." + "0" * q if q else "")))
+
+
+def _fixed_point_rows(q, max_bytes, integers=False):
+    """1-6 rows of cells with q decimals; with integers, some cells have none."""
+    cell = _fixed_point_cell(q, max_bytes)
+    if integers:
+        cell = st.one_of(cell, _fixed_point_cell(0, max_bytes))
+    return st.lists(st.lists(cell, min_size=12, max_size=12).map(",".join), min_size=1, max_size=6)
+
+
+# bodies in the fast path's grammar and just outside it (9-byte cells, q = 7,
+# integer cells among decimal ones, CRLF)
+_FIXED_POINT_TRACES = st.tuples(st.integers(0, 7), st.sampled_from([8, 9]), st.booleans()).flatmap(
+    lambda limits: st.builds(
+        lambda header, names, rows, newline: newline.join([header] + names + rows) + newline,
+        _TEXT_TRACES_HEADERS,
+        st.one_of(st.just([]), st.permutations(LEAD_NAMES).map(lambda names: [",".join(names)])),
+        _fixed_point_rows(*limits),
+        st.sampled_from(["\n", "\r\n"]),
+    ))
 
 
 def _outcome(parse, path):
@@ -326,12 +384,22 @@ def _outcome(parse, path):
             [rec.leads[name].tobytes() for name in LEAD_NAMES])
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(text=_TEXT_TRACES)
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=st.one_of(_TEXT_TRACES, _FIXED_POINT_TRACES))
 def test_parse_ecg_matches_per_cell_reference(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "text_trace.csv"
     path.write_bytes(text.encode("utf-8"))
     assert _outcome(parse_ecg, path) == _outcome(parse_ecg_per_cell, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(0, 6).flatmap(lambda q: _fixed_point_rows(q, 8)), names=st.booleans())
+def test_fixed_point_body_takes_fast_path(rows, names):
+    lines = ["sample_rate_hz=240 gain_uv_per_unit=1000"] + [",".join(LEAD_NAMES)] * names + rows
+    head, cells = ecg_ingest._read_fixed_point(("\n".join(lines) + "\n").encode())
+    assert head == lines[:1 + names]
+    expected = np.array([[float(c) for c in row.split(",")] for row in rows]).T
+    assert cells.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -391,6 +459,24 @@ class TestMedianBeat:
                 expected = median_sort_and_pick(
                     [rec.leads[name][c - pre + k] for c in CENTERS])
                 assert beat.leads[name][k] == pytest.approx(expected, abs=0)
+
+    def test_four_random_beats_match_sort_oracle(self, rng):
+        contents = [rng.normal(size=(12, 192)) for _ in range(4)]
+        centers = CENTERS[:4]
+        rec = _record_with_beats(contents, centers)
+        beat = median_beat(rec, fiducials_at(centers))
+        pre = round_half_up(300 * 240 / 1000)
+        for name in LEAD_NAMES:
+            expected = [median_sort_and_pick([rec.leads[name][c - pre + k] for c in centers])
+                        for k in range(len(beat.leads[name]))]
+            assert beat.leads[name].tobytes() == np.array(expected).tobytes()
+
+    def test_zero_median_is_positive_zero(self):
+        matrix = np.zeros((12, 2400))
+        matrix[:, 900] = -0.0
+        matrix[:, 1400] = -0.0
+        beat = median_beat(record_from_matrix(matrix), fiducials_at(CENTERS[:3]))
+        assert not np.signbit(beat.leads["I"]).any()
 
     def test_beat_order_does_not_matter(self, rng):
         contents = [rng.normal(size=(12, 192)) for _ in range(4)]

@@ -117,6 +117,14 @@ class TestSpatialAngle:
         with pytest.raises(ZeroVector):
             spatial_angle(vec(0, 0, 0), vec(1, 0, 0))
 
+    @pytest.mark.parametrize("u, v, angle", [
+        ((0, 0, 1), (0, 0, 1.2e-162), 0.0),  # |v|^2 underflows to 0
+        ((1e-160, 0, 0), (0, 1e-163, 0), 90.0),
+        ((1e300, 0, 0), (1e300, 2e300, 0), math.degrees(math.atan(2.0))),  # |u x v| overflows
+    ])
+    def test_squares_outside_the_float_range(self, u, v, angle):
+        assert spatial_angle(vec(*u), vec(*v)) == pytest.approx(angle, abs=1e-12)
+
     @settings(max_examples=60, deadline=None)
     @given(ux=unit_floats, uy=unit_floats, uz=unit_floats,
            vx=unit_floats, vy=unit_floats, vz=unit_floats,

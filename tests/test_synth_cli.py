@@ -402,6 +402,32 @@ class TestExtractCommand:
         assert {pid for pid, s in statuses.items() if s != "ok"} == {"p0004", "p0007"}
         assert statuses["p0004"] == statuses["p0007"] == "failed"
 
+    def test_forged_id_is_data_error(self, tmp_path):
+        data = generate(SynthConfig(n_patients=10, seed=6, positive_fraction=0.4), tmp_path / "d")
+        rows = read_rows(data["cohort_table"])
+        rows[0]["id"] = "p0001\tok\tforged\np9999"
+        with open(tmp_path / "forged.csv", "w", newline="") as fh:
+            w = csv.DictWriter(fh, fieldnames=COHORT_COLUMNS, lineterminator="\n")
+            w.writeheader()
+            w.writerows(rows)
+        cfg = write_cfg(tmp_path / "c.cfg", ecg_dir=tmp_path / "d" / "ecg",
+                        fiducial_dir=tmp_path / "d" / "fiducials",
+                        cohort_table=tmp_path / "forged.csv", out_dir=tmp_path / "o")
+        assert cli.main(["extract", "--config", cfg]) == 3
+        assert not (tmp_path / "o" / "extract_log.txt").exists()
+
+    def test_failed_count_comes_from_statuses(self, tmp_path, caplog):
+        # a failure message names its file, and this directory name holds "\tok\t"
+        d = tmp_path / "a\tok\tb"
+        data = generate(SynthConfig(n_patients=10, seed=6, positive_fraction=0.4), d)
+        (d / "fiducials" / "p0002.json").unlink()
+        cfg = write_cfg(tmp_path / "c.cfg", ecg_dir=d / "ecg", fiducial_dir=d / "fiducials",
+                        cohort_table=data["cohort_table"], out_dir=tmp_path / "o")
+        with caplog.at_level(logging.INFO, logger="ecgtriage"):
+            assert cli.main(["extract", "--config", cfg]) == 0
+        assert "\tok\t" in (tmp_path / "o" / "extract_log.txt").read_text().splitlines()[1]
+        assert "extracted 10 patients (1 failed)" in caplog.records[-1].getMessage()
+
     def test_zero_t_wave_flagged_degenerate(self, tmp_path):
         # handcrafted patient: depolarization bump only, flat repolarization
         fs, n = 240.0, 1680
