@@ -2,8 +2,10 @@
 
 Trace file format: one header line ``sample_rate_hz=<num> gain_uv_per_unit=<num>``,
 an optional second line naming the 12 columns, then one comma-separated row per
-sample in lead order I,II,III,aVR,aVL,aVF,V1..V6. Amplitudes are stored in file
-units and converted to mV via the header gain.
+sample in lead order I,II,III,aVR,aVL,aVF,V1..V6. The second line names the
+columns when one of its stripped cells is a lead name. Amplitudes are stored in
+file units and converted to mV via the header gain. Records and median beats
+hold them as one (12, n) array whose row k is lead ``LEAD_NAMES[k]``.
 
 A trace body is read on one of two paths, chosen from its bytes alone, that give
 the same values. The fast path takes the fixed-point text synth writes: rows of
@@ -68,33 +70,32 @@ def round_half_up(x: float) -> int:
 
 @dataclass(frozen=True)
 class EcgRecord:
-    """Validated 12-lead trace in mV."""
+    """Validated 12-lead trace in mV.
 
-    leads: dict[str, np.ndarray]
+    `leads` is a (12, n) float array; row k is lead LEAD_NAMES[k]. The
+    duration is derived: n_samples / sampling_rate_hz.
+    """
+
+    leads: np.ndarray
     sampling_rate_hz: float
-    duration_s: float
 
     def __post_init__(self):
         if self.sampling_rate_hz < MIN_SAMPLING_RATE_HZ:
             raise BadHeader(f"sampling rate {self.sampling_rate_hz} Hz below {MIN_SAMPLING_RATE_HZ}")
-        for name in LEAD_NAMES:
-            if name not in self.leads:
-                raise MissingLead(name)
-        n = self.n_samples
-        expected = round(self.duration_s * self.sampling_rate_hz)
-        if n != expected:
-            raise LengthMismatch(f"{n} samples but duration says {expected}")
-        for name in LEAD_NAMES:
-            series = self.leads[name]
-            if len(series) != n:
-                raise LengthMismatch(f"lead {name} has {len(series)} samples, expected {n}")
-            bad = np.flatnonzero(~np.isfinite(series))
-            if bad.size:
-                raise NonFiniteSample(name, int(bad[0]))
+        if self.leads.ndim != 2 or len(self.leads) != len(LEAD_NAMES):
+            raise LengthMismatch(f"leads have shape {self.leads.shape}, expected (12, samples)")
+        finite = np.isfinite(self.leads)
+        if not finite.all():  # the first lead in LEAD_NAMES order, then its first sample
+            lead, row = divmod(int(finite.argmin()), self.n_samples)
+            raise NonFiniteSample(LEAD_NAMES[lead], row)
 
     @property
     def n_samples(self) -> int:
-        return len(self.leads[LEAD_NAMES[0]])
+        return self.leads.shape[1]
+
+    @property
+    def duration_s(self) -> float:
+        return self.n_samples / self.sampling_rate_hz
 
 
 @dataclass(frozen=True)
@@ -163,16 +164,20 @@ class ConsolidatedFiducials:
 
 @dataclass(frozen=True)
 class MedianBeat:
-    """Per-sample consolidation of the annotated beats, aligned on the QRS peak."""
+    """Per-sample consolidation of the annotated beats, aligned on the QRS peak.
 
-    leads: dict[str, np.ndarray]
+    `leads` is a (12, n) float array over the beat window; row k is lead
+    LEAD_NAMES[k].
+    """
+
+    leads: np.ndarray
     fiducials: ConsolidatedFiducials
     sampling_rate_hz: float
     rr_ms: float
 
     @property
     def n_samples(self) -> int:
-        return len(self.leads[LEAD_NAMES[0]])
+        return self.leads.shape[1]
 
 
 @dataclass(frozen=True)
@@ -213,6 +218,11 @@ def _is_numeric_row(line: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+def _names_columns(line: str) -> bool:
+    """Whether a trace's second line names the columns: one of its cells, stripped, is a lead name."""
+    return any(cell.strip() in LEAD_NAMES for cell in line.split(","))
 
 
 def _fixed_point_cells(data: bytes, start: int) -> np.ndarray | None:
@@ -286,10 +296,10 @@ def _read_fixed_point(data: bytes) -> tuple[list[str], np.ndarray] | None:
         return None
     if not (first and second):
         return None
-    if _is_numeric_row(second):
-        lines, start = [first], end1 + 1
-    else:
+    if _names_columns(second):
         lines, start = [first, second], end2 + 1
+    else:
+        lines, start = [first], end1 + 1
     cells = _fixed_point_cells(data, start)
     return None if cells is None else (lines, cells)
 
@@ -326,7 +336,7 @@ def parse_ecg(path) -> EcgRecord:
         raise DataFormatError(f"{path}: unreadable trace ({exc})") from None
     fast = _read_fixed_point(data)
     if fast is not None:
-        lines, cells = fast
+        head, cells = fast
     else:
         try:
             text = data.decode("utf-8")
@@ -334,30 +344,26 @@ def parse_ecg(path) -> EcgRecord:
             raise DataFormatError(f"{path}: unreadable trace ({exc})") from None
         # a lone "\r" ends a line, as in text mode; "\r\n" leaves a blank line
         lines = [ln for ln in map(str.strip, text.replace("\r", "\n").split("\n")) if ln]
-        cells = None
-    if not lines:
-        raise BadHeader(f"{path}: empty file")
-    rate, gain_uv = _parse_header(lines[0], path)
+        if not lines:
+            raise BadHeader(f"{path}: empty file")
+        head = lines[:2] if len(lines) > 1 and _names_columns(lines[1]) else lines[:1]
+    rate, gain_uv = _parse_header(head[0], path)
 
-    body = lines[1:]
-    if body and not _is_numeric_row(body[0]):
-        names = [c.strip() for c in body[0].split(",")]
-        for want in LEAD_NAMES:
-            if want not in names:
-                raise MissingLead(want)
-        if len(names) != len(LEAD_NAMES):
-            raise BadHeader(f"{path}: unexpected column names {names}")
-        order = [names.index(want) for want in LEAD_NAMES]
-        body = body[1:]
-    else:
-        order = range(len(LEAD_NAMES))
-    if cells is None:
-        cells = _read_cells(body, path)
+    # without a names line the columns are in LEAD_NAMES order
+    names = [c.strip() for c in head[1].split(",")] if len(head) == 2 else list(LEAD_NAMES)
+    for want in LEAD_NAMES:
+        if want not in names:
+            raise MissingLead(want)
+    if len(names) != len(LEAD_NAMES):
+        raise BadHeader(f"{path}: unexpected column names {names}")
+    if fast is None:
+        cells = _read_cells(lines[len(head):], path)
+    if names != list(LEAD_NAMES):
+        cells = cells[[names.index(want) for want in LEAD_NAMES]]
 
     # file units -> uV -> mV
     cells *= gain_uv / 1000.0
-    leads = {name: cells[k] for name, k in zip(LEAD_NAMES, order)}
-    return EcgRecord(leads=leads, sampling_rate_hz=rate, duration_s=cells.shape[1] / rate)
+    return EcgRecord(leads=cells, sampling_rate_hz=rate)
 
 
 def _parse_wave(obj, path, what) -> Wave:
@@ -439,10 +445,7 @@ def median_beat(
     # (12, width, beats): the beats of one window sample lie contiguous, for the sort
     peaks = np.asarray([beat.qrs.peak for beat in beats])
     at = (peaks - pre) + np.arange(width)[:, None]
-    windows = np.empty((len(LEAD_NAMES), width, len(beats)))
-    for k, name in enumerate(LEAD_NAMES):
-        np.take(record.leads[name], at, out=windows[k])
-    leads = dict(zip(LEAD_NAMES, _sorted_median(windows)))
+    leads = _sorted_median(record.leads[:, at])
 
     # P is consolidated only when every beat carries one; mixed annotation
     # means the wave was not reliably identifiable, so it is treated as absent.

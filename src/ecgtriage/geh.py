@@ -60,9 +60,11 @@ class GehMeasures:
     degenerate: tuple[str, ...] = ()
 
 
-def _check_window(vcg: Vcg, onset: int, offset: int):
+def _window(vcg: Vcg, onset: int, offset: int) -> np.ndarray:
+    """The (3, m) samples of the inclusive window [onset, offset]."""
     if onset > offset or onset < 0 or offset >= vcg.n_samples:
         raise EmptyWindow(f"window [{onset}, {offset}] invalid for {vcg.n_samples} samples")
+    return vcg.xyz[:, onset:offset + 1]
 
 
 def peak_vector(vcg: Vcg, onset: int, offset: int) -> SpatialVector:
@@ -70,24 +72,17 @@ def peak_vector(vcg: Vcg, onset: int, offset: int) -> SpatialVector:
 
     Ties go to the earliest sample.
     """
-    _check_window(vcg, onset, offset)
-    sl = slice(onset, offset + 1)
-    mag2 = vcg.x[sl] ** 2 + vcg.y[sl] ** 2 + vcg.z[sl] ** 2
-    i = onset + int(np.argmax(mag2))
-    return SpatialVector(float(vcg.x[i]), float(vcg.y[i]), float(vcg.z[i]), kind="peak")
+    w = _window(vcg, onset, offset)
+    x, y, z = w
+    i = int(np.argmax(x ** 2 + y ** 2 + z ** 2))
+    return SpatialVector(*map(float, w[:, i]), kind="peak")
 
 
 def area_vector(vcg: Vcg, onset: int, offset: int) -> SpatialVector:
     """Componentwise trapezoidal integral over the window, in mV*ms."""
-    _check_window(vcg, onset, offset)
-    sl = slice(onset, offset + 1)
-    dt_ms = 1000.0 / vcg.sampling_rate_hz
-    return SpatialVector(
-        float(np.trapezoid(vcg.x[sl], dx=dt_ms)),
-        float(np.trapezoid(vcg.y[sl], dx=dt_ms)),
-        float(np.trapezoid(vcg.z[sl], dx=dt_ms)),
-        kind="area",
-    )
+    w = _window(vcg, onset, offset)
+    return SpatialVector(*map(float, np.trapezoid(w, dx=1000.0 / vcg.sampling_rate_hz, axis=1)),
+                         kind="area")
 
 
 def _power_of_two_scaled(v: SpatialVector, which: str) -> tuple[float, float, float]:
@@ -137,10 +132,8 @@ def azimuth_elevation(v: SpatialVector) -> Direction:
 
 def vector_magnitude_integral(vcg: Vcg, onset: int, offset: int) -> float:
     """Trapezoidal integral of sqrt(x^2+y^2+z^2) over the window, in mV*ms."""
-    _check_window(vcg, onset, offset)
-    sl = slice(onset, offset + 1)
-    mag = np.sqrt(vcg.x[sl] ** 2 + vcg.y[sl] ** 2 + vcg.z[sl] ** 2)
-    return float(np.trapezoid(mag, dx=1000.0 / vcg.sampling_rate_hz))
+    x, y, z = _window(vcg, onset, offset)
+    return float(np.trapezoid(np.sqrt(x ** 2 + y ** 2 + z ** 2), dx=1000.0 / vcg.sampling_rate_hz))
 
 
 def compute_geh(vcg: Vcg) -> GehMeasures:

@@ -31,7 +31,7 @@ import numpy as np
 from .cohort import BOOL_COLUMNS, PatientRecord, save_cohort
 from .ecg_ingest import MIN_SAMPLING_RATE_HZ, round_half_up
 from .errors import ConfigError
-from .vcg import KORS_INPUT_LEADS, KORS_MATRIX
+from .vcg import KORS_MATRIX
 
 # cells at or above this magnitude (uV) are past the exact integer digit arithmetic
 _FAST_CELL_LIMIT = 2.0 ** 31 / 1000.0
@@ -266,16 +266,9 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
         for center in centers:
             v += vcg_waveform(shape, t_axis_ms - t_axis_ms[center])
 
-        leads8 = SYNTH_MATRIX @ v  # rows in KORS_INPUT_LEADS order
-        by_name = dict(zip(KORS_INPUT_LEADS, leads8))
-        traces = np.vstack([
-            by_name["I"], by_name["II"], by_name["II"] - by_name["I"],
-            -(by_name["I"] + by_name["II"]) / 2.0,
-            by_name["I"] - by_name["II"] / 2.0,
-            by_name["II"] - by_name["I"] / 2.0,
-            by_name["V1"], by_name["V2"], by_name["V3"],
-            by_name["V4"], by_name["V5"], by_name["V6"],
-        ])
+        leads8 = SYNTH_MATRIX @ v  # rows in KORS_INPUT_LEADS order: I, II, V1..V6
+        I, II = leads8[:2]
+        traces = np.vstack([I, II, II - I, -(I + II) / 2.0, I - II / 2.0, II - I / 2.0, leads8[2:]])
         if cfg.noise_sd_mv > 0:
             traces = traces + rng.normal(0.0, cfg.noise_sd_mv, size=traces.shape)
 

@@ -13,10 +13,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ecg_ingest import ConsolidatedFiducials, MedianBeat
-from .errors import MissingFiducial, MissingLead
+from .ecg_ingest import LEAD_NAMES, ConsolidatedFiducials, MedianBeat
+from .errors import MissingFiducial
 
 KORS_INPUT_LEADS = ("I", "II", "V1", "V2", "V3", "V4", "V5", "V6")
+# the rows of a (12, n) lead array that the matrix reads, in KORS_INPUT_LEADS order
+_KORS_ROWS = [LEAD_NAMES.index(name) for name in KORS_INPUT_LEADS]
 
 # rows X, Y, Z; columns in KORS_INPUT_LEADS order
 KORS_MATRIX = np.array([
@@ -28,21 +30,16 @@ KORS_MATRIX = np.array([
 
 @dataclass(frozen=True)
 class Vcg:
-    """Vectorcardiogram: three equal-length orthogonal series in mV."""
+    """Vectorcardiogram in mV: `xyz` is a (3, n) array whose rows are the
+    orthogonal leads x, y and z."""
 
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
+    xyz: np.ndarray
     sampling_rate_hz: float
     fiducials: ConsolidatedFiducials
 
-    def __post_init__(self):
-        if not (len(self.x) == len(self.y) == len(self.z)):
-            raise ValueError("x, y, z must have equal length")
-
     @property
     def n_samples(self) -> int:
-        return len(self.x)
+        return self.xyz.shape[1]
 
 
 def baseline_correct(beat: MedianBeat) -> MedianBeat:
@@ -55,8 +52,7 @@ def baseline_correct(beat: MedianBeat) -> MedianBeat:
         raise MissingFiducial("baseline sample not annotated")
     if not 0 <= baseline < beat.n_samples:
         raise MissingFiducial(f"baseline index {baseline} outside beat window")
-    leads = {name: series - series[baseline] for name, series in beat.leads.items()}
-    return replace(beat, leads=leads)
+    return replace(beat, leads=beat.leads - beat.leads[:, baseline, None])
 
 
 def kors_transform(beat: MedianBeat) -> Vcg:
@@ -65,16 +61,6 @@ def kors_transform(beat: MedianBeat) -> Vcg:
     The derived limb leads (III, aVR, aVL, aVF) are linear combinations of I
     and II and are ignored. Landmarks are carried over unchanged.
     """
-    for name in KORS_INPUT_LEADS:
-        if name not in beat.leads:
-            raise MissingLead(name)
-    stacked = np.vstack([beat.leads[name] for name in KORS_INPUT_LEADS])
-    xyz = KORS_MATRIX @ stacked
-    return Vcg(
-        x=xyz[0],
-        y=xyz[1],
-        z=xyz[2],
-        sampling_rate_hz=beat.sampling_rate_hz,
-        fiducials=beat.fiducials,
-    )
+    return Vcg(xyz=KORS_MATRIX @ beat.leads[_KORS_ROWS], sampling_rate_hz=beat.sampling_rate_hz,
+               fiducials=beat.fiducials)
 

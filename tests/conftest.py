@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ecgtriage.ecg_ingest import (
-    LEAD_NAMES,
     Beat,
     ConsolidatedFiducials,
     EcgRecord,
@@ -15,9 +14,7 @@ from ecgtriage.vcg import Vcg
 
 def record_from_matrix(matrix, fs=240.0):
     """EcgRecord from a (12, n) array of mV values."""
-    matrix = np.asarray(matrix, dtype=float)
-    leads = {name: matrix[i].copy() for i, name in enumerate(LEAD_NAMES)}
-    return EcgRecord(leads=leads, sampling_rate_hz=fs, duration_s=matrix.shape[1] / fs)
+    return EcgRecord(leads=np.array(matrix, dtype=float), sampling_rate_hz=fs)
 
 
 def simple_beat(center, p=True):
@@ -36,7 +33,7 @@ def fiducials_at(centers, p=True):
 
 def median_beat_from(leads_window, fiducials=None, fs=240.0, rr_ms=900.0):
     """MedianBeat straight from a (12, n) window array, default landmarks."""
-    leads_window = np.asarray(leads_window, dtype=float)
+    leads_window = np.array(leads_window, dtype=float)
     n = leads_window.shape[1]
     if fiducials is None:
         fiducials = ConsolidatedFiducials(
@@ -45,25 +42,24 @@ def median_beat_from(leads_window, fiducials=None, fs=240.0, rr_ms=900.0):
             qrs=Wave(n // 4, n // 3, n // 2),
             t=Wave(n // 2, 2 * n // 3, n - 2),
         )
-    leads = {name: leads_window[i].copy() for i, name in enumerate(LEAD_NAMES)}
-    return MedianBeat(leads=leads, fiducials=fiducials, sampling_rate_hz=fs, rr_ms=rr_ms)
+    return MedianBeat(leads=leads_window, fiducials=fiducials, sampling_rate_hz=fs, rr_ms=rr_ms)
 
 
-def vcg_from(x, y, z, fs=240.0, fiducials=None):
-    x = np.asarray(x, dtype=float)
+def vcg_from(xyz, fs=240.0, fiducials=None):
+    """Vcg from a (3, n) array (or three rows) of x, y, z values in mV."""
+    xyz = np.array(xyz, dtype=float)
     if fiducials is None:
-        n = len(x)
+        n = xyz.shape[1]
         fiducials = ConsolidatedFiducials(
             baseline=0, p=None,
             qrs=Wave(0, n // 3, n // 2),
             t=Wave(n // 2, 2 * n // 3, n - 1),
         )
-    return Vcg(x=x, y=np.asarray(y, dtype=float), z=np.asarray(z, dtype=float),
-               sampling_rate_hz=fs, fiducials=fiducials)
+    return Vcg(xyz=xyz, sampling_rate_hz=fs, fiducials=fiducials)
 
 
 def random_vcg(rng, n=120, fs=240.0):
-    return vcg_from(rng.normal(size=n), rng.normal(size=n), rng.normal(size=n), fs=fs)
+    return vcg_from(rng.normal(size=(3, n)), fs=fs)
 
 
 @pytest.fixture

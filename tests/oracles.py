@@ -15,7 +15,7 @@ import re
 
 import numpy as np
 
-from ecgtriage.ecg_ingest import LEAD_NAMES, EcgRecord, _is_numeric_row, _parse_header
+from ecgtriage.ecg_ingest import LEAD_NAMES, EcgRecord, _parse_header
 from ecgtriage.errors import BadHeader, DataFormatError, LengthMismatch, MissingLead, SchemaError
 from ecgtriage.gbt import Booster, TreeNode
 
@@ -409,7 +409,8 @@ _TRACE_CELL = re.compile(
 
 def parse_ecg_per_cell(path):
     """ecg_ingest.parse_ecg converting one cell at a time with float(), after
-    matching it against _TRACE_CELL."""
+    matching it against _TRACE_CELL. The second line names the columns when
+    one of its stripped cells is a lead name."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -420,8 +421,8 @@ def parse_ecg_per_cell(path):
     rate, gain_uv = _parse_header(lines[0], path)
 
     body = lines[1:]
-    if body and not _is_numeric_row(body[0]):
-        names = [c.strip() for c in body[0].split(",")]
+    names = [c.strip() for c in body[0].split(",")] if body else []
+    if any(name in LEAD_NAMES for name in names):
         for want in LEAD_NAMES:
             if want not in names:
                 raise MissingLead(want)
@@ -442,8 +443,7 @@ def parse_ecg_per_cell(path):
         rows[i] = [float(cells[j]) for j in order]
 
     rows *= gain_uv / 1000.0
-    leads = {name: np.ascontiguousarray(rows[:, k]) for k, name in enumerate(LEAD_NAMES)}
-    return EcgRecord(leads=leads, sampling_rate_hz=rate, duration_s=len(body) / rate)
+    return EcgRecord(leads=np.ascontiguousarray(rows.T), sampling_rate_hz=rate)
 
 
 def savetxt_text(cells):

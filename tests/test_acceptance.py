@@ -51,11 +51,6 @@ def report(line):
     print(f"\nACCEPTANCE {line}")
 
 
-def xyz(v):
-    """3 x n array of a Vcg's x, y, z rows."""
-    return np.vstack([v.x, v.y, v.z])
-
-
 @pytest.fixture(scope="module")
 def cohort300(tmp_path_factory):
     """Synthetic 300-patient cohort at the 223:51 class ratio, extracted once."""
@@ -84,9 +79,9 @@ def test_criterion_01_kors_transform(rng):
         ma = rng.normal(size=(12, 30))
         mb = rng.normal(size=(12, 30))
         a, b = rng.uniform(-5, 5, size=2)
-        lhs = xyz(kors_transform(median_beat_from(a * ma + b * mb)))
-        rhs = (a * xyz(kors_transform(median_beat_from(ma)))
-               + b * xyz(kors_transform(median_beat_from(mb))))
+        lhs = kors_transform(median_beat_from(a * ma + b * mb)).xyz
+        rhs = (a * kors_transform(median_beat_from(ma)).xyz
+               + b * kors_transform(median_beat_from(mb)).xyz)
         scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-30)
         max_rel = max(max_rel, float(np.abs(lhs - rhs).max() / scale))
     assert max_rel <= 1e-12
@@ -96,9 +91,7 @@ def test_criterion_01_kors_transform(rng):
         from ecgtriage.ecg_ingest import LEAD_NAMES
         matrix[LEAD_NAMES.index(lead)] = 1.0
         vcg = kors_transform(median_beat_from(matrix))
-        assert np.all(vcg.x == KORS_MATRIX[0, col])
-        assert np.all(vcg.y == KORS_MATRIX[1, col])
-        assert np.all(vcg.z == KORS_MATRIX[2, col])
+        assert np.all(vcg.xyz == KORS_MATRIX[:, col, None])
 
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
@@ -131,13 +124,12 @@ def test_criterion_02_geh_geometry(rng):
 
     worst_rot = 0.0
     for _ in range(100):
-        base = vcg_from(rng.normal(size=90), rng.normal(size=90), rng.normal(size=90))
+        base = vcg_from(rng.normal(size=(3, 90)))
         g = compute_geh(base)
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
-        m = q @ xyz(base)
-        gr = compute_geh(vcg_from(m[0], m[1], m[2], fiducials=base.fiducials))
+        gr = compute_geh(vcg_from(q @ base.xyz, fiducials=base.fiducials))
         for name in ("peak_qrst_angle_deg", "area_qrst_angle_deg",
                      "svg_mvms", "peak_svg_mv", "vm_qti_mvms"):
             a, b = getattr(g, name), getattr(gr, name)
@@ -152,7 +144,7 @@ def test_criterion_02_geh_geometry(rng):
     worst_add = 0.0
     for _ in range(10_000):
         n = 40
-        v = vcg_from(rng.normal(size=n), rng.normal(size=n), rng.normal(size=n))
+        v = vcg_from(rng.normal(size=(3, n)))
         f = v.fiducials
         qrs = area_vector(v, f.qrs.onset, f.qrs.offset)
         t = area_vector(v, f.qrs.offset, f.t.offset)
@@ -228,7 +220,7 @@ def test_criterion_03_closed_form_beat_oracle():
             baseline=0, p=None,
             qrs=Wave(center + qrs_on, center, center + qrs_off),
             t=Wave(center + qrs_off + 1, center + t_center, center + t_off))
-        got = vars(compute_geh(vcg_from(v[0], v[1], v[2], fiducials=fids)))
+        got = vars(compute_geh(vcg_from(v, fiducials=fids)))
         for name, value in expected.items():
             rel = abs(got[name] - value) / abs(value)
             worst = max(worst, rel)

@@ -69,7 +69,7 @@ class TestParseEcg:
         rec = parse_ecg(tmp_path / "a.csv")
         assert rec.duration_s == pytest.approx(7.0)
         assert rec.n_samples == 1680
-        np.testing.assert_allclose(rec.leads["V6"], matrix[11], rtol=1e-12)
+        np.testing.assert_allclose(rec.leads[11], matrix[11], rtol=1e-12)
 
     def test_missing_lead_in_name_line(self, tmp_path):
         names = [n for n in LEAD_NAMES if n != "V3"]
@@ -80,16 +80,25 @@ class TestParseEcg:
             parse_ecg(tmp_path / "a.csv")
         assert err.value.lead == "V3"
 
-    def test_missing_lead_direct_construction(self):
-        leads = {name: np.zeros(10) for name in LEAD_NAMES if name != "V3"}
-        with pytest.raises(MissingLead) as err:
-            EcgRecord(leads=leads, sampling_rate_hz=240.0, duration_s=10 / 240.0)
-        assert err.value.lead == "V3"
+    @pytest.mark.parametrize("shape", [(10,), (11, 10), (13, 10), (12, 10, 1)])
+    def test_leads_not_twelve_rows_rejected(self, shape):
+        with pytest.raises(LengthMismatch):
+            EcgRecord(leads=np.zeros(shape), sampling_rate_hz=240.0)
+
+    # a second line names the columns only when it holds a lead name: a first
+    # sample with an empty cell, or a line of other names, is a bad row 0
+    @pytest.mark.parametrize("second", ["1,,1,1,1,1,1,1,1,1,1,1", ",".join(f"c{k}" for k in range(12))])
+    def test_second_line_without_lead_name_is_data(self, tmp_path, second):
+        lines = ["sample_rate_hz=240 gain_uv_per_unit=1000", second] + [",".join(["1"] * 12)] * 4
+        (tmp_path / "a.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            parse_ecg(tmp_path / "a.csv")
+        assert err.value.row == 0
 
     def test_all_zero_traces_are_valid(self, tmp_path):
         write_trace(tmp_path / "a.csv", np.zeros((12, 240)))
         rec = parse_ecg(tmp_path / "a.csv")
-        assert all(np.all(rec.leads[name] == 0.0) for name in LEAD_NAMES)
+        assert np.all(rec.leads == 0.0)
 
     def test_short_row_names_row_index(self, tmp_path):
         lines = ["sample_rate_hz=240 gain_uv_per_unit=1.0",
@@ -121,7 +130,7 @@ class TestParseEcg:
         lines = ["sample_rate_hz=240 gain_uv_per_unit=2.5", ",".join(["100"] * 12)]
         (tmp_path / "a.csv").write_text("\n".join(lines), encoding="utf-8")
         rec = parse_ecg(tmp_path / "a.csv")
-        assert rec.leads["I"][0] == pytest.approx(0.25)  # 100 * 2.5 uV = 0.25 mV
+        assert rec.leads[0, 0] == pytest.approx(0.25)  # 100 * 2.5 uV = 0.25 mV
 
     def test_exponent_first_row_is_data_not_names(self, tmp_path):
         lines = ["sample_rate_hz=240 gain_uv_per_unit=1000.0", ",".join(["1e-3"] + ["0"] * 11)]
@@ -129,7 +138,7 @@ class TestParseEcg:
         (tmp_path / "a.csv").write_text("\n".join(lines), encoding="utf-8")
         rec = parse_ecg(tmp_path / "a.csv")
         assert rec.n_samples == 5
-        assert rec.leads["I"][0] == pytest.approx(1e-3)
+        assert rec.leads[0, 0] == pytest.approx(1e-3)
 
     def test_nan_first_row_is_data_not_names(self, tmp_path):
         lines = ["sample_rate_hz=240 gain_uv_per_unit=1000.0",
@@ -206,6 +215,31 @@ class TestParseEcg:
             parse_ecg(tmp_path / "a.csv")
         assert err.value.row == 1200
         assert str(err.value).endswith("non-numeric value (row 1200)")
+
+
+def _first_non_finite(leads):
+    """(lead name, row) of the first non-finite sample, scanning lead by lead."""
+    for name, series in zip(LEAD_NAMES, leads):
+        for row, value in enumerate(series):
+            if not np.isfinite(value):
+                return name, row
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), data=st.data())
+def test_non_finite_sample_is_the_first_by_lead_then_row(n, data):
+    leads = np.zeros((12, n))
+    spots = data.draw(st.lists(st.tuples(st.integers(0, 11), st.integers(0, n - 1)), max_size=6))
+    for lead, row in spots:
+        leads[lead, row] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    first = _first_non_finite(leads)
+    if first is None:
+        assert EcgRecord(leads=leads, sampling_rate_hz=240.0).n_samples == n
+        return
+    with pytest.raises(NonFiniteSample) as err:
+        EcgRecord(leads=leads, sampling_rate_hz=240.0)
+    assert (err.value.lead, err.value.row) == first
 
 
 class TestParseFiducials:
@@ -381,7 +415,7 @@ def _outcome(parse, path):
     except DataFormatError as exc:
         return type(exc), str(exc), getattr(exc, "row", None)
     return (rec.sampling_rate_hz, rec.duration_s,
-            [rec.leads[name].tobytes() for name in LEAD_NAMES])
+            [row.tobytes() for row in rec.leads])
 
 
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -434,8 +468,7 @@ class TestMedianBeat:
         beat = median_beat(rec, fiducials_at(centers), pre_ms=300, post_ms=500)
         lo = centers[0] - round_half_up(300 * 240 / 1000)
         hi = centers[0] + round_half_up(500 * 240 / 1000)
-        for i, name in enumerate(LEAD_NAMES):
-            np.testing.assert_array_equal(beat.leads[name], rec.leads[name][lo:hi + 1])
+        np.testing.assert_array_equal(beat.leads, rec.leads[:, lo:hi + 1])
 
     def test_offset_artifact_is_suppressed(self, rng):
         content = rng.normal(size=(12, 192))
@@ -446,7 +479,7 @@ class TestMedianBeat:
         beat = median_beat(rec, fiducials_at(centers))
         clean = _record_with_beats([content] * 3, centers)
         clean_beat = median_beat(clean, fiducials_at(centers))
-        np.testing.assert_array_equal(beat.leads["II"], clean_beat.leads["II"])
+        np.testing.assert_array_equal(beat.leads[1], clean_beat.leads[1])
 
     def test_five_random_beats_match_sort_oracle(self, rng):
         contents = [rng.normal(size=(12, 192)) for _ in range(5)]
@@ -454,11 +487,11 @@ class TestMedianBeat:
         beat = median_beat(rec, fiducials_at(CENTERS))
         pre = round_half_up(300 * 240 / 1000)
         post = round_half_up(500 * 240 / 1000)
-        for i, name in enumerate(LEAD_NAMES):
+        for i in range(len(LEAD_NAMES)):
             for k in range(pre + post + 1):
                 expected = median_sort_and_pick(
-                    [rec.leads[name][c - pre + k] for c in CENTERS])
-                assert beat.leads[name][k] == pytest.approx(expected, abs=0)
+                    [rec.leads[i, c - pre + k] for c in CENTERS])
+                assert beat.leads[i, k] == pytest.approx(expected, abs=0)
 
     def test_four_random_beats_match_sort_oracle(self, rng):
         contents = [rng.normal(size=(12, 192)) for _ in range(4)]
@@ -466,17 +499,17 @@ class TestMedianBeat:
         rec = _record_with_beats(contents, centers)
         beat = median_beat(rec, fiducials_at(centers))
         pre = round_half_up(300 * 240 / 1000)
-        for name in LEAD_NAMES:
-            expected = [median_sort_and_pick([rec.leads[name][c - pre + k] for c in centers])
-                        for k in range(len(beat.leads[name]))]
-            assert beat.leads[name].tobytes() == np.array(expected).tobytes()
+        for i in range(len(LEAD_NAMES)):
+            expected = [median_sort_and_pick([rec.leads[i, c - pre + k] for c in centers])
+                        for k in range(beat.n_samples)]
+            assert beat.leads[i].tobytes() == np.array(expected).tobytes()
 
     def test_zero_median_is_positive_zero(self):
         matrix = np.zeros((12, 2400))
         matrix[:, 900] = -0.0
         matrix[:, 1400] = -0.0
         beat = median_beat(record_from_matrix(matrix), fiducials_at(CENTERS[:3]))
-        assert not np.signbit(beat.leads["I"]).any()
+        assert not np.signbit(beat.leads[0]).any()
 
     def test_beat_order_does_not_matter(self, rng):
         contents = [rng.normal(size=(12, 192)) for _ in range(4)]
@@ -485,8 +518,7 @@ class TestMedianBeat:
         rec_b = _record_with_beats(contents[::-1], centers)
         beat_a = median_beat(rec_a, fiducials_at(centers))
         beat_b = median_beat(rec_b, fiducials_at(centers))
-        for name in LEAD_NAMES:
-            np.testing.assert_array_equal(beat_a.leads[name], beat_b.leads[name])
+        np.testing.assert_array_equal(beat_a.leads, beat_b.leads)
 
     @settings(max_examples=25, deadline=None)
     @given(a=st.floats(0.1, 50.0), b=st.floats(-5.0, 5.0))
@@ -495,13 +527,10 @@ class TestMedianBeat:
         contents = [rng.normal(size=(12, 192)) for _ in range(3)]
         centers = CENTERS[:3]
         rec = _record_with_beats(contents, centers)
-        scaled = record_from_matrix(
-            np.vstack([a * rec.leads[name] + b for name in LEAD_NAMES]))
+        scaled = record_from_matrix(a * rec.leads + b)
         base = median_beat(rec, fiducials_at(centers))
         trans = median_beat(scaled, fiducials_at(centers))
-        for name in LEAD_NAMES:
-            np.testing.assert_allclose(
-                trans.leads[name], a * base.leads[name] + b, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(trans.leads, a * base.leads + b, rtol=1e-12, atol=1e-12)
 
     def test_rr_is_median_peak_spacing(self):
         rec = _record_with_beats([np.zeros((12, 192))] * 5, CENTERS)

@@ -31,27 +31,27 @@ class TestPeakVector:
     def test_single_sample_window(self, rng):
         v = random_vcg(rng, n=30)
         p = peak_vector(v, 7, 7)
-        assert (p.x, p.y, p.z) == (v.x[7], v.y[7], v.z[7])
+        assert (p.x, p.y, p.z) == tuple(v.xyz[:, 7])
 
     def test_monotone_magnitude_peaks_at_offset(self):
         t = np.linspace(0, 1, 50)
-        v = vcg_from(t, 2 * t, -t)
+        v = vcg_from([t, 2 * t, -t])
         p = peak_vector(v, 5, 40)
-        assert (p.x, p.y, p.z) == (v.x[40], v.y[40], v.z[40])
+        assert (p.x, p.y, p.z) == tuple(v.xyz[:, 40])
 
     def test_matches_bruteforce_scan(self, rng):
         for _ in range(20):
             v = random_vcg(rng, n=80)
             p = peak_vector(v, 10, 59)
-            i = peak_scan(v.x, v.y, v.z, 10, 59)
-            assert (p.x, p.y, p.z) == (v.x[i], v.y[i], v.z[i])
+            i = peak_scan(*v.xyz, 10, 59)
+            assert (p.x, p.y, p.z) == tuple(v.xyz[:, i])
 
     def test_tie_breaks_to_earliest(self):
         x = np.zeros(20)
         x[5] = x[9] = 2.0
-        v = vcg_from(x, np.zeros(20), np.zeros(20))
+        v = vcg_from([x, np.zeros(20), np.zeros(20)])
         assert peak_vector(v, 0, 19).x == 2.0
-        assert peak_scan(v.x, v.y, v.z, 0, 19) == 5
+        assert peak_scan(*v.xyz, 0, 19) == 5
 
     def test_empty_window(self, rng):
         v = random_vcg(rng, n=20)
@@ -66,14 +66,14 @@ class TestAreaVector:
         # 1 mV over a 100 ms window (25 intervals at 240 Hz is 104.17 ms, so
         # use 1000 Hz where 100 samples span exactly 100 ms)
         n = 101
-        v = vcg_from(np.ones(n), np.zeros(n), np.zeros(n), fs=1000.0)
+        v = vcg_from([np.ones(n), np.zeros(n), np.zeros(n)], fs=1000.0)
         a = area_vector(v, 0, n - 1)
         assert a.x == pytest.approx(100.0, rel=1e-12)
         assert a.y == 0.0 and a.z == 0.0
 
     def test_linear_ramp_triangle(self):
         n = 101
-        v = vcg_from(np.linspace(0, 1, n), np.zeros(n), np.zeros(n), fs=1000.0)
+        v = vcg_from([np.linspace(0, 1, n), np.zeros(n), np.zeros(n)], fs=1000.0)
         a = area_vector(v, 0, n - 1)
         assert a.x == pytest.approx(50.0, rel=1e-12)
 
@@ -81,9 +81,9 @@ class TestAreaVector:
         v = random_vcg(rng, n=90)
         a = area_vector(v, 12, 77)
         dt = 1000.0 / v.sampling_rate_hz
-        assert a.x == pytest.approx(trapezoid_ref(v.x[12:78], dt), rel=1e-12)
-        assert a.y == pytest.approx(trapezoid_ref(v.y[12:78], dt), rel=1e-12)
-        assert a.z == pytest.approx(trapezoid_ref(v.z[12:78], dt), rel=1e-12)
+        assert a.x == pytest.approx(trapezoid_ref(v.xyz[0, 12:78], dt), rel=1e-12)
+        assert a.y == pytest.approx(trapezoid_ref(v.xyz[1, 12:78], dt), rel=1e-12)
+        assert a.z == pytest.approx(trapezoid_ref(v.xyz[2, 12:78], dt), rel=1e-12)
 
     def test_matches_high_resolution_interpolant(self, rng):
         # trapezoid is exact for the piecewise-linear interpolant, so a 100x
@@ -93,7 +93,7 @@ class TestAreaVector:
         dt = 1000.0 / v.sampling_rate_hz
         coarse_t = np.arange(5, 50) * dt
         fine_t = np.linspace(coarse_t[0], coarse_t[-1], 100 * (len(coarse_t) - 1) + 1)
-        fine_x = np.interp(fine_t, coarse_t, v.x[5:50])
+        fine_x = np.interp(fine_t, coarse_t, v.xyz[0, 5:50])
         dense = trapezoid_ref(fine_x, fine_t[1] - fine_t[0])
         assert a.x == pytest.approx(dense, rel=1e-9)
 
@@ -182,7 +182,7 @@ def two_loop_vcg(rng=None, n=260, fs=240.0):
     y += 0.4 * np.exp(-0.5 * ((idx - 120) / 12.0) ** 2) * (np.abs(idx - 120) <= 36)
     fids = ConsolidatedFiducials(
         baseline=2, p=None, qrs=Wave(10, 30, 50), t=Wave(80, 120, 170))
-    return vcg_from(x, y, np.zeros(n), fs=fs, fiducials=fids)
+    return vcg_from([x, y, np.zeros(n)], fs=fs, fiducials=fids)
 
 
 class TestComputeGeh:
@@ -210,7 +210,7 @@ class TestComputeGeh:
     def test_amplitude_scaling(self, rng):
         v = random_vcg(rng, n=100)
         a = 3.7
-        scaled = vcg_from(a * v.x, a * v.y, a * v.z, fiducials=v.fiducials)
+        scaled = vcg_from(a * v.xyz, fiducials=v.fiducials)
         g, gs = compute_geh(v), compute_geh(scaled)
         assert gs.peak_svg_mv == pytest.approx(a * g.peak_svg_mv, rel=1e-12)
         assert gs.svg_mvms == pytest.approx(a * g.svg_mvms, rel=1e-12)
@@ -226,8 +226,7 @@ class TestComputeGeh:
             q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             if np.linalg.det(q) < 0:
                 q[:, 0] = -q[:, 0]
-            m = q @ np.vstack([v.x, v.y, v.z])
-            gr = compute_geh(vcg_from(m[0], m[1], m[2], fiducials=v.fiducials))
+            gr = compute_geh(vcg_from(q @ v.xyz, fiducials=v.fiducials))
             assert gr.peak_qrst_angle_deg == pytest.approx(g.peak_qrst_angle_deg, rel=1e-6, abs=1e-6)
             assert gr.area_qrst_angle_deg == pytest.approx(g.area_qrst_angle_deg, rel=1e-6, abs=1e-6)
             assert gr.svg_mvms == pytest.approx(g.svg_mvms, rel=1e-6)
@@ -245,8 +244,7 @@ class TestComputeGeh:
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
-        m = q @ np.vstack([v.x, v.y, v.z])
-        gr = compute_geh(vcg_from(m[0], m[1], m[2], fiducials=v.fiducials))
+        gr = compute_geh(vcg_from(q @ v.xyz, fiducials=v.fiducials))
         expected = q @ unit_from(g.area_svg_azimuth_deg, g.area_svg_elevation_deg)
         got = unit_from(gr.area_svg_azimuth_deg, gr.area_svg_elevation_deg)
         np.testing.assert_allclose(got, expected, atol=1e-9)
@@ -257,7 +255,7 @@ class TestComputeGeh:
         x[20:40] = 1.0
         fids = ConsolidatedFiducials(baseline=0, p=None,
                                      qrs=Wave(10, 30, 50), t=Wave(80, 120, 170))
-        v = vcg_from(x, np.zeros(n), np.zeros(n), fiducials=fids)
+        v = vcg_from([x, np.zeros(n), np.zeros(n)], fiducials=fids)
         with pytest.raises(ZeroVector) as err:
             compute_geh(v)
         assert "peak QRS-T angle" in str(err.value)
@@ -269,7 +267,7 @@ class TestComputeGeh:
         y[80:170] = 0.5
         fids = ConsolidatedFiducials(baseline=0, p=None,
                                      qrs=Wave(10, 30, 50), t=Wave(80, 120, 170))
-        g = compute_geh(vcg_from(np.zeros(n), y, np.zeros(n), fiducials=fids))
+        g = compute_geh(vcg_from([np.zeros(n), y, np.zeros(n)], fiducials=fids))
         assert "peak_svg_azimuth_deg" in g.degenerate
         assert g.peak_svg_azimuth_deg == 0.0
 
@@ -287,7 +285,7 @@ class TestComputeGeh:
         v = gaussian_loop_vcg(t_ms, bumps)
         fids = ConsolidatedFiducials(baseline=4, p=None,
                                      qrs=Wave(qrs_on, 48, qrs_off), t=Wave(90, 120, t_off))
-        vcg = vcg_from(v[0], v[1], v[2], fs=fs, fiducials=fids)
+        vcg = vcg_from(v, fs=fs, fiducials=fids)
         got = vars(compute_geh(vcg))
         expected = dense_grid_geh(bumps, qrs_on * dt, qrs_off * dt, t_off * dt)
         for name, value in expected.items():
@@ -297,6 +295,7 @@ class TestComputeGeh:
 def test_vector_magnitude_integral_matches_loop(rng):
     v = random_vcg(rng, n=60)
     dt = 1000.0 / v.sampling_rate_hz
-    mags = [math.sqrt(v.x[i] ** 2 + v.y[i] ** 2 + v.z[i] ** 2) for i in range(10, 50)]
+    x, y, z = v.xyz
+    mags = [math.sqrt(x[i] ** 2 + y[i] ** 2 + z[i] ** 2) for i in range(10, 50)]
     assert vector_magnitude_integral(v, 10, 49) == pytest.approx(
         trapezoid_ref(mags, dt), rel=1e-12)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecgtriage.ecg_ingest import LEAD_NAMES
-from ecgtriage.errors import MissingFiducial, MissingLead
+from ecgtriage.errors import MissingFiducial
 from ecgtriage.vcg import (
     KORS_INPUT_LEADS,
     KORS_MATRIX,
@@ -51,15 +51,13 @@ class TestKorsMatrix:
 class TestKorsTransform:
     def test_zero_beat_maps_to_zero(self):
         vcg = kors_transform(median_beat_from(np.zeros((12, 30))))
-        assert np.all(vcg.x == 0) and np.all(vcg.y == 0) and np.all(vcg.z == 0)
+        assert np.all(vcg.xyz == 0)
 
     @pytest.mark.parametrize("lead", KORS_INPUT_LEADS)
     def test_unit_impulse_recovers_column(self, lead):
         vcg = kors_transform(impulse_beat(lead))
         col = KORS_INPUT_LEADS.index(lead)
-        assert np.all(vcg.x == KORS_MATRIX[0, col])
-        assert np.all(vcg.y == KORS_MATRIX[1, col])
-        assert np.all(vcg.z == KORS_MATRIX[2, col])
+        assert np.all(vcg.xyz == KORS_MATRIX[:, col, None])
 
     def test_derived_limb_leads_are_ignored(self, rng):
         matrix = rng.normal(size=(12, 50))
@@ -68,8 +66,8 @@ class TestKorsTransform:
             altered[LEAD_NAMES.index(name)] = rng.normal(size=50)
         a = kors_transform(median_beat_from(matrix))
         b = kors_transform(median_beat_from(altered))
-        np.testing.assert_array_equal(a.x, b.x)
-        np.testing.assert_array_equal(a.z, b.z)
+        np.testing.assert_array_equal(a.xyz[0], b.xyz[0])
+        np.testing.assert_array_equal(a.xyz[2], b.xyz[2])
 
     @settings(max_examples=40, deadline=None)
     @given(a=st.floats(-20, 20), b=st.floats(-20, 20), seed=st.integers(0, 2**31))
@@ -79,9 +77,9 @@ class TestKorsTransform:
         va = kors_transform(median_beat_from(ma))
         vb = kors_transform(median_beat_from(mb))
         vc = kors_transform(median_beat_from(a * ma + b * mb))
-        for axis in ("x", "y", "z"):
-            lhs = getattr(vc, axis)
-            rhs = a * getattr(va, axis) + b * getattr(vb, axis)
+        for axis in range(3):
+            lhs = vc.xyz[axis]
+            rhs = a * va.xyz[axis] + b * vb.xyz[axis]
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_time_shift_equivariance(self, rng):
@@ -89,8 +87,8 @@ class TestKorsTransform:
         shifted = np.roll(matrix, 7, axis=1)
         a = kors_transform(median_beat_from(matrix))
         b = kors_transform(median_beat_from(shifted))
-        np.testing.assert_allclose(np.roll(a.x, 7), b.x, rtol=1e-12)
-        np.testing.assert_allclose(np.roll(a.y, 7), b.y, rtol=1e-12)
+        np.testing.assert_allclose(np.roll(a.xyz[0], 7), b.xyz[0], rtol=1e-12)
+        np.testing.assert_allclose(np.roll(a.xyz[1], 7), b.xyz[1], rtol=1e-12)
 
     def test_fiducials_and_length_preserved(self, rng):
         beat = median_beat_from(rng.normal(size=(12, 44)))
@@ -98,20 +96,12 @@ class TestKorsTransform:
         assert vcg.n_samples == 44
         assert vcg.fiducials is beat.fiducials
 
-    def test_missing_lead(self, rng):
-        beat = median_beat_from(rng.normal(size=(12, 20)))
-        del beat.leads["V5"]
-        with pytest.raises(MissingLead) as err:
-            kors_transform(beat)
-        assert err.value.lead == "V5"
-
 
 class TestBaselineCorrect:
     def test_constant_lead_becomes_zero(self):
         beat = median_beat_from(np.full((12, 40), 0.3))
         out = baseline_correct(beat)
-        for name in LEAD_NAMES:
-            np.testing.assert_array_equal(out.leads[name], np.zeros(40))
+        np.testing.assert_array_equal(out.leads, np.zeros((12, 40)))
 
     def test_zero_baseline_is_identity(self, rng):
         matrix = rng.normal(size=(12, 40))
@@ -119,23 +109,21 @@ class TestBaselineCorrect:
         matrix_zeroed = matrix - matrix[:, [beat.fiducials.baseline]]
         beat0 = median_beat_from(matrix_zeroed, fiducials=beat.fiducials)
         out = baseline_correct(beat0)
-        for name in LEAD_NAMES:
-            np.testing.assert_array_equal(out.leads[name], beat0.leads[name])
+        np.testing.assert_array_equal(out.leads, beat0.leads)
 
     def test_ramp_pointwise_subtraction(self):
         ramp = np.tile(np.linspace(-1.0, 1.0, 41), (12, 1))
         beat = median_beat_from(ramp)
         v = ramp[0, beat.fiducials.baseline]
         out = baseline_correct(beat)
-        for name in LEAD_NAMES:
-            np.testing.assert_allclose(out.leads[name], ramp[0] - v, rtol=0, atol=0)
+        for lead in out.leads:
+            np.testing.assert_allclose(lead, ramp[0] - v, rtol=0, atol=0)
 
     def test_idempotent(self, rng):
         beat = median_beat_from(rng.normal(size=(12, 40)))
         once = baseline_correct(beat)
         twice = baseline_correct(once)
-        for name in LEAD_NAMES:
-            np.testing.assert_array_equal(once.leads[name], twice.leads[name])
+        np.testing.assert_array_equal(once.leads, twice.leads)
 
     def test_missing_baseline(self, rng):
         from dataclasses import replace
