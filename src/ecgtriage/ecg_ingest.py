@@ -41,7 +41,6 @@ from .errors import (
     BadHeader,
     DataFormatError,
     LengthMismatch,
-    MissingFiducial,
     MissingLead,
     NonFiniteSample,
     SchemaError,
@@ -52,6 +51,10 @@ from .errors import (
 LEAD_NAMES = ("I", "II", "III", "aVR", "aVL", "aVF", "V1", "V2", "V3", "V4", "V5", "V6")
 
 MIN_SAMPLING_RATE_HZ = 100.0
+
+# samples at or above this magnitude are refused: below it every square in the
+# Kors and GEH sums, over any window a record can hold, stays finite
+MAX_ABS_SAMPLE_MV = 1e100
 
 # loadtxt strips these ASCII separators around a number as whitespace, float()
 # rejects them: a body holding one is refused
@@ -72,8 +75,9 @@ def round_half_up(x: float) -> int:
 class EcgRecord:
     """Validated 12-lead trace in mV.
 
-    `leads` is a (12, n) float array; row k is lead LEAD_NAMES[k]. The
-    duration is derived: n_samples / sampling_rate_hz.
+    `leads` is a (12, n) float array; row k is lead LEAD_NAMES[k]. Every
+    sample is finite and below MAX_ABS_SAMPLE_MV in magnitude. The duration
+    is derived: n_samples / sampling_rate_hz.
     """
 
     leads: np.ndarray
@@ -84,10 +88,13 @@ class EcgRecord:
             raise BadHeader(f"sampling rate {self.sampling_rate_hz} Hz below {MIN_SAMPLING_RATE_HZ}")
         if self.leads.ndim != 2 or len(self.leads) != len(LEAD_NAMES):
             raise LengthMismatch(f"leads have shape {self.leads.shape}, expected (12, samples)")
-        finite = np.isfinite(self.leads)
-        if not finite.all():  # the first lead in LEAD_NAMES order, then its first sample
-            lead, row = divmod(int(finite.argmin()), self.n_samples)
-            raise NonFiniteSample(LEAD_NAMES[lead], row)
+        within = np.abs(self.leads) < MAX_ABS_SAMPLE_MV  # False for NaN
+        if not within.all():  # the first lead in LEAD_NAMES order, then its first sample
+            lead, row = divmod(int(within.argmin()), self.n_samples)
+            if not math.isfinite(self.leads[lead, row]):
+                raise NonFiniteSample(LEAD_NAMES[lead], row)
+            raise DataFormatError(f"sample in lead {LEAD_NAMES[lead]} at row {row} "
+                                  f"is {MAX_ABS_SAMPLE_MV:g} mV or more in magnitude")
 
     @property
     def n_samples(self) -> int:
@@ -153,27 +160,33 @@ class FiducialSet:
 
 
 @dataclass(frozen=True)
-class ConsolidatedFiducials:
-    """Single set of landmarks on the beat window, indices relative to window start."""
-
-    baseline: int
-    p: Wave | None
-    qrs: Wave
-    t: Wave
-
-
-@dataclass(frozen=True)
 class MedianBeat:
     """Per-sample consolidation of the annotated beats, aligned on the QRS peak.
 
     `leads` is a (12, n) float array over the beat window; row k is lead
-    LEAD_NAMES[k].
+    LEAD_NAMES[k]. `fiducials` holds the consolidated landmarks as window
+    indices: their order within and between waves is checked by Wave and Beat,
+    and construction checks that the baseline and every landmark lie in [0, n).
     """
 
     leads: np.ndarray
-    fiducials: ConsolidatedFiducials
+    fiducials: Beat
     sampling_rate_hz: float
     rr_ms: float
+
+    def __post_init__(self):
+        f, n = self.fiducials, self.n_samples
+
+        def in_window(wave: Wave | None):
+            for i in () if wave is None else (wave.onset, wave.peak, wave.offset):
+                if not 0 <= i < n:
+                    raise WindowOutOfRange(f"consolidated landmark at window index {i} outside [0, {n})")
+
+        in_window(f.p)
+        if not 0 <= f.baseline < n:
+            raise WindowOutOfRange(f"consolidated baseline index {f.baseline} outside window")
+        in_window(f.qrs)
+        in_window(f.t)
 
     @property
     def n_samples(self) -> int:
@@ -198,6 +211,8 @@ def _parse_header(line: str, path) -> tuple[float, float]:
         if "=" not in token:
             raise BadHeader(f"{path}: malformed header token {token!r}")
         key, _, value = token.partition("=")
+        if key in fields:
+            raise BadHeader(f"{path}: repeated header key {key!r}")
         try:
             fields[key] = float(value)
         except ValueError:
@@ -209,6 +224,8 @@ def _parse_header(line: str, path) -> tuple[float, float]:
         raise BadHeader(f"{path}: non-finite header value")
     if fields["sample_rate_hz"] < MIN_SAMPLING_RATE_HZ:
         raise BadHeader(f"{path}: sample_rate_hz below supported minimum {MIN_SAMPLING_RATE_HZ}")
+    if fields["gain_uv_per_unit"] <= 0:
+        raise BadHeader(f"{path}: gain_uv_per_unit must be positive")
     return fields["sample_rate_hz"], fields["gain_uv_per_unit"]
 
 
@@ -428,6 +445,10 @@ def median_beat(
     successive QRS peaks. Every median sorts and picks the middle value; for
     an even count it is (a + b) / 2 of the two middle values. A zero median
     sample is +0.0, as np.median gives it.
+
+    The landmarks of every beat obey the Wave and Beat order, and the median
+    and the rounding are monotone, so the consolidated landmarks obey it too.
+    Whether they lie in the window is checked by MedianBeat.
     """
     fiducials.validate_against(record)
     fs = record.sampling_rate_hz
@@ -458,20 +479,7 @@ def median_beat(
     baseline, *idx = (round_half_up(float(x)) + pre
                       for x in _sorted_median(np.asarray(marks) - peaks))
     wave_at = {w: Wave(*idx[3 * k:3 * k + 3]) for k, w in enumerate(waves)}
-
-    def in_window(wave: Wave) -> Wave:
-        for i in (wave.onset, wave.peak, wave.offset):
-            if i < 0 or i >= width:
-                raise WindowOutOfRange(
-                    f"consolidated landmark at window index {i} outside [0, {width})"
-                )
-        return wave
-
-    p_wave = in_window(wave_at["p"]) if "p" in wave_at else None
-    if baseline < 0 or baseline >= width:
-        raise WindowOutOfRange(f"consolidated baseline index {baseline} outside window")
-    cons = ConsolidatedFiducials(
-        baseline=baseline, p=p_wave, qrs=in_window(wave_at["qrs"]), t=in_window(wave_at["t"]))
+    cons = Beat(baseline=baseline, p=wave_at.get("p"), qrs=wave_at["qrs"], t=wave_at["t"])
     rr_ms = float(_sorted_median(np.diff(peaks)) * 1000.0 / fs)
     return MedianBeat(leads=leads, fiducials=cons, sampling_rate_hz=fs, rr_ms=rr_ms)
 
@@ -479,13 +487,9 @@ def median_beat(
 def standard_measures(beat: MedianBeat) -> StandardEcgMeasures:
     """Interval measurements from consolidated landmarks, Bazett-corrected QT."""
     f = beat.fiducials
-    if f.qrs is None or f.t is None:
-        raise MissingFiducial("QRS and T landmarks are required")
     ms = 1000.0 / beat.sampling_rate_hz
     qrs_ms = (f.qrs.offset - f.qrs.onset) * ms
     qt_ms = (f.t.offset - f.qrs.onset) * ms
-    if beat.rr_ms <= 0:
-        raise MissingFiducial("rr_ms must be positive")
     qtc_ms = qt_ms / math.sqrt(beat.rr_ms / 1000.0)
     p_dur_ms = pr_ms = None
     if f.p is not None:

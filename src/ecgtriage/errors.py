@@ -53,10 +53,6 @@ class WindowOutOfRange(DataFormatError):
     pass
 
 
-class MissingFiducial(DataFormatError):
-    pass
-
-
 class SchemaError(DataFormatError):
     def __init__(self, message, row=None, column=None):
         self.row = row

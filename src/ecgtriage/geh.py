@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyWindow, MissingFiducial, ZeroVector
+from .errors import EmptyWindow, ZeroVector
 from .vcg import Vcg
 
 
@@ -143,10 +143,10 @@ def compute_geh(vcg: Vcg) -> GehMeasures:
     [QRS.offset, T.offset] (onset at the J point); QT [QRS.onset, T.offset].
     The area gradient vector is the QT area integral and the peak gradient
     vector is the sum of the depolarization and repolarization peak vectors.
+    Beat guarantees both waves and their order and MedianBeat that they lie
+    in the window; _window refuses any other window (EmptyWindow).
     """
     f = vcg.fiducials
-    if f.qrs is None or f.t is None:
-        raise MissingFiducial("QRS and T landmarks are required")
 
     qrs_peak = peak_vector(vcg, f.qrs.onset, f.qrs.offset)
     t_peak = peak_vector(vcg, f.qrs.offset, f.t.offset)

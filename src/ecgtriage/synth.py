@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .cohort import BOOL_COLUMNS, PatientRecord, save_cohort
-from .ecg_ingest import MIN_SAMPLING_RATE_HZ, round_half_up
+from .ecg_ingest import LEAD_NAMES, MIN_SAMPLING_RATE_HZ, round_half_up
 from .errors import ConfigError
 from .vcg import KORS_MATRIX
 
@@ -274,7 +274,7 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
 
         with open(ecg_dir / f"{pid}.csv", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"sample_rate_hz={fs_text} gain_uv_per_unit=1.0\n")
-            fh.write("I,II,III,aVR,aVL,aVF,V1,V2,V3,V4,V5,V6\n")
+            fh.write(",".join(LEAD_NAMES) + "\n")
             write_trace_cells(fh, traces.T * 1000.0)
 
         marks = {k: round_half_up(ms * fs / 1000.0) for k, ms in shape.landmarks_ms.items()}

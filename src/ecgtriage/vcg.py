@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ecg_ingest import LEAD_NAMES, ConsolidatedFiducials, MedianBeat
-from .errors import MissingFiducial
+from .ecg_ingest import LEAD_NAMES, Beat, MedianBeat
 
 KORS_INPUT_LEADS = ("I", "II", "V1", "V2", "V3", "V4", "V5", "V6")
 # the rows of a (12, n) lead array that the matrix reads, in KORS_INPUT_LEADS order
@@ -35,7 +34,7 @@ class Vcg:
 
     xyz: np.ndarray
     sampling_rate_hz: float
-    fiducials: ConsolidatedFiducials
+    fiducials: Beat
 
     @property
     def n_samples(self) -> int:
@@ -46,13 +45,10 @@ def baseline_correct(beat: MedianBeat) -> MedianBeat:
     """Subtract each lead's amplitude at the consolidated baseline sample.
 
     Idempotent; the corrected beat is exactly zero at the baseline sample.
+    The baseline is an annotated integer (parse_fiducials) inside the beat
+    window (MedianBeat).
     """
-    baseline = beat.fiducials.baseline
-    if baseline is None:
-        raise MissingFiducial("baseline sample not annotated")
-    if not 0 <= baseline < beat.n_samples:
-        raise MissingFiducial(f"baseline index {baseline} outside beat window")
-    return replace(beat, leads=beat.leads - beat.leads[:, baseline, None])
+    return replace(beat, leads=beat.leads - beat.leads[:, beat.fiducials.baseline, None])
 
 
 def kors_transform(beat: MedianBeat) -> Vcg:

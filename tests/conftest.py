@@ -3,7 +3,6 @@ import pytest
 
 from ecgtriage.ecg_ingest import (
     Beat,
-    ConsolidatedFiducials,
     EcgRecord,
     FiducialSet,
     MedianBeat,
@@ -36,7 +35,7 @@ def median_beat_from(leads_window, fiducials=None, fs=240.0, rr_ms=900.0):
     leads_window = np.array(leads_window, dtype=float)
     n = leads_window.shape[1]
     if fiducials is None:
-        fiducials = ConsolidatedFiducials(
+        fiducials = Beat(
             baseline=max(0, n // 4 - 10),
             p=None,
             qrs=Wave(n // 4, n // 3, n // 2),
@@ -50,7 +49,7 @@ def vcg_from(xyz, fs=240.0, fiducials=None):
     xyz = np.array(xyz, dtype=float)
     if fiducials is None:
         n = xyz.shape[1]
-        fiducials = ConsolidatedFiducials(
+        fiducials = Beat(
             baseline=0, p=None,
             qrs=Wave(0, n // 3, n // 2),
             t=Wave(n // 2, 2 * n // 3, n - 1),

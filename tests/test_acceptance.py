@@ -19,7 +19,7 @@ from ecgtriage.cohort import (
     load_cohort,
     mann_whitney,
 )
-from ecgtriage.ecg_ingest import ConsolidatedFiducials, Wave, round_half_up
+from ecgtriage.ecg_ingest import Beat, Wave, round_half_up
 from ecgtriage.gbt import Booster, TrainConfig, fit, importance_gain
 from ecgtriage.geh import compute_geh, spatial_angle, SpatialVector
 from ecgtriage.pipeline import (
@@ -216,7 +216,7 @@ def test_criterion_03_closed_form_beat_oracle():
         n = center + t_off + 10
         t_axis = (np.arange(n) - center) * dt
         v = gaussian_loop_vcg(t_axis, bumps)
-        fids = ConsolidatedFiducials(
+        fids = Beat(
             baseline=0, p=None,
             qrs=Wave(center + qrs_on, center, center + qrs_off),
             t=Wave(center + qrs_off + 1, center + t_center, center + t_off))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ecgtriage import ecg_ingest
 from ecgtriage.ecg_ingest import (
     LEAD_NAMES,
-    ConsolidatedFiducials,
+    Beat,
     EcgRecord,
     FiducialSet,
     MedianBeat,
@@ -51,7 +51,7 @@ def shift_fiducials(beat: MedianBeat, k: int) -> MedianBeat:
         return Wave(w.onset + k, w.peak + k, w.offset + k)
 
     f = beat.fiducials
-    return replace(beat, fiducials=ConsolidatedFiducials(
+    return replace(beat, fiducials=Beat(
         baseline=f.baseline + k,
         p=None if f.p is None else shifted(f.p),
         qrs=shifted(f.qrs),
@@ -156,6 +156,35 @@ class TestParseEcg:
     def test_non_finite_header_rejected(self, tmp_path, header):
         (tmp_path / "a.csv").write_text(header + "\n" + ",".join(["0"] * 12) + "\n")
         with pytest.raises(BadHeader):
+            parse_ecg(tmp_path / "a.csv")
+
+    # a repeated key has no single value; a gain <= 0 zeroes or flips every lead
+    @pytest.mark.parametrize("header", ["sample_rate_hz=240 gain_uv_per_unit=1 sample_rate_hz=480",
+                                        "sample_rate_hz=240 gain_uv_per_unit=1 gain_uv_per_unit=1",
+                                        "sample_rate_hz=240 gain_uv_per_unit=0",
+                                        "sample_rate_hz=240 gain_uv_per_unit=-1000"])
+    def test_ambiguous_header_rejected(self, tmp_path, header):
+        (tmp_path / "a.csv").write_text(header + "\n" + ",".join(["0"] * 12) + "\n")
+        with pytest.raises(BadHeader):
+            parse_ecg(tmp_path / "a.csv")
+
+    @pytest.mark.parametrize("value", [1e100, -1e100, 1e300])
+    def test_huge_sample_names_lead_and_row(self, value):
+        leads = np.zeros((12, 6))
+        leads[4, 2] = value
+        leads[5, 1] = np.nan  # a later lead: the huge sample comes first
+        with pytest.raises(DataFormatError, match="^sample in lead aVL at row 2 is 1e[+]100 mV or more"):
+            EcgRecord(leads=leads, sampling_rate_hz=240.0)
+
+    def test_sample_just_below_the_bound_is_valid(self):
+        leads = np.zeros((12, 6))
+        leads[4, 2] = -np.nextafter(ecg_ingest.MAX_ABS_SAMPLE_MV, 0.0)
+        assert EcgRecord(leads=leads, sampling_rate_hz=240.0).leads[4, 2] == leads[4, 2]
+
+    def test_huge_gain_is_refused(self, tmp_path):
+        lines = ["sample_rate_hz=240 gain_uv_per_unit=1e160", ",".join(["0"] * 12), ",".join(["1"] * 12)]
+        (tmp_path / "a.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match="lead I at row 1"):
             parse_ecg(tmp_path / "a.csv")
 
     def test_non_utf8_trace_is_data_error(self, tmp_path):
@@ -315,6 +344,8 @@ _HEADERS = st.sampled_from(["sample_rate_hz=240 gain_uv_per_unit=1000",
                             "sample_rate_hz=100 gain_uv_per_unit=0",
                             "sample_rate_hz=nan gain_uv_per_unit=1",
                             "sample_rate_hz=240", "gain_uv_per_unit=1 sample_rate_hz=1e300",
+                            "sample_rate_hz=240 gain_uv_per_unit=1 sample_rate_hz=480",
+                            "sample_rate_hz=240 gain_uv_per_unit=-1e300",
                             "garbage", ""])
 _TRACES = st.one_of(
     st.binary(max_size=300),
@@ -569,6 +600,68 @@ class TestMedianBeat:
         assert beat.fiducials.p is None
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 12), with_p=st.booleans(), baseline=st.integers(-3, 14),
+       marks=st.lists(st.integers(-3, 14), min_size=9, max_size=9).map(sorted))
+def test_median_beat_landmarks_lie_in_window(n, with_p, baseline, marks):
+    fids = Beat(baseline, Wave(*marks[:3]) if with_p else None, Wave(*marks[3:6]), Wave(*marks[6:]))
+    # checked in the order P, baseline, QRS, T; each wave onset, peak, offset
+    order = [("landmark", i) for i in marks[:3] if with_p] + [("baseline", baseline)]
+    order += [("landmark", i) for i in marks[3:]]
+    outside = [(kind, i) for kind, i in order if not 0 <= i < n]
+    if not outside:
+        assert MedianBeat(np.zeros((12, n)), fids, 240.0, 900.0).fiducials is fids
+        return
+    with pytest.raises(WindowOutOfRange) as err:
+        MedianBeat(np.zeros((12, n)), fids, 240.0, 900.0)
+    kind, i = outside[0]
+    assert str(err.value) == (f"consolidated landmark at window index {i} outside [0, {n})"
+                              if kind == "landmark" else f"consolidated baseline index {i} outside window")
+
+
+@st.composite
+def _valid_fiducial_sets(draw):
+    """(record, FiducialSet, pre_ms, post_ms): 3-9 strictly ordered beats whose
+    landmarks lie within the window around their QRS peak, with P on all, none or
+    some of them, on a record that holds every beat's window."""
+    fs = draw(st.sampled_from([100.0, 240.0, 500.0]))
+    pre_ms, post_ms = draw(st.integers(0, 400)), draw(st.integers(0, 600))
+    pre, post = round_half_up(pre_ms * fs / 1000), round_half_up(post_ms * fs / 1000)
+    p_on = draw(st.sampled_from(["all", "none", "some"]))
+    rel = []  # each beat's landmarks relative to its QRS peak
+    for _ in range(draw(st.integers(3, 9))):
+        before = sorted(draw(st.lists(st.integers(-pre, 0), min_size=4, max_size=4)))
+        after = sorted(draw(st.lists(st.integers(0, post), min_size=4, max_size=4)))
+        has_p = p_on == "all" or p_on == "some" and draw(st.booleans())
+        rel.append((draw(st.integers(-pre, post)), before[:3] if has_p else None,
+                    [before[3], 0, after[0]], after[1:]))
+    beats, last = [], None
+    for baseline, p, qrs, t in rel:
+        first = min(baseline, (p or qrs)[0])
+        # the first peak leaves room for its window; later beats start after the last one ends
+        peak = pre if last is None else last - first + 1 + draw(st.integers(0, 3))
+        beats.append(Beat(peak + baseline, None if p is None else Wave(*(peak + i for i in p)),
+                          Wave(*(peak + i for i in qrs)), Wave(*(peak + i for i in t))))
+        last = beats[-1].last_index
+    n = max(last, beats[-1].qrs.peak + post) + 1 + draw(st.integers(0, 3))
+    return record_from_matrix(np.zeros((12, n)), fs=fs), FiducialSet(tuple(beats)), pre_ms, post_ms
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_valid_fiducial_sets())
+def test_valid_fiducials_give_a_valid_median_beat(case):
+    record, fiducials, pre_ms, post_ms = case
+    beat = median_beat(record, fiducials, pre_ms=pre_ms, post_ms=post_ms)
+    f = beat.fiducials
+    waves = [f.qrs, f.t] if f.p is None else [f.p, f.qrs, f.t]
+    assert all(w.onset <= w.peak <= w.offset for w in waves)
+    assert all(a.offset <= b.onset for a, b in zip(waves, waves[1:]))
+    assert all(0 <= i < beat.n_samples for w in waves for i in (w.onset, w.peak, w.offset))
+    assert 0 <= f.baseline < beat.n_samples
+    assert (f.p is None) == any(b.p is None for b in fiducials.beats)
+    assert beat.rr_ms >= 1000.0 / record.sampling_rate_hz
+
+
 class TestStandardMeasures:
     def test_qrs_interval_at_240hz(self):
         rec = _record_with_beats([np.zeros((12, 192))] * 3, CENTERS[:3])
@@ -615,7 +708,8 @@ class TestStandardMeasures:
     @given(k=st.integers(-20, 20))
     def test_shift_invariance(self, k):
         rec = _record_with_beats([np.zeros((12, 192))] * 3, CENTERS[:3])
-        beat = median_beat(rec, fiducials_at(CENTERS[:3]))
+        # a window wide enough that every shifted landmark stays inside it
+        beat = median_beat(rec, fiducials_at(CENTERS[:3]), pre_ms=400, post_ms=600)
         shifted = shift_fiducials(beat, k)
         a, b = standard_measures(beat), standard_measures(shifted)
         assert a.qrs_ms == b.qrs_ms

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecgtriage.ecg_ingest import ConsolidatedFiducials, Wave
+from ecgtriage.ecg_ingest import Beat, Wave
 from ecgtriage.errors import EmptyWindow, ZeroVector
 from ecgtriage.geh import (
     SpatialVector,
@@ -180,7 +180,7 @@ def two_loop_vcg(rng=None, n=260, fs=240.0):
     idx = np.arange(n)
     x += 1.5 * np.exp(-0.5 * ((idx - 30) / 5.0) ** 2) * (np.abs(idx - 30) <= 15)
     y += 0.4 * np.exp(-0.5 * ((idx - 120) / 12.0) ** 2) * (np.abs(idx - 120) <= 36)
-    fids = ConsolidatedFiducials(
+    fids = Beat(
         baseline=2, p=None, qrs=Wave(10, 30, 50), t=Wave(80, 120, 170))
     return vcg_from([x, y, np.zeros(n)], fs=fs, fiducials=fids)
 
@@ -253,8 +253,8 @@ class TestComputeGeh:
         n = 200
         x = np.zeros(n)
         x[20:40] = 1.0
-        fids = ConsolidatedFiducials(baseline=0, p=None,
-                                     qrs=Wave(10, 30, 50), t=Wave(80, 120, 170))
+        fids = Beat(baseline=0, p=None,
+                    qrs=Wave(10, 30, 50), t=Wave(80, 120, 170))
         v = vcg_from([x, np.zeros(n), np.zeros(n)], fiducials=fids)
         with pytest.raises(ZeroVector) as err:
             compute_geh(v)
@@ -265,8 +265,8 @@ class TestComputeGeh:
         y = np.zeros(n)
         y[20:50] = 1.0
         y[80:170] = 0.5
-        fids = ConsolidatedFiducials(baseline=0, p=None,
-                                     qrs=Wave(10, 30, 50), t=Wave(80, 120, 170))
+        fids = Beat(baseline=0, p=None,
+                    qrs=Wave(10, 30, 50), t=Wave(80, 120, 170))
         g = compute_geh(vcg_from([np.zeros(n), y, np.zeros(n)], fiducials=fids))
         assert "peak_svg_azimuth_deg" in g.degenerate
         assert g.peak_svg_azimuth_deg == 0.0
@@ -283,8 +283,8 @@ class TestComputeGeh:
         qrs_on, qrs_off, t_off = 36, 72, 168
         t_ms = np.arange(200) * dt
         v = gaussian_loop_vcg(t_ms, bumps)
-        fids = ConsolidatedFiducials(baseline=4, p=None,
-                                     qrs=Wave(qrs_on, 48, qrs_off), t=Wave(90, 120, t_off))
+        fids = Beat(baseline=4, p=None,
+                    qrs=Wave(qrs_on, 48, qrs_off), t=Wave(90, 120, t_off))
         vcg = vcg_from(v, fs=fs, fiducials=fids)
         got = vars(compute_geh(vcg))
         expected = dense_grid_geh(bumps, qrs_on * dt, qrs_off * dt, t_off * dt)

@@ -402,6 +402,39 @@ class TestExtractCommand:
         assert {pid for pid, s in statuses.items() if s != "ok"} == {"p0004", "p0007"}
         assert statuses["p0004"] == statuses["p0007"] == "failed"
 
+    def test_huge_amplitude_trace_fails_its_patient(self, tmp_path):
+        # the squares of samples this large overflow in geh: the patient fails, no inf is written
+        data = generate(SynthConfig(n_patients=10, seed=6, positive_fraction=0.4), tmp_path / "d")
+        trace = tmp_path / "d" / "ecg" / "p0003.csv"
+        trace.write_text(trace.read_text().replace("gain_uv_per_unit=1.0", "gain_uv_per_unit=1e160", 1))
+        cfg = write_cfg(tmp_path / "c.cfg", ecg_dir=tmp_path / "d" / "ecg",
+                        fiducial_dir=tmp_path / "d" / "fiducials",
+                        cohort_table=data["cohort_table"], out_dir=tmp_path / "o")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["extract", "--config", cfg]) == 0
+        log = (tmp_path / "o" / "extract_log.txt").read_text().splitlines()
+        assert [ln.split("\t")[:2] for ln in log if "\tok\t" not in ln] == [["p0003", "failed"]]
+        assert "mV or more in magnitude" in log[2]
+        table = write_cfg(tmp_path / "t.cfg", cohort_table=tmp_path / "o" / "features.csv")
+        assert cli.main(["table-one", "--config", table, "--out", str(tmp_path / "t")]) == 0
+
+    # windows too short for the synthetic landmarks: every consolidated beat
+    # has a landmark before (pre_ms) or after (post_ms) its window
+    @pytest.mark.parametrize("key, value, width, indices", [
+        ("pre_ms", 100, 145, (-23, -22, -26, -20, -22, -26, -27, -24, -23, -26)),
+        ("post_ms", 250, 133, (151, 159, 156, 157, 158, 150, 143, 157, 154, 151)),
+    ])
+    def test_short_window_fails_every_patient(self, tmp_path, key, value, width, indices):
+        data = generate(SynthConfig(n_patients=10, seed=3, positive_fraction=0.3), tmp_path / "d")
+        cfg = write_cfg(tmp_path / "c.cfg", ecg_dir=tmp_path / "d" / "ecg",
+                        fiducial_dir=tmp_path / "d" / "fiducials",
+                        cohort_table=data["cohort_table"], out_dir=tmp_path / "o", **{key: value})
+        assert cli.main(["extract", "--config", cfg]) == 0
+        assert (tmp_path / "o" / "extract_log.txt").read_text().splitlines() == [
+            f"p{k:04d}\tfailed\tconsolidated landmark at window index {i} outside [0, {width})"
+            for k, i in enumerate(indices, 1)]
+
     def test_forged_id_is_data_error(self, tmp_path):
         data = generate(SynthConfig(n_patients=10, seed=6, positive_fraction=0.4), tmp_path / "d")
         rows = read_rows(data["cohort_table"])

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecgtriage.ecg_ingest import LEAD_NAMES
-from ecgtriage.errors import MissingFiducial
 from ecgtriage.vcg import (
     KORS_INPUT_LEADS,
     KORS_MATRIX,
@@ -124,11 +123,4 @@ class TestBaselineCorrect:
         once = baseline_correct(beat)
         twice = baseline_correct(once)
         np.testing.assert_array_equal(once.leads, twice.leads)
-
-    def test_missing_baseline(self, rng):
-        from dataclasses import replace
-        beat = median_beat_from(rng.normal(size=(12, 40)))
-        beat = replace(beat, fiducials=replace(beat.fiducials, baseline=None))
-        with pytest.raises(MissingFiducial):
-            baseline_correct(beat)
 
