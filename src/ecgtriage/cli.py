@@ -19,7 +19,8 @@ bool from 1/true/yes or 0/false/no, a tuple from a comma-separated list. Each
 config class validates its own values.
 
 Exit codes: 0 success; 2 configuration error (unknown key, bad value,
-unreadable config file, missing input path); 3 data error (malformed input);
+unreadable config file, missing input path, output directory that cannot be
+created); 3 data error (malformed input);
 4 degenerate statistics (e.g. a single outcome class). extract logs a patient
 whose files fail as failed or degenerate and goes on with the next one.
 """
@@ -64,6 +65,8 @@ class RunConfig:
         object.__setattr__(self, "specs", tuple(label.upper() for label in self.specs))
         if not self.specs or not set(self.specs) <= {"S", "R", "G", "SRG"}:
             raise ConfigError(f"specs must list models among S, R, G, SRG, got {self.specs}")
+        if len(set(self.specs)) != len(self.specs):
+            raise ConfigError(f"specs lists a model more than once: {self.specs}")
         if not (0.0 <= self.pre_ms < math.inf and 0.0 <= self.post_ms < math.inf):
             raise ConfigError("pre_ms and post_ms must be finite and non-negative")
 
@@ -135,6 +138,13 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from None
+
+
 def _write_text(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -153,6 +163,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     _require(cfg.cohort_table, "cohort table")
     _require(cfg.ecg_dir, "ecg directory")
     _require(cfg.fiducial_dir, "fiducial directory")
+    _make_dir(cfg.out_dir)
     cohort = load_cohort(cfg.cohort_table)
 
     out_rows, log_lines, n_failed = [], [], 0
@@ -174,7 +185,6 @@ def cmd_extract(cfg: RunConfig) -> int:
         out_rows.append(dataclasses.replace(record, standard=standard, geh=geh))
         log_lines.append(f"{record.id}\tok\t{','.join(geh.degenerate)}")
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_cohort(out_rows, cfg.out_dir / "features.csv")
     _write_text(cfg.out_dir / "extract_log.txt", "\n".join(log_lines) + "\n")
     log.info("extracted %d patients (%d failed) -> %s",
@@ -184,6 +194,7 @@ def cmd_extract(cfg: RunConfig) -> int:
 
 def cmd_table_one(cfg: RunConfig) -> int:
     _require(cfg.cohort_table, "cohort table")
+    _make_dir(cfg.out_dir)
     doc = summarize_table_one(load_cohort(cfg.cohort_table))
     _write_json(cfg.out_dir / "table_one.json", doc)
     log.info("wrote %s (%d rows)", cfg.out_dir / "table_one.json", len(doc["rows"]))
@@ -206,12 +217,13 @@ def _report_tables(report: dict, reports_dir: Path):
 def cmd_train_eval(cfg: RunConfig) -> int:
     """Evaluate every requested feature set over one shared train/test split."""
     _require(cfg.cohort_table, "cohort table")
+    reports_dir = cfg.out_dir / "reports"
+    _make_dir(reports_dir)
     cohort = load_cohort(cfg.cohort_table)
     experiment = cfg.experiment
     plan = split(cohort, experiment.master_seed, ratio=experiment.split_ratio,
                  stratified=experiment.stratify)
 
-    reports_dir = cfg.out_dir / "reports"
     reports, summary_rows = [], []
     for label in cfg.specs:
         report = evaluate_model(ModelSpec(label), cohort, experiment, split_plan=plan)
@@ -249,6 +261,7 @@ def cmd_train_eval(cfg: RunConfig) -> int:
 def cmd_synth(cfg: RunConfig, raw: dict) -> int:
     sc = dataclasses.replace(fields_from_raw(synth.SynthConfig, raw, SYNTH_PREFIX),
                              seed=cfg.experiment.master_seed)
+    _make_dir(cfg.out_dir)
     summary = synth.generate(sc, cfg.out_dir)
     _write_json(cfg.out_dir / "synth_summary.json", summary)
     log.info("synthesized %d patients (%d positive) under %s",

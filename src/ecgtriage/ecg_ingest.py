@@ -17,11 +17,9 @@ integer with three multiply-shift steps (SWAR, Lemire 2021, arXiv:2101.11408).
 That mantissa is below 10**8, well under 2**53, and 10**q is exact for q <= 7, so
 one IEEE division gives the correctly rounded value of the decimal, which is
 what float() returns (Clinger 1990). Every other body (exponents, spaces, CRLF,
-mixed q, longer cells, NaN, faults) is read by ``np.loadtxt``, which takes the
-cells of float()'s syntax written in ASCII without ``_``. Only when ``loadtxt``
-fails, or when the body holds one of the separators U+001C-U+001F, which it
-strips as padding and float() rejects, does a per-row pass run, to name the
-first bad row.
+mixed q, longer cells, NaN, faults) is read one row at a time, up to the first
+bad row: each row is split on commas, and each cell, written in ASCII without
+``_`` apart from the whitespace around it, is converted by float().
 
 Annotation file format: JSON document with an array ``beats``; each beat carries
 an integer ``baseline`` sample plus ``p``/``qrs``/``t`` objects with integer
@@ -32,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,10 +54,6 @@ MIN_SAMPLING_RATE_HZ = 100.0
 # samples at or above this magnitude are refused: below it every square in the
 # Kors and GEH sums, over any window a record can hold, stays finite
 MAX_ABS_SAMPLE_MV = 1e100
-
-# loadtxt strips these ASCII separators around a number as whitespace, float()
-# rejects them: a body holding one is refused
-_FLOAT_REJECTED_PADDING = "\x1c\x1d\x1e\x1f"
 
 # the separator bytes of one fixed-point row
 _ROW_SEPARATORS = np.frombuffer(b"," * 11 + b"\n", np.uint8)
@@ -229,14 +224,6 @@ def _parse_header(line: str, path) -> tuple[float, float]:
     return fields["sample_rate_hz"], fields["gain_uv_per_unit"]
 
 
-def _is_numeric_row(line: str) -> bool:
-    try:
-        list(map(float, line.split(",")))
-    except ValueError:
-        return False
-    return True
-
-
 def _names_columns(line: str) -> bool:
     """Whether a trace's second line names the columns: one of its cells, stripped, is a lead name."""
     return any(cell.strip() in LEAD_NAMES for cell in line.split(","))
@@ -322,26 +309,20 @@ def _read_fixed_point(data: bytes) -> tuple[list[str], np.ndarray] | None:
 
 
 def _read_cells(body: list[str], path) -> np.ndarray:
-    """Convert the rows with np.loadtxt into a (12, rows) array, naming the first bad row."""
-    if not body:  # which loadtxt would warn about
-        return np.empty((len(LEAD_NAMES), 0))
-    try:
-        rows = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)
-    except ValueError:
-        pass
-    else:
-        text = "".join(body)
-        if rows.shape[1] == len(LEAD_NAMES) and not any(c in text for c in _FLOAT_REJECTED_PADDING):
-            return np.ascontiguousarray(rows.T)
-    # loadtxt reads float()'s syntax written in ASCII without "_"; the padding is refused
+    """Convert the rows with float() into a (12, rows) array, raising at the first bad row."""
+    values = array("d")
     for i, line in enumerate(body):
         cells = line.split(",")
         if len(cells) != len(LEAD_NAMES):
             raise LengthMismatch(f"{path}: row {i} has {len(cells)} columns, expected 12")
-        if not _is_numeric_row(line) or "_" in line or not (
-                line.isascii() or all(cell.strip().isascii() for cell in cells)):
+        # float() also reads "_" between digits and non-ASCII digits
+        if "_" in line or not (line.isascii() or all(cell.strip().isascii() for cell in cells)):
             raise SchemaError(f"{path}: non-numeric value", row=i)
-    raise SchemaError(f"{path}: non-numeric value")  # a loadtxt refusal no row rule explains
+        try:
+            values.fromlist([*map(float, cells)])
+        except ValueError:
+            raise SchemaError(f"{path}: non-numeric value", row=i) from None
+    return np.frombuffer(values).reshape(-1, len(LEAD_NAMES)).T.copy()
 
 
 def parse_ecg(path) -> EcgRecord:
@@ -452,8 +433,10 @@ def median_beat(
     """
     fiducials.validate_against(record)
     fs = record.sampling_rate_hz
-    pre = round_half_up(pre_ms * fs / 1000.0)
-    post = round_half_up(post_ms * fs / 1000.0)
+    half_widths = (pre_ms * fs / 1000.0, post_ms * fs / 1000.0)
+    if not all(map(math.isfinite, half_widths)):
+        raise WindowOutOfRange(f"beat window of {pre_ms} + {post_ms} ms at {fs} Hz has no finite width")
+    pre, post = map(round_half_up, half_widths)
     width = pre + post + 1
 
     beats = fiducials.beats

@@ -230,20 +230,33 @@ class TestParseEcg:
         assert (ecg_ingest._read_fixed_point(data) is not None) == fast
         assert _outcome(parse_ecg, tmp_path / "a.csv") == _outcome(parse_ecg_per_cell, tmp_path / "a.csv")
 
-    # "\x1f1": float() rejects the ASCII separator padding that loadtxt strips;
-    # "1#2" last in its row: no comment syntax, so nothing after "#" is dropped
-    @pytest.mark.parametrize("cell, column", [("abc", 7), ("\x1f1", 7), ("1#2", 11)])
-    def test_bad_cell_late_in_full_trace_names_row(self, tmp_path, rng, cell, column):
+    # "\x1f1": float() rejects the ASCII separators U+001C-U+001F, which str.strip() drops;
+    # "1#2" last in its row: no comment syntax, so nothing after "#" is dropped.
+    # Each fault is (row, column, cell); a cell of None drops the column. With
+    # two faults the first bad row is named, whichever fault it holds.
+    @pytest.mark.parametrize("faults, error, message", [
+        ([(1200, 7, "abc")], SchemaError, "non-numeric value (row 1200)"),
+        ([(1200, 7, "\x1f1")], SchemaError, "non-numeric value (row 1200)"),
+        ([(1200, 11, "1#2")], SchemaError, "non-numeric value (row 1200)"),
+        ([(1200, 7, "abc"), (1300, 7, None)], SchemaError, "non-numeric value (row 1200)"),
+        ([(1200, 7, None), (1300, 7, "abc")], LengthMismatch, "row 1200 has 11 columns, expected 12"),
+    ])
+    def test_bad_cell_late_in_full_trace_names_row(self, tmp_path, rng, faults, error, message):
         write_trace(tmp_path / "a.csv", rng.normal(size=(12, 1680)))
         lines = (tmp_path / "a.csv").read_text(encoding="utf-8").split("\n")
-        cells = lines[2 + 1200].split(",")  # after the header and column-name lines
-        cells[column] = cell
-        lines[2 + 1200] = ",".join(cells)
+        for row, column, cell in faults:
+            cells = lines[2 + row].split(",")  # after the header and column-name lines
+            if cell is None:
+                del cells[column]
+            else:
+                cells[column] = cell
+            lines[2 + row] = ",".join(cells)
         (tmp_path / "a.csv").write_text("\n".join(lines), encoding="utf-8")
-        with pytest.raises(SchemaError) as err:
+        with pytest.raises(error) as err:
             parse_ecg(tmp_path / "a.csv")
-        assert err.value.row == 1200
-        assert str(err.value).endswith("non-numeric value (row 1200)")
+        assert str(err.value).endswith(message)
+        if error is SchemaError:
+            assert err.value.row == 1200
 
 
 def _first_non_finite(leads):
@@ -385,7 +398,7 @@ def test_parse_ecg_any_bytes(tmp_path_factory, data):
 
 # --- fast parser against the per-cell reference ---------------------------------
 
-# "\x1c1"/"1\x1f": ASCII separators that loadtxt strips as padding and float() rejects
+# "\x1c1"/"1\x1f": ASCII separators that str.strip() drops and float() rejects
 _ODD_CELLS = st.sampled_from(["1_0", "١٢", "\t1", "1\x0b", "1#2", "", " ", "nan", "-inf", "abc",
                               "\x1c1", "1\x1f"])
 _NUMBER_CELLS = st.one_of(st.sampled_from(["0", "-1.5", "1e-3", " 2 "]),

@@ -271,7 +271,7 @@ class TestCliBasics:
         "min_child_hessian=nan", "min_child_hessian=inf", "min_child_hessian=-1", "l2_reg=inf",
         "gamma=inf",
         "stratify=maybe", "beat_aggregation=mode", "beat_aggregation=mean", "pre_ms=nan",
-        "post_ms=inf", "synth_seed=3", "experiment=1",
+        "post_ms=inf", "synth_seed=3", "experiment=1", "specs=s,S,r",
     ])
     def test_bad_value_exits_2(self, tmp_path, synth_cohort_dir, caplog, line):
         cfg = tmp_path / "c.cfg"
@@ -281,6 +281,18 @@ class TestCliBasics:
             assert cli.main(["train-eval", "--config", str(cfg)]) == 2
         assert [r.getMessage().split(":")[0] for r in caplog.records] == ["config error"]
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["extract", "table-one", "train-eval", "synth"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, synth_cohort_dir, caplog, command):
+        (tmp_path / "o").write_text("")
+        cfg = write_cfg(tmp_path / "c.cfg", ecg_dir=synth_cohort_dir / "data" / "ecg",
+                        fiducial_dir=synth_cohort_dir / "data" / "fiducials",
+                        cohort_table=synth_cohort_dir / "extract" / "features.csv")
+        with caplog.at_level(logging.ERROR, logger="ecgtriage"):
+            assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        [record] = caplog.records
+        assert record.getMessage().startswith("config error: cannot create output directory")
+        assert (tmp_path / "o").read_text() == ""
 
     @pytest.mark.parametrize("content", [None, b"master_seed=1\n\xff\n"])
     def test_unreadable_config_file_exits_2(self, tmp_path, caplog, content):
@@ -434,6 +446,27 @@ class TestExtractCommand:
         assert (tmp_path / "o" / "extract_log.txt").read_text().splitlines() == [
             f"p{k:04d}\tfailed\tconsolidated landmark at window index {i} outside [0, {width})"
             for k, i in enumerate(indices, 1)]
+
+    # a window too wide to count in samples fails the patients it meets, and the run goes on
+    @pytest.mark.parametrize("rate, keys, failed", [
+        ("1e307", {}, ["p0004"]),
+        (None, {"pre_ms": 1e308}, [f"p{k:04d}" for k in range(1, 11)]),
+    ])
+    def test_window_too_wide_to_count_fails_its_patients(self, tmp_path, rate, keys, failed):
+        data = generate(SynthConfig(n_patients=10, seed=3, positive_fraction=0.3), tmp_path / "d")
+        if rate is not None:
+            trace = tmp_path / "d" / "ecg" / "p0004.csv"
+            body = trace.read_text().split("\n", 1)[1]
+            trace.write_text(f"sample_rate_hz={rate} gain_uv_per_unit=1.0\n{body}")
+        cfg = write_cfg(tmp_path / "c.cfg", ecg_dir=tmp_path / "d" / "ecg",
+                        fiducial_dir=tmp_path / "d" / "fiducials",
+                        cohort_table=data["cohort_table"], out_dir=tmp_path / "o", **keys)
+        assert cli.main(["extract", "--config", cfg]) == 0
+        log = [ln.split("\t") for ln in (tmp_path / "o" / "extract_log.txt").read_text().splitlines()]
+        assert len(log) == len(read_rows(tmp_path / "o" / "features.csv")) == 10
+        assert [(pid, status) for pid, status, _ in log if status != "ok"] == [
+            (pid, "failed") for pid in failed]
+        assert all(message.endswith("has no finite width") for pid, _, message in log if pid in failed)
 
     def test_forged_id_is_data_error(self, tmp_path):
         data = generate(SynthConfig(n_patients=10, seed=6, positive_fraction=0.4), tmp_path / "d")
