@@ -20,7 +20,7 @@ config class validates its own values.
 
 Exit codes: 0 success; 2 configuration error (unknown key, bad value,
 unreadable config file, missing input path, output directory that cannot be
-created); 3 data error (malformed input);
+created, output file that cannot be written); 3 data error (malformed input);
 4 degenerate statistics (e.g. a single outcome class). extract logs a patient
 whose files fail as failed or degenerate and goes on with the next one.
 """
@@ -28,6 +28,7 @@ whose files fail as failed or degenerate and goes on with the next one.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -145,10 +146,20 @@ def _make_dir(path: Path) -> None:
         raise ConfigError(f"cannot create output directory {path}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Report a blocked output path below out_dir as a config error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from None
+
+
 def _write_text(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    with _writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def _write_json(path: Path, doc) -> None:
@@ -185,7 +196,8 @@ def cmd_extract(cfg: RunConfig) -> int:
         out_rows.append(dataclasses.replace(record, standard=standard, geh=geh))
         log_lines.append(f"{record.id}\tok\t{','.join(geh.degenerate)}")
 
-    save_cohort(out_rows, cfg.out_dir / "features.csv")
+    with _writing(cfg.out_dir / "features.csv"):
+        save_cohort(out_rows, cfg.out_dir / "features.csv")
     _write_text(cfg.out_dir / "extract_log.txt", "\n".join(log_lines) + "\n")
     log.info("extracted %d patients (%d failed) -> %s",
              len(out_rows), n_failed, cfg.out_dir / "features.csv")
@@ -262,7 +274,8 @@ def cmd_synth(cfg: RunConfig, raw: dict) -> int:
     sc = dataclasses.replace(fields_from_raw(synth.SynthConfig, raw, SYNTH_PREFIX),
                              seed=cfg.experiment.master_seed)
     _make_dir(cfg.out_dir)
-    summary = synth.generate(sc, cfg.out_dir)
+    with _writing(cfg.out_dir):
+        summary = synth.generate(sc, cfg.out_dir)
     _write_json(cfg.out_dir / "synth_summary.json", summary)
     log.info("synthesized %d patients (%d positive) under %s",
              summary["n_patients"], summary["n_positive"], cfg.out_dir)

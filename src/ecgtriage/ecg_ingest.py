@@ -95,10 +95,6 @@ class EcgRecord:
     def n_samples(self) -> int:
         return self.leads.shape[1]
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.sampling_rate_hz
-
 
 @dataclass(frozen=True)
 class Wave:

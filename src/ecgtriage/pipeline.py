@@ -81,9 +81,6 @@ class ExperimentConfig:
 class SplitPlan:
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
-    seed: int
-    stratified: bool
-    ratio: float
 
 
 def split(cohort, seed: int, ratio: float = 0.7, stratified: bool = True) -> SplitPlan:
@@ -101,29 +98,18 @@ def split(cohort, seed: int, ratio: float = 0.7, stratified: bool = True) -> Spl
         raise TooSmall(f"split ratio {ratio} leaves an empty train or test part")
 
     rng = derived_rng(seed, STREAM_SPLIT)
-    train_idx: list[int] = []
     if stratified:
-        for cls in (0, 1):
-            members = np.flatnonzero(labels == cls)
-            n_train = round_half_up(ratio * len(members))
-            if n_train == 0 or n_train == len(members):
-                raise TooSmall(f"class {cls} would have an empty train or test part")
-            train_idx.extend(rng.permutation(members)[:n_train].tolist())
+        strata = {f"class {c}": np.flatnonzero(labels == c) for c in (0, 1)}
     else:
-        n_train = round_half_up(ratio * len(labels))
-        if n_train == 0 or n_train == len(labels):
-            raise TooSmall("empty train or test part")
-        train_idx.extend(rng.permutation(len(labels))[:n_train].tolist())
-
-    train_set = set(train_idx)
-    ids = [r.id for r in cohort]
-    return SplitPlan(
-        train_ids=tuple(ids[i] for i in range(len(ids)) if i in train_set),
-        test_ids=tuple(ids[i] for i in range(len(ids)) if i not in train_set),
-        seed=seed,
-        stratified=stratified,
-        ratio=ratio,
-    )
+        strata = {"cohort": np.arange(len(labels))}
+    train = np.zeros(len(labels), dtype=bool)
+    for name, members in strata.items():
+        n_train = round_half_up(ratio * len(members))
+        if n_train == 0 or n_train == len(members):
+            raise TooSmall(f"{name} would have an empty train or test part")
+        train[rng.permutation(members)[:n_train]] = True
+    return SplitPlan(train_ids=tuple(r.id for r, t in zip(cohort, train) if t),
+                     test_ids=tuple(r.id for r, t in zip(cohort, train) if not t))
 
 
 def rebalance(labels, seed) -> np.ndarray:
@@ -195,11 +181,7 @@ def pr_aucpr(labels, scores):
     precision = tp / (tp + fp)
     # sequential accumulation keeps the sum order-deterministic, so the value
     # is bit-identical to a stepwise reference evaluation
-    aucpr = 0.0
-    prev = 0.0
-    for r, p in zip(recall.tolist(), precision.tolist()):
-        aucpr += (r - prev) * p
-        prev = r
+    aucpr = float(np.add.accumulate(np.diff(recall, prepend=0.0) * precision)[-1])
     points = [(0.0, 1.0)] + [(float(r), float(p)) for r, p in zip(recall, precision)]
     return points, aucpr
 
@@ -221,35 +203,31 @@ class ThresholdChoice:
 
 
 def choose_threshold(labels, scores, min_sens: float = 0.90) -> ThresholdChoice:
-    """Most specific threshold whose sensitivity is at least min_sens.
+    """Most specific threshold whose sensitivity is at least min_sens; ties on
+    specificity go to the higher sensitivity.
 
-    Orientation follows the ranking direction: scores are treated as a floor
-    when AUC >= 0.5 and as a ceiling otherwise. Ties on specificity prefer the
-    higher sensitivity, then the more conservative threshold.
+    Scores are a floor (">=") when AUC >= 0.5 and a ceiling otherwise, decided
+    in integers: over the tie-grouped counts, 2U = sum(dfp * (tp + previous tp))
+    is twice the Mann-Whitney U, and AUC >= 0.5 iff 2U >= pos * neg.
+    Cuts run from the most to the least conservative, so sensitivity never
+    falls and specificity never rises: the first compliant cut has the fewest
+    false positives, and the last cut with as many has the most true ones.
     """
     y, s = _check_binary(labels, scores)
     pos = int(y.sum())
     neg = len(y) - pos
     if pos == 0 or neg == 0:
         raise SingleClass("threshold choice needs both classes")
-    _, auc = roc_auc(y, s)
-    orientation = ">=" if auc >= 0.5 else "<="
+    thresholds, tp, fp = _tie_grouped_counts(y, s)
+    two_u = int((np.diff(fp, prepend=0) * (tp + np.r_[0, tp[:-1]])).sum())
+    orientation = ">=" if two_u >= pos * neg else "<="
+    if orientation == "<=":
+        thresholds, tp, fp = _tie_grouped_counts(y, -s)
+        thresholds = -thresholds
 
-    work = s if orientation == ">=" else -s
-    thresholds, tp, fp = _tie_grouped_counts(y, work)
-    sens = tp / pos
-    spec = (neg - fp) / neg
-
-    best = None  # (spec, sens, margin_rank, threshold, tp, fp)
-    for k in range(len(thresholds)):
-        if sens[k] < min_sens:
-            continue
-        # later groups have lower work-threshold, i.e. a less conservative cut
-        candidate = (spec[k], sens[k], -k)
-        if best is None or candidate > best[0]:
-            t = thresholds[k] if orientation == ">=" else -thresholds[k]
-            best = (candidate, float(t), int(tp[k]), int(fp[k]))
-    _, threshold, tp_k, fp_k = best
+    first = int(np.argmax(tp / pos >= min_sens))
+    k = int(np.searchsorted(fp, fp[first], "right")) - 1
+    threshold, tp_k, fp_k = float(thresholds[k]), int(tp[k]), int(fp[k])
     confusion = Confusion(tp=tp_k, fp=fp_k, fn=pos - tp_k, tn=neg - fp_k)
     return ThresholdChoice(
         threshold=threshold,
@@ -347,12 +325,8 @@ def cv_tune(X, y, config: ExperimentConfig) -> CvResult:
             std_aucpr=float(np.std(fold_aucprs)),
         ))
 
-    best_entry = None
-    for entry in entries:
-        score = entry.mean_aucpr - entry.std_aucpr
-        if best_entry is None or score > best_entry[0]:
-            best_entry = (score, entry)
-    chosen = best_entry[1]
+    # max keeps the first of equal entries, so the smallest eta wins a tie
+    chosen = max(entries, key=lambda e: e.mean_aucpr - e.std_aucpr)
     rounds = max(1, round_half_up(float(np.median(chosen.fold_rounds))))
     return CvResult(entries=tuple(entries), chosen_eta=chosen.eta, chosen_rounds=rounds)
 
@@ -455,14 +429,10 @@ def evaluate_model(spec: ModelSpec, cohort, config: ExperimentConfig,
     importance; train/test sizes and dropped ids; the master seed; the config
     hash; and the ROC and PR points.
     """
-    labels = {r.label for r in cohort}
-    if len(labels) < 2:
-        raise SingleClass("cohort contains a single outcome class")
-
-    matrix = assemble_features(cohort, spec)
     if split_plan is None:
         split_plan = split(cohort, config.master_seed, ratio=config.split_ratio,
                            stratified=config.stratify)
+    matrix = assemble_features(cohort, spec)
     train_m = matrix.rows_for(split_plan.train_ids)
     test_m = matrix.rows_for(split_plan.test_ids)
     for part, name in ((train_m, "train"), (test_m, "test")):

@@ -67,7 +67,7 @@ class TestParseEcg:
         matrix = rng.normal(size=(12, 1680))
         write_trace(tmp_path / "a.csv", matrix, fs=240.0, gain=4.88)
         rec = parse_ecg(tmp_path / "a.csv")
-        assert rec.duration_s == pytest.approx(7.0)
+        assert rec.n_samples / rec.sampling_rate_hz == pytest.approx(7.0)
         assert rec.n_samples == 1680
         np.testing.assert_allclose(rec.leads[11], matrix[11], rtol=1e-12)
 
@@ -458,7 +458,7 @@ def _outcome(parse, path):
         rec = parse(path)
     except DataFormatError as exc:
         return type(exc), str(exc), getattr(exc, "row", None)
-    return (rec.sampling_rate_hz, rec.duration_s,
+    return (rec.sampling_rate_hz, rec.n_samples / rec.sampling_rate_hz,
             [row.tobytes() for row in rec.leads])
 
 

@@ -11,11 +11,13 @@ from ecgtriage.errors import NoPositives, SingleClass, TooFewPerClass, TooSmall
 from ecgtriage.gbt import TrainConfig
 from ecgtriage.geh import GehMeasures
 from ecgtriage.pipeline import (
+    STREAM_SPLIT,
     Confusion,
     CvResult,
     ExperimentConfig,
     choose_threshold,
     cv_tune,
+    derived_rng,
     evaluate_model,
     f2,
     pr_aucpr,
@@ -94,8 +96,9 @@ class TestSplit:
     def test_unstratified_mode(self):
         cohort = toy_cohort(40, 10)
         plan = split(cohort, seed=2, stratified=False)
-        assert not plan.stratified
         assert len(plan.train_ids) == 35
+        drawn = set(derived_rng(2, STREAM_SPLIT).permutation(50)[:35].tolist())
+        assert plan.train_ids == tuple(r.id for i, r in enumerate(cohort) if i in drawn)
 
 
 class TestRebalance:
@@ -235,18 +238,16 @@ class TestChooseThreshold:
         choice = choose_threshold(y, s)
         assert choice.sensitivity == 1.0 and choice.specificity == 1.0
 
-    def test_matches_scan_oracle(self, rng):
-        for _ in range(60):
-            y = rng.integers(0, 2, size=20)
-            if y.sum() in (0, 20):
-                continue
-            s = rng.integers(0, 8, size=20).astype(float) / 7.0
-            choice = choose_threshold(y, s, min_sens=0.9)
-            t, orientation, sens, spec = threshold_scan(y.tolist(), s.tolist(), 0.9)
-            assert choice.orientation == orientation
-            assert choice.threshold == pytest.approx(t)
-            assert choice.sensitivity == pytest.approx(sens)
-            assert choice.specificity == pytest.approx(spec)
+    @pytest.mark.parametrize("min_sens", [0.5, 0.9, 1.0])
+    def test_matches_scan_oracle(self, rng, min_sens):
+        cases = [(y, rng.integers(0, 8, size=20) / 7.0)
+                 for y in rng.integers(0, 2, size=(60, 20)) if 0 < y.sum() < 20]
+        # an exact AUC of 1/2, which the trapezoid rounds down to 0.49999999999999994
+        cases.append((np.array([1, 1, 1, 0, 0]), np.array([1, 0, 2, 2, 0]) / 3))
+        for y, s in cases:
+            choice = choose_threshold(y, s, min_sens=min_sens)
+            assert (choice.threshold, choice.orientation, choice.sensitivity,
+                    choice.specificity) == threshold_scan(y.tolist(), s.tolist(), min_sens)
 
     def test_confusion_reproduces_rates(self, rng):
         y = rng.integers(0, 2, size=40)

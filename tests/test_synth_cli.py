@@ -50,7 +50,7 @@ class TestSynthGenerator:
         assert len(cohort) == 12
         rec = parse_ecg(tmp_path / "s" / "ecg" / "p0003.csv")
         assert rec.sampling_rate_hz == 240.0
-        assert rec.duration_s == pytest.approx(7.0)
+        assert rec.n_samples / rec.sampling_rate_hz == pytest.approx(7.0)
         fids = parse_fiducials(tmp_path / "s" / "fiducials" / "p0003.json")
         assert len(fids.beats) >= 3
         fids.validate_against(rec)
@@ -293,6 +293,25 @@ class TestCliBasics:
         [record] = caplog.records
         assert record.getMessage().startswith("config error: cannot create output directory")
         assert (tmp_path / "o").read_text() == ""
+
+    @pytest.mark.parametrize("command,blocked", [
+        ("synth", "ecg"), ("extract", "features.csv"), ("train-eval", "reports/report_SRG.json"),
+    ])
+    def test_blocked_output_path_exits_2(self, tmp_path, synth_cohort_dir, caplog, command, blocked):
+        out = tmp_path / "o"
+        (out / blocked).parent.mkdir(parents=True)
+        if command == "synth":
+            (out / blocked).write_text("")
+        else:
+            (out / blocked).mkdir()
+        cfg = write_cfg(tmp_path / "c.cfg", ecg_dir=synth_cohort_dir / "data" / "ecg",
+                        fiducial_dir=synth_cohort_dir / "data" / "fiducials",
+                        cohort_table=synth_cohort_dir / "extract" / "features.csv",
+                        specs="SRG", n_instances=1, max_rounds=5, k_folds=2)
+        with caplog.at_level(logging.ERROR, logger="ecgtriage"):
+            assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        [record] = caplog.records
+        assert record.getMessage().startswith(f"config error: cannot write output {out}")
 
     @pytest.mark.parametrize("content", [None, b"master_seed=1\n\xff\n"])
     def test_unreadable_config_file_exits_2(self, tmp_path, caplog, content):
