@@ -17,21 +17,18 @@ every tree starts from that order, the column block of exact greedy XGBoost
 a stable partition of the parent's, which is the order a stable sort of the
 child's rows would give. A node then scores all columns in one pass: cumulative
 sums of g and h along each column's order. Tied gains resolve to the lowest
-feature index and then the lowest threshold, so repeated fits serialize
-identically.
+feature index and then the lowest threshold, so repeated fits come out
+identical.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, EmptyMatrix, SchemaError, SingleClass, WidthMismatch
-
-SERIALIZATION_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -70,29 +67,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.feature is None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"weight": self.weight}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "gain": self.gain,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "TreeNode":
-        if "weight" in doc:
-            return TreeNode(weight=doc["weight"])
-        return TreeNode(
-            feature=doc["feature"],
-            threshold=doc["threshold"],
-            gain=doc["gain"],
-            left=TreeNode.from_dict(doc["left"]),
-            right=TreeNode.from_dict(doc["right"]),
-        )
 
 
 @dataclass
@@ -150,28 +124,6 @@ class Ensemble:
         """Probabilities, clipped into the open interval (0, 1)."""
         p = _sigmoid(self.margins(X))
         return np.clip(p, 1e-15, float(np.nextafter(1.0, 0.0)))
-
-    def to_json(self) -> str:
-        doc = {
-            "version": SERIALIZATION_VERSION,
-            "base_score": self.base_score,
-            "learning_rate": self.learning_rate,
-            "feature_names": list(self.feature_names),
-            "trees": [tree.root.to_dict() for tree in self.trees],
-        }
-        return json.dumps(doc, indent=2) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "Ensemble":
-        doc = json.loads(text)
-        if doc.get("version") != SERIALIZATION_VERSION:
-            raise SchemaError(f"unsupported model version {doc.get('version')!r}")
-        return Ensemble(
-            base_score=doc["base_score"],
-            learning_rate=doc["learning_rate"],
-            trees=[Tree(TreeNode.from_dict(d)) for d in doc["trees"]],
-            feature_names=tuple(doc["feature_names"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -97,19 +97,25 @@ def split(cohort, seed: int, ratio: float = 0.7, stratified: bool = True) -> Spl
     if not 0.0 < ratio < 1.0:
         raise TooSmall(f"split ratio {ratio} leaves an empty train or test part")
 
-    rng = derived_rng(seed, STREAM_SPLIT)
-    if stratified:
-        strata = {f"class {c}": np.flatnonzero(labels == c) for c in (0, 1)}
-    else:
-        strata = {"cohort": np.arange(len(labels))}
-    train = np.zeros(len(labels), dtype=bool)
-    for name, members in strata.items():
-        n_train = round_half_up(ratio * len(members))
-        if n_train == 0 or n_train == len(members):
-            raise TooSmall(f"{name} would have an empty train or test part")
-        train[rng.permutation(members)[:n_train]] = True
+    train = _stratified_draw(labels, lambda n: round_half_up(ratio * n), seed, STREAM_SPLIT,
+                             stratified)
     return SplitPlan(train_ids=tuple(r.id for r, t in zip(cohort, train) if t),
                      test_ids=tuple(r.id for r, t in zip(cohort, train) if not t))
+
+
+def _stratified_draw(labels, size, seed: int, stream: int, stratified: bool = True) -> np.ndarray:
+    """Mask of the first size(n) rows of a permutation of each stratum's n
+    members (each class, or all rows); both parts of a stratum non-empty."""
+    rng = derived_rng(seed, stream)
+    strata = ({f"class {c}": np.flatnonzero(labels == c) for c in (0, 1)} if stratified
+              else {"cohort": np.arange(len(labels))})
+    drawn = np.zeros(len(labels), dtype=bool)
+    for name, members in strata.items():
+        k = size(len(members))
+        if not 0 < k < len(members):
+            raise TooSmall(f"{name} would have an empty train or test part")
+        drawn[rng.permutation(members)[:k]] = True
+    return drawn
 
 
 def rebalance(labels, seed) -> np.ndarray:
@@ -153,6 +159,12 @@ def _tie_grouped_counts(y, s):
     fp = np.cumsum(1 - y_sorted)[group_end]
     thresholds = s_sorted[group_end]
     return thresholds, tp, fp
+
+
+def _two_u(tp, fp) -> int:
+    """Twice the Mann-Whitney U from the tie-grouped counts: sum(dfp * (tp + previous tp)).
+    AUC = 2U / (2 * pos * neg) (Hanley & McNeil 1982)."""
+    return int((np.diff(fp, prepend=0) * (tp + np.r_[0, tp[:-1]])).sum())
 
 
 def roc_auc(labels, scores):
@@ -207,8 +219,7 @@ def choose_threshold(labels, scores, min_sens: float = 0.90) -> ThresholdChoice:
     specificity go to the higher sensitivity.
 
     Scores are a floor (">=") when AUC >= 0.5 and a ceiling otherwise, decided
-    in integers: over the tie-grouped counts, 2U = sum(dfp * (tp + previous tp))
-    is twice the Mann-Whitney U, and AUC >= 0.5 iff 2U >= pos * neg.
+    in integers: AUC >= 0.5 iff 2U >= pos * neg.
     Cuts run from the most to the least conservative, so sensitivity never
     falls and specificity never rises: the first compliant cut has the fewest
     false positives, and the last cut with as many has the most true ones.
@@ -219,8 +230,7 @@ def choose_threshold(labels, scores, min_sens: float = 0.90) -> ThresholdChoice:
     if pos == 0 or neg == 0:
         raise SingleClass("threshold choice needs both classes")
     thresholds, tp, fp = _tie_grouped_counts(y, s)
-    two_u = int((np.diff(fp, prepend=0) * (tp + np.r_[0, tp[:-1]])).sum())
-    orientation = ">=" if two_u >= pos * neg else "<="
+    orientation = ">=" if _two_u(tp, fp) >= pos * neg else "<="
     if orientation == "<=":
         thresholds, tp, fp = _tie_grouped_counts(y, -s)
         thresholds = -thresholds
@@ -338,6 +348,7 @@ class InstanceRun:
     index: int
     seed_key: tuple[int, int, int]
     auc: float
+    two_u: int  # twice the Mann-Whitney U of the selection scores
 
 
 @dataclass(frozen=True)
@@ -350,7 +361,7 @@ class RepresentativeResult:
 
 def run_instance(X_train, y_train, X_sel, y_sel, tc: TrainConfig, master_seed: int,
                  index: int, feature_names=None):
-    """Train instance `index` on its own rebalanced sample; returns (model, AUC).
+    """Train instance `index` on its own rebalanced sample; returns (model, InstanceRun).
 
     The rebalance seed is SeedSequence((master_seed, STREAM_INSTANCE, index)),
     so a single instance can be reproduced without running the other 49.
@@ -359,23 +370,10 @@ def run_instance(X_train, y_train, X_sel, y_sel, tc: TrainConfig, master_seed: i
     pick = rebalance(y_train, np.random.SeedSequence(key))
     model = gbt.fit(np.asarray(X_train, dtype=float)[pick], np.asarray(y_train)[pick],
                     tc, feature_names)
-    _, auc = roc_auc(y_sel, model.predict(X_sel))
-    return model, InstanceRun(index=index, seed_key=key, auc=auc)
-
-
-def _carve_holdout(y_train, master_seed):
-    rng = derived_rng(master_seed, STREAM_HOLDOUT)
-    y = np.asarray(y_train)
-    holdout: list[int] = []
-    for cls in (0, 1):
-        members = rng.permutation(np.flatnonzero(y == cls))
-        n_hold = max(1, round_half_up(0.2 * len(members)))
-        if n_hold >= len(members):
-            raise TooSmall("train part too small to carve a selection holdout")
-        holdout.extend(members[:n_hold].tolist())
-    hold = np.sort(np.asarray(holdout, dtype=int))
-    rest = np.setdiff1d(np.arange(len(y)), hold)
-    return rest, hold
+    scores = model.predict(X_sel)
+    _, auc = roc_auc(y_sel, scores)
+    _, tp, fp = _tie_grouped_counts(*_check_binary(y_sel, scores))
+    return model, InstanceRun(index=index, seed_key=key, auc=auc, two_u=_two_u(tp, fp))
 
 
 def train_representative(X_train, y_train, X_test, y_test, tc: TrainConfig,
@@ -383,7 +381,8 @@ def train_representative(X_train, y_train, X_test, y_test, tc: TrainConfig,
                          holdout_selection: bool = False,
                          feature_names=None) -> RepresentativeResult:
     """Train n instances on independently rebalanced samples and keep the one
-    with the highest selection AUC (ties go to the lowest instance index).
+    with the highest selection AUC, compared as 2U in integers; ties go to the
+    lowest instance index.
 
     Selection AUC is measured on the test set by default, which mirrors the
     experiment protocol but leaks test information into model choice; pass
@@ -393,19 +392,20 @@ def train_representative(X_train, y_train, X_test, y_test, tc: TrainConfig,
     X_train = np.asarray(X_train, dtype=float)
     y_train = np.asarray(y_train)
     if holdout_selection:
-        rest, hold = _carve_holdout(y_train, master_seed)
-        fit_X, fit_y = X_train[rest], y_train[rest]
+        hold = _stratified_draw(y_train, lambda n: max(1, round_half_up(0.2 * n)),
+                                master_seed, STREAM_HOLDOUT)
+        fit_X, fit_y = X_train[~hold], y_train[~hold]
         sel_X, sel_y = X_train[hold], y_train[hold]
     else:
         fit_X, fit_y = X_train, y_train
         sel_X, sel_y = np.asarray(X_test, dtype=float), np.asarray(y_test)
 
-    best_model, best_run = None, None
-    runs = []
+    # a running best holds one model at a time, not all n
+    best_model, best_run, runs = None, None, []
     for i in range(1, n_instances + 1):
         model, run = run_instance(fit_X, fit_y, sel_X, sel_y, tc, master_seed, i, feature_names)
         runs.append(run)
-        if best_run is None or run.auc > best_run.auc:
+        if best_run is None or run.two_u > best_run.two_u:
             best_model, best_run = model, run
     return RepresentativeResult(
         ensemble=best_model,

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecgtriage.errors import EmptyMatrix, SchemaError, SingleClass, WidthMismatch
+from ecgtriage.errors import EmptyMatrix, SingleClass, WidthMismatch
 from ecgtriage.gbt import (
     Booster,
     Ensemble,
@@ -143,29 +142,12 @@ class TestFit:
             losses.append(train_loss())
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
-    def test_deterministic_serialization(self, rng):
+    def test_deterministic_fit(self, rng):
         X = rng.normal(size=(50, 4))
         y = (X[:, 1] > 0).astype(int)
         a = fit(X, y, config(num_rounds=4))
         b = fit(X, y, config(num_rounds=4))
-        assert a.to_json() == b.to_json()
-
-    def test_serialization_roundtrip(self, rng):
-        X = rng.normal(size=(50, 4))
-        y = (X[:, 1] > 0).astype(int)
-        model = fit(X, y, config(num_rounds=3), feature_names=("a", "b", "c", "d"))
-        restored = Ensemble.from_json(model.to_json())
-        np.testing.assert_array_equal(model.predict(X), restored.predict(X))
-        assert restored.feature_names == ("a", "b", "c", "d")
-        assert restored.to_json() == model.to_json()
-
-    def test_version_1_document_refused(self, rng):
-        # version 1 carried a per-node NaN direction that prediction no longer reads
-        X = rng.normal(size=(20, 2))
-        doc = json.loads(fit(X, (X[:, 0] > 0).astype(int), config()).to_json())
-        doc["version"] = 1
-        with pytest.raises(SchemaError):
-            Ensemble.from_json(json.dumps(doc))
+        assert repr(a) == repr(b)
 
 
 class TestSplitSearch:
@@ -195,7 +177,7 @@ class TestSplitSearch:
         model = fit(X, y, cfg)
         reference = PerFeatureScanBooster(X, y, cfg).run(cfg.num_rounds)
         assert model == reference
-        assert model.to_json() == reference.to_json()
+        assert repr(model) == repr(reference)
 
     def test_protocol_shaped_fit_equals_per_feature_scan(self):
         # a train-eval instance: 210 rebalanced rows with bootstrap duplicates,
@@ -215,7 +197,7 @@ class TestSplitSearch:
         cfg = config(learning_rate=0.1, num_rounds=20, max_depth=4)
         model = fit(X, y, cfg)
         reference = PerFeatureScanBooster(X, y, cfg).run(cfg.num_rounds)
-        assert model.to_json() == reference.to_json()
+        assert repr(model) == repr(reference)
 
     def test_identical_columns_split_on_lower_index(self):
         v = np.array([-2.0, -1.0, 1.0, 2.0])

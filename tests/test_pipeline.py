@@ -9,12 +9,18 @@ from ecgtriage.cohort import GEH_COLUMNS, ModelSpec, PatientRecord, mann_whitney
 from ecgtriage.ecg_ingest import StandardEcgMeasures
 from ecgtriage.errors import NoPositives, SingleClass, TooFewPerClass, TooSmall
 from ecgtriage.gbt import TrainConfig
+from ecgtriage import pipeline
 from ecgtriage.geh import GehMeasures
 from ecgtriage.pipeline import (
+    STREAM_HOLDOUT,
+    STREAM_INSTANCE,
     STREAM_SPLIT,
     Confusion,
     CvResult,
     ExperimentConfig,
+    InstanceRun,
+    _tie_grouped_counts,
+    _two_u,
     choose_threshold,
     cv_tune,
     derived_rng,
@@ -31,6 +37,7 @@ from ecgtriage.pipeline import (
 from oracles import (
     auc_pair_counting,
     average_precision_bruteforce,
+    mann_whitney_u_pairs,
     threshold_scan,
 )
 
@@ -175,6 +182,15 @@ class TestRocAuc:
         tpr = [p[1] for p in points]
         assert fpr == sorted(fpr) and tpr == sorted(tpr)
         assert points[0] == (0.0, 0.0) and points[-1] == (1.0, 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 5)),
+                          min_size=1, max_size=30))
+    def test_two_u_is_twice_pair_count_u(self, cells):
+        y = np.array([label for label, _ in cells])
+        s = np.array([score for _, score in cells], dtype=float)
+        _, tp, fp = _tie_grouped_counts(y, s)
+        assert _two_u(tp, fp) == 2 * mann_whitney_u_pairs(s[y == 1], s[y == 0])
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 9999))
@@ -362,9 +378,31 @@ class TestTrainRepresentative:
         X, y, Xt, yt = self._data(seed=9)
         tc = TrainConfig(learning_rate=0.3, num_rounds=8, max_depth=3)
         rep = train_representative(X, y, Xt, yt, tc, n_instances=10, master_seed=3)
-        best = max(r.auc for r in rep.runs)
-        assert rep.runs[rep.selected_index - 1].auc == best
-        assert min(r.index for r in rep.runs if r.auc == best) == rep.selected_index
+        best = max(r.two_u for r in rep.runs)
+        assert rep.runs[rep.selected_index - 1].two_u == best
+        assert min(r.index for r in rep.runs if r.two_u == best) == rep.selected_index
+
+    def test_equal_u_ties_go_to_first_whatever_the_float_order(self, monkeypatch):
+        # U = 13 of 24 pairs for both score vectors, but their trapezoid AUCs
+        # round one ulp apart, the later one up
+        y = np.array([0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1])
+        scores = {1: np.array([1.0, 2, 2, 2, 0, 2, 4, 0, 0, 3, 2]),
+                  2: np.array([0.0, 4, 1, 3, 3, 4, 1, 1, 3, 2, 2])}
+
+        def scored(index):
+            s = scores[index]
+            return InstanceRun(index=index, seed_key=(0, STREAM_INSTANCE, index),
+                               auc=roc_auc(y, s)[1], two_u=_two_u(*_tie_grouped_counts(y, s)[1:]))
+
+        first, second = scored(1), scored(2)
+        assert first.two_u == second.two_u == 26
+        assert second.auc == np.nextafter(first.auc, 1.0)
+        monkeypatch.setattr(pipeline, "run_instance",
+                            lambda *args: (f"model {args[6]}", scored(args[6])))
+        tc = TrainConfig(learning_rate=0.3, num_rounds=1)
+        X = np.zeros((len(y), 1))
+        rep = train_representative(X, y, X, y, tc, n_instances=2, master_seed=0)
+        assert rep.selected_index == 1 and rep.ensemble == "model 1"
 
     def test_instance_reproducible_in_isolation(self):
         X, y, Xt, yt = self._data(seed=10)
@@ -373,6 +411,7 @@ class TestTrainRepresentative:
         probe = rep.runs[4]
         _, rerun = run_instance(X, y, Xt, yt, tc, master_seed=11, index=probe.index)
         assert rerun.auc == probe.auc
+        assert rerun.two_u == probe.two_u
         assert rerun.seed_key == probe.seed_key
 
     def test_holdout_selection_mode(self):
@@ -382,6 +421,40 @@ class TestTrainRepresentative:
                                    holdout_selection=True)
         assert rep.selection_on == "holdout"
         assert len(rep.runs) == 3
+
+    def test_holdout_draw(self, monkeypatch):
+        # row i's one feature is i, so each part's rows can be read back
+        y = np.r_[np.zeros(47), np.ones(2)].astype(int)[np.random.default_rng(4).permutation(49)]
+        X = np.arange(49, dtype=float)[:, None]
+        parts = {}
+
+        def record(fit_X, fit_y, sel_X, sel_y, tc, master_seed, index, feature_names):
+            parts["fit"], parts["hold"] = fit_X[:, 0].astype(int), sel_X[:, 0].astype(int)
+            assert np.array_equal(fit_y, y[parts["fit"]])
+            assert np.array_equal(sel_y, y[parts["hold"]])
+            run = InstanceRun(index=index, seed_key=(master_seed, STREAM_INSTANCE, index),
+                              auc=0.5, two_u=0)
+            return "model", run
+
+        monkeypatch.setattr(pipeline, "run_instance", record)
+        tc = TrainConfig(learning_rate=0.3, num_rounds=1)
+        train_representative(X, y, X, y, tc, n_instances=1, master_seed=5, holdout_selection=True)
+        fit, hold = parts["fit"], parts["hold"]
+        # max(1, round_half_up(0.2 * n)) per class: 9 of 47, and 1 of 2 (not 0)
+        assert [int((y[hold] == c).sum()) for c in (0, 1)] == [9, 1]
+        assert np.all(np.diff(fit) > 0) and np.all(np.diff(hold) > 0)
+        assert np.array_equal(np.sort(np.r_[fit, hold]), np.arange(49))
+        rng = derived_rng(5, STREAM_HOLDOUT)
+        drawn = [rng.permutation(np.flatnonzero(y == c))[:k] for c, k in ((0, 9), (1, 1))]
+        assert np.array_equal(hold, np.sort(np.concatenate(drawn)))
+
+    def test_holdout_needs_two_of_each_class(self):
+        X, y, Xt, yt = self._data(seed=12, n=120)
+        y = np.where(np.arange(120) == np.flatnonzero(y)[0], 1, 0)
+        tc = TrainConfig(learning_rate=0.3, num_rounds=2)
+        with pytest.raises(TooSmall, match="class 1"):
+            train_representative(X, y, Xt, yt, tc, n_instances=1, master_seed=5,
+                                 holdout_selection=True)
 
 
 class TestEvaluateModel:
