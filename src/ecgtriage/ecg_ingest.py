@@ -7,19 +7,21 @@ columns when one of its stripped cells is a lead name. Amplitudes are stored in
 file units and converted to mV via the header gain. Records and median beats
 hold them as one (12, n) array whose row k is lead ``LEAD_NAMES[k]``.
 
-A trace body is read on one of two paths, chosen from its bytes alone, that give
-the same values. The fast path takes the fixed-point text synth writes: rows of
-12 cells ``-?D+`` or ``-?D+.D{q}`` with one q for the whole file, at most 8 bytes
-per cell besides the sign, LF line endings and no blank or padded line. It
-gathers the 8 bytes before each separator as one little-endian word, checks
-every byte and drops the dot inside the word, and turns the 8 digits into an
-integer with three multiply-shift steps (SWAR, Lemire 2021, arXiv:2101.11408).
-That mantissa is below 10**8, well under 2**53, and 10**q is exact for q <= 7, so
-one IEEE division gives the correctly rounded value of the decimal, which is
-what float() returns (Clinger 1990). Every other body (exponents, spaces, CRLF,
-mixed q, longer cells, NaN, faults) is read one row at a time, up to the first
-bad row: each row is split on commas, and each cell, written in ASCII without
-``_`` apart from the whitespace around it, is converted by float().
+A trace body is read row by row, with the text rules of the header: a line ends
+at LF, CR or CRLF and is stripped, and a blank line is no row and takes no
+row number. The SWAR kernel reads every row of 12 cells ``-?D+`` or ``-?D+.D{q}``
+joined by bare commas, at most 8 bytes per cell besides the sign, with q the
+decimals most rows' first cells carry. It gathers the 8 bytes before each
+separator as one little-endian word, checks every byte and drops the dot inside
+the word, and turns the 8 digits into an integer with three multiply-shift steps
+(SWAR, Lemire 2021, arXiv:2101.11408). That mantissa is below 10**8, well under
+2**53, and 10**q is exact for q <= 7, so one IEEE division gives the correctly
+rounded value of the decimal, which is what float() returns (Clinger 1990).
+Every other row (exponents, padding, NaN, other decimals, longer cells, faults)
+is split on commas, and each cell, written in ASCII without ``_`` apart from the
+whitespace around it, is converted by float(); the first bad row raises. A body
+whose lines are all kernel rows ending in LF, as synth writes it, passes one
+check over its separators; its lines are told apart only when that check fails.
 
 Annotation file format: JSON document with an array ``beats``; each beat carries
 an integer ``baseline`` sample plus ``p``/``qrs``/``t`` objects with integer
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,10 +58,14 @@ MIN_SAMPLING_RATE_HZ = 100.0
 # Kors and GEH sums, over any window a record can hold, stays finite
 MAX_ABS_SAMPLE_MV = 1e100
 
-# the separator bytes of one fixed-point row
-_ROW_SEPARATORS = np.frombuffer(b"," * 11 + b"\n", np.uint8)
 # _TOP_BYTES[k] keeps the top k bytes of a little-endian word: its last k characters
 _TOP_BYTES = np.array([2**64 - 2 ** (64 - 8 * k) for k in range(9)], np.uint64)
+# a word holds a byte above 9 iff (w | (w + _OVER_9)) & _HIGH_BITS is not 0:
+# adding 0x76 lifts a byte of 10..0x7f to its high bit, and only a byte whose
+# high bit is already set carries into the next one
+_OVER_9 = np.uint64(0x7676767676767676)
+_HIGH_BITS = np.uint64(0x8080808080808080)
+_LINE_END = re.compile(rb"[\n\r]")
 
 
 def round_half_up(x: float) -> int:
@@ -225,50 +232,55 @@ def _names_columns(line: str) -> bool:
     return any(cell.strip() in LEAD_NAMES for cell in line.split(","))
 
 
-def _fixed_point_cells(data: bytes, start: int) -> np.ndarray | None:
-    """The body data[start:] as a (12, rows) array, or None if it leaves the fast grammar."""
+def _swar_cells(data: bytes, start: int, ends: np.ndarray, starts: np.ndarray):
+    """Read the cells of the body data[start:], 12 a row, with the SWAR kernel.
+
+    Cell k is body[starts[k]:ends[k]], and ends[k] is the offset of the
+    separator after it; both int64 arrays are spent as buffers. Returns the
+    (12, rows) values and the mask of the rows with a cell outside the
+    grammar, or None when there is none; the values of a refused row mean
+    nothing.
+    """
+    n = len(LEAD_NAMES)
     body = np.frombuffer(data, np.uint8, offset=start)
-    if start < 8 or body.size == 0 or body.max() > ord("9"):  # letters: NaN, exponents, faults
-        return None
-    sep = np.flatnonzero(body < ord("-"))  # "," and "\n" are the grammar's only bytes below "-"
-    n = sep.size
-    if n == 0 or n % len(LEAD_NAMES) or sep[-1] != body.size - 1:
-        return None
-    if not (body[sep].reshape(-1, len(LEAD_NAMES)) == _ROW_SEPARATORS).all():
-        return None
+    neg = body[starts] == ord("-")
+    digits = np.subtract(ends, starts, out=starts)
+    digits -= neg  # the digits of each cell, its dot included and its sign not
 
-    # digits of each cell, its dot included and its sign not
-    digits = np.empty_like(sep)
-    digits[0] = 0
-    np.add(sep[:-1], 1, out=digits[1:])  # cell starts
-    neg = body[digits] == ord("-")
-    np.subtract(sep, digits, out=digits)
-    digits -= neg
-    if digits.min() < 1 or digits.max() > 8:
-        return None
-    # the decimals of the first cell: its dot is one of its 8 bytes, so q <= 7
-    first = data[start:start + int(sep[0])]
-    q = len(first) - 1 - first.find(b".") if b"." in first else 0
-
-    # the 8 bytes before each separator as one word, in place from here on; an
-    # index gathers from the unaligned view without the aligned copy take() makes
+    # the 8 bytes before each cell's end as one word, in place from here on; an
+    # index gathers from the unaligned view without the aligned copy take()
+    # makes. A valid header holds more than 8 bytes, so every word lies in data.
     words = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))
-    sep += start - 8
-    w = words[sep]
-    scratch = sep.view(np.uint64)
-    np.take(_TOP_BYTES, digits, out=scratch, mode="clip")  # "raise" would copy; 1 <= digits <= 8
+    ends += start - 8
+    w = words[ends]
+    scratch = ends.view(np.uint64)
+    np.take(_TOP_BYTES, digits, out=scratch, mode="clip")  # "raise" would copy
     byte = w.view(np.uint8)
     byte -= ord("0")  # digits to 0..9, "." to 254
     w &= scratch  # zero the bytes before the cell
+
+    # q is the decimals most rows' first cells carry. A cell's dot, 254, is the
+    # only byte of its word with the high bit set, and one of its 8 bytes, so
+    # q <= 7; the first row's mark is taken when at least half the rows share it
+    first = w[::n] & _HIGH_BITS
+    mark = first[0]
+    if 2 * np.count_nonzero(first == mark) < len(first):
+        marks, counts = np.unique(first, return_counts=True)
+        mark = marks[counts.argmax()]
+    q = 7 - (int(mark).bit_length() - 8) // 8 if mark else 0
     if q:
-        if not (byte[7 - q::8] == 254).all():
-            return None
+        dot = byte[7 - q::8] == 254
         np.bitwise_and(w, _TOP_BYTES[q], out=scratch)  # the fraction digits
         w &= ~_TOP_BYTES[q + 1]  # the integer digits, below the dot
         w <<= np.uint64(8)
         w |= scratch
-    if byte.max() > 9:
-        return None
+    refused = None
+    if digits.min() < 1 or digits.max() > 8 or byte.max() > 9 or (q and not dot.all()):
+        bad = (digits < 1) | (digits > 8) | ((w | (w + _OVER_9)) & _HIGH_BITS != 0)
+        if q:
+            bad |= ~dot
+        refused = bad.reshape(-1, n).any(axis=1)
+
     # 8 digits -> 4 two-digit -> 2 four-digit -> 1 eight-digit number, first digit highest
     w *= np.uint64(10 * 2**8 + 1)
     w >>= np.uint64(8)
@@ -278,47 +290,88 @@ def _fixed_point_cells(data: bytes, start: int) -> np.ndarray | None:
         w *= np.uint64(mul)
         w >>= np.uint64(shift)
 
-    cells = digits.view(np.float64).reshape(len(LEAD_NAMES), -1)  # reuse the spent buffer
-    np.divide(w.reshape(-1, len(LEAD_NAMES)).T, 10.0**q, out=cells)
-    np.negative(cells, out=cells, where=neg.reshape(-1, len(LEAD_NAMES)).T)  # "-0.000" is -0.0
-    return cells
+    cells = digits.view(np.float64).reshape(n, -1)  # reuse the spent buffer
+    np.divide(w.reshape(-1, n).T, 10.0**q, out=cells)
+    np.negative(cells, out=cells, where=neg.reshape(-1, n).T)  # "-0.000" is -0.0
+    return cells, refused
 
 
-def _read_fixed_point(data: bytes) -> tuple[list[str], np.ndarray] | None:
-    """The header lines and the (12, rows) cells of a trace in fixed-point form, else None."""
-    end1 = data.find(b"\n")
-    end2 = data.find(b"\n", end1 + 1)
-    if end1 < 0 or end2 < 0 or b"\r" in data[:end2]:
-        return None
+def _read_row(line: str, i: int, path) -> list[float]:
+    """The values of row i, a stripped line, by float(): 12 cells, each written
+    in ASCII without "_" apart from the whitespace around it."""
+    cells = line.split(",")
+    if len(cells) != len(LEAD_NAMES):
+        raise LengthMismatch(f"{path}: row {i} has {len(cells)} columns, expected 12")
+    # float() also reads "_" between digits and non-ASCII digits
+    if "_" in line or not (line.isascii() or all(cell.strip().isascii() for cell in cells)):
+        raise SchemaError(f"{path}: non-numeric value", row=i)
     try:
-        first, second = map(str.strip, data[:end2].decode("utf-8").split("\n"))
-    except UnicodeDecodeError:
-        return None
-    if not (first and second):
-        return None
-    if _names_columns(second):
-        lines, start = [first, second], end2 + 1
+        return [*map(float, cells)]
+    except ValueError:
+        raise SchemaError(f"{path}: non-numeric value", row=i) from None
+
+
+def _read_body(data: bytes, start: int, path) -> np.ndarray:
+    """The rows of the body data[start:] as a (12, rows) array, raising at the first bad row."""
+    n = len(LEAD_NAMES)
+    body = np.frombuffer(data, np.uint8, offset=start)
+    sep = np.flatnonzero(body < ord("-"))  # "," and line ends, and every other byte below "-"
+    hi = sep[n - 1::n]
+    # every 12th separator is LF and all the others are commas: every line
+    # holds 12 cells and ends in LF, and all are rows for the kernel
+    if (sep.size and sep.size % n == 0 and sep[-1] == body.size - 1 and body.max() <= ord("9")
+            and (body[hi] == ord("\n")).all() and np.count_nonzero(body == ord(",")) == len(sep) - len(hi)):
+        starts = np.empty_like(sep)
+        starts[0] = 0
+        np.add(sep[:-1], 1, out=starts[1:])
+        cells, refused = _swar_cells(data, start, sep, starts)
+        if refused is None:
+            return cells
+        hi = np.flatnonzero(body == ord("\n"))  # the kernel spent sep
+        lo = np.concatenate(([0], hi[:-1] + 1))
+        read = np.ones(hi.size, bool)
     else:
-        lines, start = [first], end1 + 1
-    cells = _fixed_point_cells(data, start)
-    return None if cells is None else (lines, cells)
+        # a line ends at LF or CR, or at the end of the body; it is a row for
+        # the kernel when it holds 11 commas, no other byte below "-", and its end
+        kinds = body[sep]
+        other = np.flatnonzero(kinds != ord(","))  # line ends and odd bytes, as indices into sep
+        is_end = (kinds[other] == ord("\n")) | (kinds[other] == ord("\r"))
+        read = is_end & (np.diff(other, prepend=-1) == n)
+        read[1:] &= is_end[:-1]
+        line_end = other[is_end]
+        read = np.append(read[is_end], False)
+        in_row = np.repeat(read[:-1], np.diff(line_end, prepend=-1))
+        ends = sep[:in_row.size].compress(in_row)
+        hi = np.append(sep[line_end], body.size)
+        lo = np.concatenate(([0], hi[:-1] + 1))
+        filled = hi > lo  # an empty line is no row
+        lo, hi, read = lo[filled], hi[filled], read[filled]
+        cells, refused = np.empty((n, 0)), None
+        if ends.size:
+            starts = np.empty_like(ends)
+            np.add(ends[:-1], 1, out=starts[1:])
+            starts[::n] = lo[read]
+            cells, refused = _swar_cells(data, start, ends, starts)
+    if refused is not None:
+        read[np.flatnonzero(read)[refused]] = False
+        cells = cells[:, ~refused]
+    if read.all():
+        return cells
 
-
-def _read_cells(body: list[str], path) -> np.ndarray:
-    """Convert the rows with float() into a (12, rows) array, raising at the first bad row."""
-    values = array("d")
-    for i, line in enumerate(body):
-        cells = line.split(",")
-        if len(cells) != len(LEAD_NAMES):
-            raise LengthMismatch(f"{path}: row {i} has {len(cells)} columns, expected 12")
-        # float() also reads "_" between digits and non-ASCII digits
-        if "_" in line or not (line.isascii() or all(cell.strip().isascii() for cell in cells)):
-            raise SchemaError(f"{path}: non-numeric value", row=i)
-        try:
-            values.fromlist([*map(float, cells)])
-        except ValueError:
-            raise SchemaError(f"{path}: non-numeric value", row=i) from None
-    return np.frombuffer(values).reshape(-1, len(LEAD_NAMES)).T.copy()
+    # the other lines in order, by float(); a line blank once stripped is no row
+    blank, rows, values = [], [], array("d")
+    for k in np.flatnonzero(~read).tolist():
+        line = data[start + int(lo[k]):start + int(hi[k])].decode("utf-8").strip()
+        if line:
+            rows.append(k - len(blank))
+            values.fromlist(_read_row(line, rows[-1], path))
+        else:
+            blank.append(k)
+    out = np.empty((n, len(lo) - len(blank)))
+    kept = np.flatnonzero(read)
+    out[:, kept - np.searchsorted(blank, kept)] = cells
+    out[:, rows] = np.frombuffer(values).reshape(-1, n).T
+    return out
 
 
 def parse_ecg(path) -> EcgRecord:
@@ -326,32 +379,31 @@ def parse_ecg(path) -> EcgRecord:
     path = Path(path)
     try:
         data = path.read_bytes()
-    except OSError as exc:
+        if not data.isascii():
+            data.decode("utf-8")  # the whole file is text before any line of it is read
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: unreadable trace ({exc})") from None
-    fast = _read_fixed_point(data)
-    if fast is not None:
-        head, cells = fast
-    else:
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{path}: unreadable trace ({exc})") from None
-        # a lone "\r" ends a line, as in text mode; "\r\n" leaves a blank line
-        lines = [ln for ln in map(str.strip, text.replace("\r", "\n").split("\n")) if ln]
-        if not lines:
-            raise BadHeader(f"{path}: empty file")
-        head = lines[:2] if len(lines) > 1 and _names_columns(lines[1]) else lines[:1]
-    rate, gain_uv = _parse_header(head[0], path)
+    # the first two non-blank lines, stripped, each with the offset after its end
+    head, pos = [], 0
+    while len(head) < 2 and pos < len(data):
+        end = _LINE_END.search(data, pos)
+        line = data[pos:end.start() if end else len(data)].decode("utf-8").strip()
+        pos = end.end() if end else len(data)
+        if line:
+            head.append((line, pos))
+    if not head:
+        raise BadHeader(f"{path}: empty file")
+    rate, gain_uv = _parse_header(head[0][0], path)
 
     # without a names line the columns are in LEAD_NAMES order
-    names = [c.strip() for c in head[1].split(",")] if len(head) == 2 else list(LEAD_NAMES)
+    named = len(head) == 2 and _names_columns(head[1][0])
+    names = [c.strip() for c in head[1][0].split(",")] if named else list(LEAD_NAMES)
     for want in LEAD_NAMES:
         if want not in names:
             raise MissingLead(want)
     if len(names) != len(LEAD_NAMES):
         raise BadHeader(f"{path}: unexpected column names {names}")
-    if fast is None:
-        cells = _read_cells(lines[len(head):], path)
+    cells = _read_body(data, head[named][1], path)  # after the names line, if any
     if names != list(LEAD_NAMES):
         cells = cells[[names.index(want) for want in LEAD_NAMES]]
 

@@ -215,24 +215,35 @@ class Booster:
             leaf_values[idx] = weight
             return TreeNode(weight=weight)
 
-        if depth >= cfg.max_depth or len(idx) < 2 or len(order) == 0:
+        # No cut can leave m = min_child_hessian on both sides of a node with
+        # H < 2m: a cut passes the scan's mask only if hl >= m and
+        # fl(H - hl) >= m, and the subtraction rounds up by at most a factor
+        # 1 + 2**-53 (not at all when subnormal), so H >= (2 - 2**-53) * m.
+        # The 1e-12 slack covers that and the rounding of the product.
+        if (depth >= cfg.max_depth or len(idx) < 2 or len(order) == 0
+                or H * (1 + 1e-12) < 2 * cfg.min_child_hessian):
             return leaf()
 
         values = self._XT.take(order + self._offsets)
         gl = np.add.accumulate(g.take(order), axis=1)[:, :-1]
         hl = np.add.accumulate(h.take(order), axis=1)[:, :-1]
-        gr = G - gl
         hr = H - hl
-        gains = 0.5 * (gl ** 2 / (hl + cfg.l2_reg) + gr ** 2 / (hr + cfg.l2_reg)
+        # candidate cuts, in feature-major order: value boundaries with at least
+        # min_child_hessian on both sides
+        cuts = np.flatnonzero((values[:, :-1] < values[:, 1:]) & (hl >= cfg.min_child_hessian)
+                              & (hr >= cfg.min_child_hessian))
+        if cuts.size == 0:
+            return leaf()
+        gl, hl, hr = gl.take(cuts), hl.take(cuts), hr.take(cuts)
+        gains = 0.5 * (gl ** 2 / (hl + cfg.l2_reg) + (G - gl) ** 2 / (hr + cfg.l2_reg)
                        - G * G / (H + cfg.l2_reg)) - cfg.gamma
-        keep = ((values[:, :-1] < values[:, 1:]) & (hl >= cfg.min_child_hessian)
-                & (hr >= cfg.min_child_hessian) & np.isfinite(gains))
-        # feature-major flat argmax: lowest feature first, then lowest threshold
-        gains = np.where(keep, gains, -np.inf)
-        feature, k = divmod(int(np.argmax(gains)), gains.shape[1])
-        gain = float(gains[feature, k])
+        # the first best cut: lowest feature first, then lowest threshold
+        gains[~np.isfinite(gains)] = -np.inf
+        best = int(np.argmax(gains))
+        gain = float(gains[best])
         if gain <= 0.0:
             return leaf()
+        feature, k = divmod(int(cuts[best]), values.shape[1] - 1)
 
         threshold = float((values[feature, k] + values[feature, k + 1]) / 2.0)
         left = self._XT[feature] < threshold

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -60,6 +61,7 @@ def shift_fiducials(beat: MedianBeat, k: int) -> MedianBeat:
 
 
 HEAD = "sample_rate_hz=240 gain_uv_per_unit=1000\n"
+ROW = "1," * 11 + "1\n"
 
 
 class TestParseEcg:
@@ -208,27 +210,48 @@ class TestParseEcg:
             parse_ecg(tmp_path / "a.csv")
         assert err.value.row == 1
 
-    @pytest.mark.parametrize("text, fast", [
-        (HEAD + "-0.000," * 11 + "0.000\n", True),  # -0.0, as float() gives it
-        (HEAD + "12345678," * 11 + "-1\n", True),  # 8 bytes besides the sign
-        (HEAD + "-123456.7," * 11 + "0.1\n", True),
-        (HEAD + "123456789," * 11 + "1\n", False),  # 9 bytes
-        (HEAD + "-1234567.8," * 11 + "0.1\n", False),
-        (HEAD + ".12345678," * 11 + "0.00000000\n", False),  # q = 8
-        (HEAD + "1.500," * 11 + "1500\n", False),  # a cell without the file's decimals
-        (HEAD + "1," * 11 + "1\n" + "1,," + "1," * 9 + "1\n", False),  # an empty cell
-        (HEAD + "1," * 11 + "1\n" + "-," + "1," * 10 + "1\n", False),  # a sign alone
-        (HEAD + "1," * 10 + "1\n" + "1," * 12 + "1\n", False),  # 11 and 13 cells
-        (HEAD + "1," * 11 + "1\n5", False),  # a last row without its newline
-        (HEAD.replace(" ", "\r") + "1," * 11 + "1\n", False),  # "\r" ends a line
-        (" \n" + HEAD + "1," * 11 + "1\n", False),  # blank lines are skipped
-        (HEAD + "\n" + "1," * 11 + "1\n", False),
+    @pytest.mark.parametrize("text, to_float", [
+        (HEAD + "-0.000," * 11 + "0.000\n", []),  # -0.0, as float() gives it
+        (HEAD + "12345678," * 11 + "-1\n", []),  # 8 bytes besides the sign
+        (HEAD + "-123456.7," * 11 + "0.1\n", []),
+        (HEAD + "123456789," * 11 + "1\n", [0]),  # 9 bytes
+        (HEAD + "-1234567.8," * 11 + "0.1\n", [0]),
+        (HEAD + ".12345678," * 11 + "0.00000000\n", [0]),  # q = 8
+        (HEAD + "1.500," * 11 + "1500\n", [0]),  # a cell without the file's decimals
+        (HEAD + ROW + "1,," + "1," * 9 + "1\n" + ROW, [1]),  # an empty cell
+        (HEAD + ROW + "-," + "1," * 10 + "1\n" + ROW, [1]),  # a sign alone
+        (HEAD + "1," * 10 + "1\n" + "1," * 12 + "1\n", [0]),  # 11 cells, then 13
+        (HEAD + ROW + "1," * 12 + "1\n", [1]),
+        (HEAD + ROW + "5", [1]),  # a last row without its newline
+        (HEAD + ROW + ROW[:-1], [1]),
+        (HEAD.replace(" ", "\r") + ROW, []),  # "\r" ends a line: no gain, no row read
+        (" \n" + HEAD + ROW, []),  # blank lines are skipped
+        (HEAD + "\n" + ROW + " \t\n\x1c\n" + ROW, []),  # and not numbered
+        (HEAD + ROW.replace("\n", "\r\n") * 3, []),  # CRLF rows
+        (HEAD + ROW.replace("\n", "\r") * 3, []),
+        (HEAD + ROW + " " + ROW + ROW, [1]),  # a padded row
+        (HEAD + ROW + "nan," + "1," * 10 + "1\n" + ROW, [1]),
+        # the decimals of most rows: a first row with an exponent or other
+        # decimals leaves the rest to the kernel
+        (HEAD + "1e-3," + "1.000," * 10 + "1.000\n" + ("1.000," * 11 + "1.000\n") * 2, [0]),
+        (HEAD + "1.25," * 11 + "1.25\n" + ("1.5," * 11 + "1.5\n") * 2, [0]),
     ])
-    def test_fast_path_choice(self, tmp_path, text, fast):
-        data = text.encode()
-        (tmp_path / "a.csv").write_bytes(data)
-        assert (ecg_ingest._read_fixed_point(data) is not None) == fast
-        assert _outcome(parse_ecg, tmp_path / "a.csv") == _outcome(parse_ecg_per_cell, tmp_path / "a.csv")
+    def test_fast_path_choice(self, tmp_path, text, to_float):
+        (tmp_path / "a.csv").write_bytes(text.encode())
+        handed, outcome = _rows_to_float(tmp_path / "a.csv")
+        assert handed == to_float
+        assert outcome == _outcome(parse_ecg_per_cell, tmp_path / "a.csv")
+
+    @pytest.mark.parametrize("header, names, error", [
+        ("sample_rate_hz=240", ",".join(LEAD_NAMES), BadHeader),
+        (HEAD.strip(), ",".join(LEAD_NAMES[:-1]) + ",V7", MissingLead),
+    ])
+    def test_head_is_checked_before_rows(self, tmp_path, header, names, error):
+        rows = [",".join(["1.000"] * 12)] * 1000 + [",".join(["1.000"] * 11)]
+        (tmp_path / "a.csv").write_text("\n".join([header, names] + rows) + "\n", encoding="utf-8")
+        handed, outcome = _rows_to_float(tmp_path / "a.csv")
+        assert outcome[0] is error and handed == []
+        assert outcome == _outcome(parse_ecg_per_cell, tmp_path / "a.csv")
 
     # "\x1f1": float() rejects the ASCII separators U+001C-U+001F, which str.strip() drops;
     # "1#2" last in its row: no comment syntax, so nothing after "#" is dropped.
@@ -470,14 +493,63 @@ def test_parse_ecg_matches_per_cell_reference(tmp_path_factory, text):
     assert _outcome(parse_ecg, path) == _outcome(parse_ecg_per_cell, path)
 
 
-@settings(max_examples=300, deadline=None)
-@given(rows=st.integers(0, 6).flatmap(lambda q: _fixed_point_rows(q, 8)), names=st.booleans())
-def test_fixed_point_body_takes_fast_path(rows, names):
+def _rows_to_float(path):
+    """The rows parse_ecg hands to float(), by number, and its outcome."""
+    handed, read_row = [], ecg_ingest._read_row
+
+    def counted(line, i, path):
+        handed.append(i)
+        return read_row(line, i, path)
+
+    with mock.patch.object(ecg_ingest, "_read_row", counted):
+        outcome = _outcome(parse_ecg, path)
+    return handed, outcome
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rows=st.integers(0, 6).flatmap(lambda q: _fixed_point_rows(q, 8)), names=st.booleans(),
+       newline=st.sampled_from(["\n", "\r\n"]))
+def test_fixed_point_body_takes_fast_path(tmp_path_factory, rows, names, newline):
     lines = ["sample_rate_hz=240 gain_uv_per_unit=1000"] + [",".join(LEAD_NAMES)] * names + rows
-    head, cells = ecg_ingest._read_fixed_point(("\n".join(lines) + "\n").encode())
-    assert head == lines[:1 + names]
+    path = tmp_path_factory.getbasetemp() / "fixed_point_trace.csv"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    handed, outcome = _rows_to_float(path)
+    assert handed == []
     expected = np.array([[float(c) for c in row.split(",")] for row in rows]).T
-    assert cells.tobytes() == expected.tobytes()
+    assert outcome[2] == [row.tobytes() for row in expected]
+    assert outcome == _outcome(parse_ecg_per_cell, path)
+
+
+# rows that leave the kernel's grammar: a cell float() may or may not read, or
+# the row's shape, line end or blankness
+_ODD_ROW_CELLS = st.sampled_from(["1e-3", "-2.5E+1", "nan", "-inf", " 1.5", "1.5 ", "123456789",
+                                  "-12345.6789", "1_0", "abc", "", "-", "1.2.3", "+1"])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(q=st.integers(0, 6), data=st.data())
+def test_odd_rows_in_fixed_point_body_match_per_cell_reference(tmp_path_factory, q, data):
+    rows = data.draw(st.lists(st.lists(_fixed_point_cell(q, 8), min_size=12, max_size=12),
+                              min_size=1, max_size=12))
+    lines = [",".join(cells) for cells in rows]
+    for _ in range(data.draw(st.integers(0, 5))):
+        k = data.draw(st.integers(0, len(rows) - 1))
+        cells, j = list(rows[k]), data.draw(st.integers(0, 11))
+        kind = data.draw(st.sampled_from(["cell", "decimals", "short", "long", "crlf", "blank"]))
+        if kind == "cell":
+            cells[j] = data.draw(_ODD_ROW_CELLS)
+        elif kind == "decimals":
+            cells[j] = data.draw(_fixed_point_cell(data.draw(st.integers(0, 6).filter(lambda d: d != q)), 8))
+        elif kind == "short":
+            del cells[j]
+        elif kind == "long":
+            cells.insert(j, cells[j])
+        lines[k] = ",".join(cells) + "\r" * (kind == "crlf")
+        if kind == "blank":
+            lines[k] = data.draw(st.sampled_from(["", " ", " \t", "\x0b", "\x1c", "\u3000"]))
+    path = tmp_path_factory.getbasetemp() / "odd_rows_trace.csv"
+    path.write_bytes(("\n".join([HEAD.strip(), ",".join(LEAD_NAMES)] + lines) + "\n").encode())
+    assert _outcome(parse_ecg, path) == _outcome(parse_ecg_per_cell, path)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])

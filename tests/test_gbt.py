@@ -199,6 +199,33 @@ class TestSplitSearch:
         reference = PerFeatureScanBooster(X, y, cfg).run(cfg.num_rounds)
         assert repr(model) == repr(reference)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 30), width=st.integers(1, 3),
+           l2_reg=st.sampled_from([1e-3, 1.0]), nudge=st.sampled_from([-1, 0, 1]))
+    def test_hessian_skip_keeps_every_split(self, data, n, width, l2_reg, nudge):
+        # min_child_hessian at (or one ulp around) the most one cut admits: the
+        # skip before the scan fires only where the scan finds no admitted cut,
+        # and the root comes out as the full per-feature scan grows it
+        X = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * width, max_size=n * width)),
+                     dtype=float).reshape(n, width)
+        g = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+        h = np.array(data.draw(st.lists(st.one_of(st.floats(0.0, 0.25), st.floats(1e-12, 1e6)),
+                                        min_size=n, max_size=n)))
+        j, k = data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, n - 2))
+        H = float(h.sum())
+        hl = float(np.add.accumulate(h[np.argsort(X[:, j], kind="stable")])[k])
+        m = max(float(np.nextafter(min(hl, H - hl), nudge * math.inf)) if nudge else min(hl, H - hl), 0.0)
+        if hl >= m and H - hl >= m:
+            assert not H * (1 + 1e-12) < 2 * m
+        y = np.arange(n) % 2
+        cfg = config(max_depth=1, min_child_hessian=m, l2_reg=l2_reg)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            booster = Booster(X, y, cfg)
+            root = booster._grow(np.arange(n), booster._order, g, h, 0, np.empty(n))
+            reference = PerFeatureScanBooster(X, y, cfg)
+            expected = reference._grow(np.arange(n), None, g, h, 0, np.empty(n))
+        assert repr(root) == repr(expected)
+
     def test_identical_columns_split_on_lower_index(self):
         v = np.array([-2.0, -1.0, 1.0, 2.0])
         X = np.column_stack([np.zeros(4), v, v])
