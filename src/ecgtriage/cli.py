@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, ecg_ingest, synth
-from .cohort import ModelSpec, load_cohort, save_cohort, summarize_table_one
+from .cohort import MODEL_COLUMNS, ModelSpec, load_cohort, save_cohort, summarize_table_one
 from .errors import ConfigError, DataFormatError, DegenerateStatsError, TriageError
 from .geh import compute_geh
 from .pipeline import ExperimentConfig, evaluate_model, split
@@ -56,7 +56,7 @@ class RunConfig:
     fiducial_dir: Path = Path("fiducials")
     cohort_table: Path = Path("cohort.csv")
     out_dir: Path = Path("out")
-    specs: tuple[str, ...] = ("S", "R", "G", "SRG")
+    specs: tuple[str, ...] = tuple(MODEL_COLUMNS)
     pre_ms: float = 300.0
     post_ms: float = 500.0
     experiment: ExperimentConfig = ExperimentConfig()
@@ -64,8 +64,9 @@ class RunConfig:
     def __post_init__(self):
         # model labels are case-insensitive on input
         object.__setattr__(self, "specs", tuple(label.upper() for label in self.specs))
-        if not self.specs or not set(self.specs) <= {"S", "R", "G", "SRG"}:
-            raise ConfigError(f"specs must list models among S, R, G, SRG, got {self.specs}")
+        if not self.specs or not set(self.specs) <= MODEL_COLUMNS.keys():
+            raise ConfigError(f"specs must list models among {', '.join(MODEL_COLUMNS)}, "
+                              f"got {self.specs}")
         if len(set(self.specs)) != len(self.specs):
             raise ConfigError(f"specs lists a model more than once: {self.specs}")
         if not (0.0 <= self.pre_ms < math.inf and 0.0 <= self.post_ms < math.inf):

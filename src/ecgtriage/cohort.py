@@ -53,6 +53,9 @@ COHORT_COLUMNS = (
     ("id", "sex", "age_years", "bmi") + BOOL_COLUMNS + ("outcome",)
     + STANDARD_COLUMNS + GEH_COLUMNS
 )
+# each model label and the feature columns it trains on
+MODEL_COLUMNS = {"S": STANDARD_COLUMNS, "R": RISK_COLUMNS, "G": GEH_COLUMNS,
+                 "SRG": STANDARD_COLUMNS + RISK_COLUMNS + GEH_COLUMNS}
 # the attribute of a PatientRecord that holds each feature column; None: the record itself
 _OWNER = {**dict.fromkeys(RISK_COLUMNS), **dict.fromkeys(STANDARD_COLUMNS, "standard"),
           **dict.fromkeys(GEH_COLUMNS, "geh")}
@@ -114,18 +117,12 @@ class ModelSpec:
     label: str
 
     def __post_init__(self):
-        if self.label not in ("S", "R", "G", "SRG"):
+        if self.label not in MODEL_COLUMNS:
             raise SchemaError(f"unknown model label {self.label!r}")
 
     @property
     def features(self) -> tuple[str, ...]:
-        if self.label == "S":
-            return STANDARD_COLUMNS
-        if self.label == "R":
-            return RISK_COLUMNS
-        if self.label == "G":
-            return GEH_COLUMNS
-        return STANDARD_COLUMNS + RISK_COLUMNS + GEH_COLUMNS
+        return MODEL_COLUMNS[self.label]
 
 
 @dataclass(frozen=True)
@@ -274,19 +271,22 @@ class MannWhitneyResult(NamedTuple):
     p: float
 
 
-def _doubled_midranks(pooled: np.ndarray) -> np.ndarray:
-    """2x the midrank of each pooled value; integer-valued so ties stay exact."""
-    order = np.argsort(pooled, kind="stable")
-    doubled = np.empty(len(pooled), dtype=np.int64)
-    i = 0
-    while i < len(pooled):
-        j = i
-        while j + 1 < len(pooled) and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        # ranks i+1 .. j+1 share the midrank; doubled = (i+1) + (j+1)
-        doubled[order[i:j + 1]] = (i + 1) + (j + 1)
-        i = j + 1
-    return doubled
+def _tie_grouped_counts(y, s):
+    """Cumulative TP/FP at each distinct score, descending; ties grouped."""
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    y_sorted = y[order]
+    group_end = np.flatnonzero(np.r_[s_sorted[:-1] != s_sorted[1:], True])
+    tp = np.cumsum(y_sorted)[group_end]
+    fp = np.cumsum(1 - y_sorted)[group_end]
+    thresholds = s_sorted[group_end]
+    return thresholds, tp, fp
+
+
+def _two_u(tp, fp) -> int:
+    """Twice the Mann-Whitney U from the tie-grouped counts: sum(dfp * (tp + previous tp)).
+    AUC = 2U / (2 * pos * neg) (Hanley & McNeil 1982)."""
+    return int((np.diff(fp, prepend=0) * (tp + np.r_[0, tp[:-1]])).sum())
 
 
 def mann_whitney(group_a, group_b) -> MannWhitneyResult:
@@ -294,7 +294,10 @@ def mann_whitney(group_a, group_b) -> MannWhitneyResult:
 
     Two-sided p: exact enumeration of group assignments when the pooled size
     is at most 16, otherwise the normal approximation with tie correction
-    (no continuity correction).
+    (no continuity correction). 2U, the tie sizes and the midranks the exact
+    null enumerates all come from the tie-grouped counts of the pooled values
+    labelled 1 for group a. A NaN in either group has no rank and raises
+    UndefinedStatistic; an infinity ranks as the largest or smallest value.
     """
     a = np.asarray(group_a, dtype=float)
     b = np.asarray(group_b, dtype=float)
@@ -302,24 +305,29 @@ def mann_whitney(group_a, group_b) -> MannWhitneyResult:
     if n1 == 0 or n2 == 0:
         raise EmptyGroup("both groups must be non-empty")
     pooled = np.concatenate([a, b])
-    doubled = _doubled_midranks(pooled)
-    # 2*U_A = 2*sum(ranks of A) - n1*(n1+1)
-    two_u = int(doubled[:n1].sum()) - n1 * (n1 + 1)
-    u = two_u / 2.0
-
+    if np.isnan(pooled).any():
+        raise UndefinedStatistic("mann_whitney is undefined for NaN values")
     n = n1 + n2
+    _, tp, fp = _tie_grouped_counts((np.arange(n) < n1).astype(int), pooled)
+    two_u = _two_u(tp, fp)
+    u = two_u / 2.0
+    # size of each tie group, highest values first
+    ties = np.diff(tp + fp, prepend=0)
+
     if n <= EXACT_RANK_TEST_MAX_N:
+        # 2x the midrank of each pooled value; the enumeration visits every
+        # subset, so only the multiset of ranks matters
+        doubled = np.repeat(2 * (n - tp - fp) + ties + 1, ties).tolist()
         observed_dev = abs(two_u - n1 * n2)
         extreme = total = 0
         for combo in itertools.combinations(range(n), n1):
-            two_u_perm = sum(int(doubled[k]) for k in combo) - n1 * (n1 + 1)
+            two_u_perm = sum(doubled[k] for k in combo) - n1 * (n1 + 1)
             total += 1
             if abs(two_u_perm - n1 * n2) >= observed_dev:
                 extreme += 1
         return MannWhitneyResult(u, extreme / total)
 
-    _, counts = np.unique(pooled, return_counts=True)
-    tie_term = float(np.sum(counts.astype(float) ** 3 - counts))
+    tie_term = float(np.sum(ties ** 3 - ties))
     variance = (n1 * n2 / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
     if variance <= 0:
         return MannWhitneyResult(u, 1.0)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gbt
-from .cohort import FeatureMatrix, ModelSpec, assemble_features
+from .cohort import FeatureMatrix, ModelSpec, _tie_grouped_counts, _two_u, assemble_features
 from .ecg_ingest import round_half_up
 from .errors import ConfigError, NoPositives, SingleClass, TooFewPerClass, TooSmall
 from .gbt import Booster, Ensemble, TrainConfig, importance_gain
@@ -140,6 +140,8 @@ def rebalance(labels, seed) -> np.ndarray:
 
 
 # --- ranking metrics --------------------------------------------------------
+# _tie_grouped_counts and _two_u live in cohort, beside the rank-sum test that
+# reads U off the same counts.
 
 def _check_binary(labels, scores):
     y = np.asarray(labels, dtype=int)
@@ -147,24 +149,6 @@ def _check_binary(labels, scores):
     if len(y) != len(s):
         raise ValueError("labels and scores must be aligned")
     return y, s
-
-
-def _tie_grouped_counts(y, s):
-    """Cumulative TP/FP at each distinct score, descending; ties grouped."""
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    y_sorted = y[order]
-    group_end = np.flatnonzero(np.r_[s_sorted[:-1] != s_sorted[1:], True])
-    tp = np.cumsum(y_sorted)[group_end]
-    fp = np.cumsum(1 - y_sorted)[group_end]
-    thresholds = s_sorted[group_end]
-    return thresholds, tp, fp
-
-
-def _two_u(tp, fp) -> int:
-    """Twice the Mann-Whitney U from the tie-grouped counts: sum(dfp * (tp + previous tp)).
-    AUC = 2U / (2 * pos * neg) (Hanley & McNeil 1982)."""
-    return int((np.diff(fp, prepend=0) * (tp + np.r_[0, tp[:-1]])).sum())
 
 
 def roc_auc(labels, scores):

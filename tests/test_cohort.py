@@ -181,6 +181,10 @@ class TestAssembleFeatures:
         with pytest.raises(MissingFeature):
             assemble_features(cohort, ModelSpec("S"))
 
+    def test_unknown_label_raises(self):
+        with pytest.raises(SchemaError, match="unknown model label 'X'"):
+            ModelSpec("X")
+
 
 class TestMannWhitney:
     def test_identical_multisets_small(self):
@@ -229,6 +233,34 @@ class TestMannWhitney:
     def test_empty_group(self):
         with pytest.raises(EmptyGroup):
             mann_whitney([], [1.0])
+
+    @pytest.mark.parametrize("size", [3, 12])
+    @pytest.mark.parametrize("nan_in", ["a", "b"])
+    def test_nan_is_undefined(self, size, nan_in):
+        # pooled size 6 takes the exact path, 24 the normal approximation
+        a, b = [float(v) for v in range(size)], [float(v) for v in range(size)]
+        (a if nan_in == "a" else b)[1] = math.nan
+        with pytest.raises(UndefinedStatistic):
+            mann_whitney(a, b)
+
+    def test_infinities_keep_their_rank(self):
+        r = mann_whitney([math.inf, 1.0, 2.0], [-math.inf, 0.5, math.inf])
+        assert r.u == mann_whitney_u_pairs([math.inf, 1.0, 2.0], [-math.inf, 0.5, math.inf])
+        assert r.p == pytest.approx(mann_whitney_exact_p([math.inf, 1.0, 2.0],
+                                                         [-math.inf, 0.5, math.inf]), abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.lists(st.integers(0, 6), min_size=9, max_size=40),
+           b=st.lists(st.integers(0, 6), min_size=9, max_size=40))
+    def test_normal_path_matches_scipy(self, a, b):
+        r = mann_whitney(a, b)
+        ref = scipy.stats.mannwhitneyu(a, b, alternative="two-sided", use_continuity=False,
+                                       method="asymptotic")
+        assert r.u == ref.statistic
+        if len(set(a + b)) == 1:  # zero variance: p = 1 where scipy gives NaN
+            assert r.p == 1.0
+        else:
+            assert r.p == pytest.approx(ref.pvalue, rel=1e-12, abs=0)
 
 
 class TestChiSquare:

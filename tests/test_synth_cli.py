@@ -374,6 +374,11 @@ class TestConfigPath:
         cfg, raw = load(["table-one"])
         assert raw == {}
         assert cfg == cli.RunConfig()
+        assert cfg.specs == ("S", "R", "G", "SRG")
+
+    def test_unknown_spec_message(self):
+        with pytest.raises(ConfigError, match=r"^specs must list models among S, R, G, SRG, got \('X',\)$"):
+            cli.RunConfig(specs=("x",))
 
 
 class TestExtractCommand:
