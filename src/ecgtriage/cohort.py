@@ -10,7 +10,9 @@ non-empty, holds no control character, "/" or "\\", and is not "." or "..".
 
 The measure columns are the fields, in order, of the record dataclasses
 ecg_ingest.StandardEcgMeasures and geh.GehMeasures (less its degenerate flags).
-A measure block loads when every cell of a plain float field is filled.
+A measure block loads when every cell of a plain float field is filled. A numeric
+cell follows the numeral rule of trace files (ecg_ingest.plain_float): it is
+written in ASCII without "_", apart from the whitespace around it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ecg_ingest import StandardEcgMeasures
+from .ecg_ingest import StandardEcgMeasures, plain_float
 from .errors import (
     DegenerateTable,
     DuplicateId,
@@ -150,7 +152,7 @@ def _parse_float_cell(cell: str, row: int, column: str) -> float | None:
     if cell == "":
         return None
     try:
-        value = float(cell)
+        value = plain_float(cell)
     except ValueError:
         raise SchemaError("non-numeric cell", row=row, column=column) from None
     if not math.isfinite(value):
@@ -470,7 +472,7 @@ class _Variable(NamedTuple):
     name: str
     section: str
     column: str
-    kind: str  # categorical | median_iqr | mean_sd
+    kind: str  # a key of _KINDS
 
 
 TABLE_ONE_VARIABLES = (
@@ -518,6 +520,28 @@ def _categorical_p(neg, pos) -> float | None:
         return None
 
 
+def _share(values) -> str:
+    k = sum(1 for v in values if v == 1.0)
+    return f"{k} ({100.0 * k / len(values):.1f})"
+
+
+def _welch_p(neg, pos) -> float | None:
+    try:
+        return welch_t(neg, pos)[1]
+    except (EmptyGroup, UndefinedStatistic):
+        return None
+
+
+# each variable kind: the summary of one group's values, and the p between the
+# negative and the positive group (None: NA); the rank-sum entry looks
+# mann_whitney up when it is called, so a substitute set on the module is used
+_KINDS = {
+    "categorical": (_share, _categorical_p),
+    "median_iqr": (_median_iqr, lambda neg, pos: mann_whitney(neg, pos).p),
+    "mean_sd": (_mean_sd, _welch_p),
+}
+
+
 def summarize_table_one(cohort) -> dict:
     """Descriptive statistics by outcome with a test per variable.
 
@@ -526,51 +550,21 @@ def summarize_table_one(cohort) -> dict:
     every other continuous variable uses the rank-sum test. Patients missing a
     variable are excluded from that row only.
     """
-    neg = [r for r in cohort if r.label == 0]
-    pos = [r for r in cohort if r.label == 1]
-
-    rows = [{
-        "variable": "N", "section": "",
-        "total": str(len(cohort)), "negative": str(len(neg)), "positive": str(len(pos)),
-        "p_value": "",
-    }]
-
+    groups = {"total": cohort, "negative": [r for r in cohort if r.label == 0],
+              "positive": [r for r in cohort if r.label == 1]}
+    rows = [{"variable": "N", "section": "", **{key: str(len(g)) for key, g in groups.items()},
+             "p_value": ""}]
     for var in TABLE_ONE_VARIABLES:
-        groups = {}
-        for key, subset in (("total", cohort), ("negative", neg), ("positive", pos)):
-            groups[key] = [v for v in (r.feature_value(var.column) for r in subset) if v is not None]
-        cells = {}
-        for key, values in groups.items():
-            if not values:
-                cells[key] = "NA"
-            elif var.kind == "categorical":
-                k = sum(1 for v in values if v == 1.0)
-                cells[key] = f"{k} ({100.0 * k / len(values):.1f})"
-            elif var.kind == "mean_sd":
-                cells[key] = _mean_sd(values)
-            else:
-                cells[key] = _median_iqr(values)
-
-        p: float | None = None
-        if groups["negative"] and groups["positive"]:
-            if var.kind == "categorical":
-                p = _categorical_p(groups["negative"], groups["positive"])
-            elif var.kind == "mean_sd":
-                try:
-                    p = welch_t(groups["negative"], groups["positive"])[1]
-                except (EmptyGroup, UndefinedStatistic):
-                    p = None
-            else:
-                p = mann_whitney(groups["negative"], groups["positive"]).p
-
-        rows.append({
-            "variable": var.name, "section": var.section,
-            "total": cells["total"], "negative": cells["negative"], "positive": cells["positive"],
-            "p_value": _format_p(p),
-        })
+        summary, test = _KINDS[var.kind]
+        values = {key: [v for v in (r.feature_value(var.column) for r in g) if v is not None]
+                  for key, g in groups.items()}
+        neg, pos = values["negative"], values["positive"]
+        rows.append({"variable": var.name, "section": var.section,
+                     **{key: summary(v) if v else "NA" for key, v in values.items()},
+                     "p_value": _format_p(test(neg, pos) if neg and pos else None)})
 
     return {
         "format": "table-one/1",
-        "groups": {"total": len(cohort), "negative": len(neg), "positive": len(pos)},
+        "groups": {key: len(g) for key, g in groups.items()},
         "rows": rows,
     }

@@ -18,10 +18,12 @@ the word, and turns the 8 digits into an integer with three multiply-shift steps
 2**53, and 10**q is exact for q <= 7, so one IEEE division gives the correctly
 rounded value of the decimal, which is what float() returns (Clinger 1990).
 Every other row (exponents, padding, NaN, other decimals, longer cells, faults)
-is split on commas, and each cell, written in ASCII without ``_`` apart from the
-whitespace around it, is converted by float(); the first bad row raises. A body
-whose lines are all kernel rows ending in LF, as synth writes it, passes one
-check over its separators; its lines are told apart only when that check fails.
+is split on commas, and each cell is read by float() under the numeral rule
+that header values and cohort cells share: ASCII without ``_``, apart from the
+whitespace around it (plain_float). The first bad row raises. One check over the
+separators gives the lines of a body whose every 12th separator is LF and whose
+others are commas, as synth writes it; other bodies' lines are told apart one by
+one. The check only picks the lines: one kernel call then reads every body.
 
 Annotation file format: JSON document with an array ``beats``; each beat carries
 an integer ``baseline`` sample plus ``p``/``qrs``/``t`` objects with integer
@@ -203,6 +205,14 @@ class StandardEcgMeasures:
     rr_ms: float
 
 
+def plain_float(text: str) -> float:
+    """float(text) for text in ASCII without "_" apart from the whitespace around
+    it, else ValueError: float() alone also reads "_" between digits and non-ASCII digits."""
+    if "_" in text or not (text.isascii() or text.strip().isascii()):
+        raise ValueError(f"not a plain numeral: {text!r}")
+    return float(text)
+
+
 def _parse_header(line: str, path) -> tuple[float, float]:
     fields = {}
     for token in line.split():
@@ -212,7 +222,7 @@ def _parse_header(line: str, path) -> tuple[float, float]:
         if key in fields:
             raise BadHeader(f"{path}: repeated header key {key!r}")
         try:
-            fields[key] = float(value)
+            fields[key] = plain_float(value)
         except ValueError:
             raise BadHeader(f"{path}: non-numeric header value {token!r}") from None
     for key in ("sample_rate_hz", "gain_uv_per_unit"):
@@ -297,16 +307,12 @@ def _swar_cells(data: bytes, start: int, ends: np.ndarray, starts: np.ndarray):
 
 
 def _read_row(line: str, i: int, path) -> list[float]:
-    """The values of row i, a stripped line, by float(): 12 cells, each written
-    in ASCII without "_" apart from the whitespace around it."""
+    """The values of row i, a stripped line, by plain_float(): 12 cells."""
     cells = line.split(",")
     if len(cells) != len(LEAD_NAMES):
         raise LengthMismatch(f"{path}: row {i} has {len(cells)} columns, expected 12")
-    # float() also reads "_" between digits and non-ASCII digits
-    if "_" in line or not (line.isascii() or all(cell.strip().isascii() for cell in cells)):
-        raise SchemaError(f"{path}: non-numeric value", row=i)
     try:
-        return [*map(float, cells)]
+        return [*map(plain_float, cells)]
     except ValueError:
         raise SchemaError(f"{path}: non-numeric value", row=i) from None
 
@@ -319,15 +325,9 @@ def _read_body(data: bytes, start: int, path) -> np.ndarray:
     hi = sep[n - 1::n]
     # every 12th separator is LF and all the others are commas: every line
     # holds 12 cells and ends in LF, and all are rows for the kernel
-    if (sep.size and sep.size % n == 0 and sep[-1] == body.size - 1 and body.max() <= ord("9")
-            and (body[hi] == ord("\n")).all() and np.count_nonzero(body == ord(",")) == len(sep) - len(hi)):
-        starts = np.empty_like(sep)
-        starts[0] = 0
-        np.add(sep[:-1], 1, out=starts[1:])
-        cells, refused = _swar_cells(data, start, sep, starts)
-        if refused is None:
-            return cells
-        hi = np.flatnonzero(body == ord("\n"))  # the kernel spent sep
+    if (sep.size and sep.size % n == 0 and sep[-1] == body.size - 1 and (body[hi] == ord("\n")).all()
+            and np.count_nonzero(body == ord(",")) == len(sep) - len(hi)):
+        ends, hi = sep, hi.copy()  # the kernel spends sep
         lo = np.concatenate(([0], hi[:-1] + 1))
         read = np.ones(hi.size, bool)
     else:
@@ -346,19 +346,19 @@ def _read_body(data: bytes, start: int, path) -> np.ndarray:
         lo = np.concatenate(([0], hi[:-1] + 1))
         filled = hi > lo  # an empty line is no row
         lo, hi, read = lo[filled], hi[filled], read[filled]
-        cells, refused = np.empty((n, 0)), None
-        if ends.size:
-            starts = np.empty_like(ends)
-            np.add(ends[:-1], 1, out=starts[1:])
-            starts[::n] = lo[read]
-            cells, refused = _swar_cells(data, start, ends, starts)
+    cells, refused = np.empty((n, 0)), None
+    if ends.size:
+        starts = np.empty_like(ends)
+        np.add(ends[:-1], 1, out=starts[1:])
+        starts[::n] = lo[read]
+        cells, refused = _swar_cells(data, start, ends, starts)
     if refused is not None:
         read[np.flatnonzero(read)[refused]] = False
         cells = cells[:, ~refused]
     if read.all():
         return cells
 
-    # the other lines in order, by float(); a line blank once stripped is no row
+    # the other lines in order, by plain_float(); a line blank once stripped is no row
     blank, rows, values = [], [], array("d")
     for k in np.flatnonzero(~read).tolist():
         line = data[start + int(lo[k]):start + int(hi[k])].decode("utf-8").strip()

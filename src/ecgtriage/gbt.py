@@ -216,12 +216,10 @@ class Booster:
             return TreeNode(weight=weight)
 
         # No cut can leave m = min_child_hessian on both sides of a node with
-        # H < 2m: a cut passes the scan's mask only if hl >= m and
-        # fl(H - hl) >= m, and the subtraction rounds up by at most a factor
-        # 1 + 2**-53 (not at all when subnormal), so H >= (2 - 2**-53) * m.
-        # The 1e-12 slack covers that and the rounding of the product.
-        if (depth >= cfg.max_depth or len(idx) < 2 or len(order) == 0
-                or H * (1 + 1e-12) < 2 * cfg.min_child_hessian):
+        # H < 2m: such a cut has hl >= m > H/2 and fl(H - hl) >= m > 0, so
+        # H/2 < hl < H, H - hl is exact (Sterbenz) and H >= 2m. A node with one
+        # row or no feature has no candidate cut: the scan returns the same leaf.
+        if depth >= cfg.max_depth or H < 2 * cfg.min_child_hessian:
             return leaf()
 
         values = self._XT.take(order + self._offsets)

@@ -26,7 +26,8 @@ from ecgtriage.cohort import (
     summarize_table_one,
     welch_t,
 )
-from ecgtriage.cohort import _t_two_sided
+from ecgtriage import cohort as cohort_module
+from ecgtriage.cohort import _format_p, _t_two_sided
 from ecgtriage.ecg_ingest import StandardEcgMeasures
 from ecgtriage.errors import (
     DegenerateTable,
@@ -92,6 +93,18 @@ class TestLoadCohort:
             load_cohort(tmp_path / "c.csv")
         assert str(info.value) == "boolean cell must be 0 or 1 (row 1, column prev_mi)"
         assert (info.value.row, info.value.column) == (1, "prev_mi")
+
+    # float() alone reads both as 57.0; a trace body refuses them too
+    @pytest.mark.parametrize("age", ["5_7", "٥٧"])
+    def test_numeral_float_alone_reads_is_refused(self, tmp_path, age):
+        self.write_one_row(tmp_path / "c.csv", age_years=age)
+        with pytest.raises(SchemaError) as info:
+            load_cohort(tmp_path / "c.csv")
+        assert str(info.value) == "non-numeric cell (row 1, column age_years)"
+
+    def test_padded_numeral_loads(self, tmp_path):
+        self.write_one_row(tmp_path / "c.csv", age_years=" 57 ")
+        assert load_cohort(tmp_path / "c.csv")[0].age_years == 57.0
 
     def test_bad_sex_names_row(self, tmp_path):
         self.write_one_row(tmp_path / "c.csv", sex="X")
@@ -441,3 +454,40 @@ class TestTableOne:
         base = summarize_table_one(self.build_toy())
         base_rows = {r["variable"]: r for r in base["rows"]}
         assert rows["QT interval, ms"] == base_rows["QT interval, ms"]
+
+    def test_categorical_with_large_cells_uses_chi_square(self):
+        # sex F in 12 of 20 negatives and 6 of 20 positives: every expected cell is at least 5
+        cohort = [make_patient(f"n{i}", sex="F" if i < 12 else "M") for i in range(20)]
+        cohort += [make_patient(f"q{i}", "positive", sex="F" if i < 6 else "M") for i in range(20)]
+        rows = {r["variable"]: r for r in summarize_table_one(cohort)["rows"]}
+        table = [[12, 8], [6, 14]]
+        assert rows["Sex = F"]["p_value"] == _format_p(chi_square_2x2(table)[1])
+        assert _format_p(chi_square_2x2(table)[1]) != _format_p(fisher_exact_2x2(table))
+
+    def test_qtc_uses_welch(self):
+        rows = {r["variable"]: r for r in summarize_table_one(self.build_toy())["rows"]}
+        p = welch_t([400.0, 401.0, 402.0, 403.0], [404.0, 405.0])[1]
+        assert rows["Corrected QTi, ms"]["p_value"] == _format_p(p)
+
+    def test_qtc_with_one_positive_value_gives_na(self):
+        cohort = self.build_toy()
+        cohort[5] = make_patient("p5", "positive", with_features=False)
+        rows = {r["variable"]: r for r in summarize_table_one(cohort)["rows"]}
+        assert rows["Corrected QTi, ms"]["positive"] == "404.0 (0.0)"
+        assert rows["Corrected QTi, ms"]["p_value"] == "NA"
+        assert rows["QT interval, ms"]["p_value"] != "NA"
+
+    def test_rank_sum_rows_call_the_module_test(self, monkeypatch):
+        calls = []
+
+        def fake(a, b):
+            calls.append((list(a), list(b)))
+            return cohort_module.MannWhitneyResult(0.0, 0.5)
+
+        monkeypatch.setattr(cohort_module, "mann_whitney", fake)
+        doc = summarize_table_one(self.build_toy())
+        rank_sum = [v.name for v in cohort_module.TABLE_ONE_VARIABLES if v.kind == "median_iqr"]
+        assert len(calls) == len(rank_sum) == 16
+        assert calls[0] == ([50.0, 60.0, 70.0, 80.0], [55.0, 65.0])  # age
+        rows = {r["variable"]: r for r in doc["rows"]}
+        assert all(rows[name]["p_value"] == "0.500" for name in rank_sum)

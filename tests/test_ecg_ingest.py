@@ -160,6 +160,14 @@ class TestParseEcg:
         with pytest.raises(BadHeader):
             parse_ecg(tmp_path / "a.csv")
 
+    # float() alone reads both as 240; a trace body refuses them too
+    @pytest.mark.parametrize("rate", ["2_40", "٢٤٠"])
+    def test_header_numeral_float_alone_reads_is_refused(self, tmp_path, rate):
+        header = f"sample_rate_hz={rate} gain_uv_per_unit=1"
+        (tmp_path / "a.csv").write_text(header + "\n" + ",".join(["0"] * 12) + "\n", encoding="utf-8")
+        with pytest.raises(BadHeader, match="non-numeric header value"):
+            parse_ecg(tmp_path / "a.csv")
+
     # a repeated key has no single value; a gain <= 0 zeroes or flips every lead
     @pytest.mark.parametrize("header", ["sample_rate_hz=240 gain_uv_per_unit=1 sample_rate_hz=480",
                                         "sample_rate_hz=240 gain_uv_per_unit=1 gain_uv_per_unit=1",
