@@ -324,12 +324,13 @@ def _read_body(data: bytes, start: int, path) -> np.ndarray:
     sep = np.flatnonzero(body < ord("-"))  # "," and line ends, and every other byte below "-"
     hi = sep[n - 1::n]
     # every 12th separator is LF and all the others are commas: every line
-    # holds 12 cells and ends in LF, and all are rows for the kernel
-    if (sep.size and sep.size % n == 0 and sep[-1] == body.size - 1 and (body[hi] == ord("\n")).all()
-            and np.count_nonzero(body == ord(",")) == len(sep) - len(hi)):
+    # holds 12 cells and ends in LF, and all are rows for the kernel, each one
+    # starting after the LF of the one before
+    clean = bool(sep.size and sep.size % n == 0 and sep[-1] == body.size - 1
+                 and (body[hi] == ord("\n")).all()
+                 and np.count_nonzero(body == ord(",")) == len(sep) - len(hi))
+    if clean:
         ends, hi = sep, hi.copy()  # the kernel spends sep
-        lo = np.concatenate(([0], hi[:-1] + 1))
-        read = np.ones(hi.size, bool)
     else:
         # a line ends at LF or CR, or at the end of the body; it is a row for
         # the kernel when it holds 11 commas, no other byte below "-", and its end
@@ -350,13 +351,19 @@ def _read_body(data: bytes, start: int, path) -> np.ndarray:
     if ends.size:
         starts = np.empty_like(ends)
         np.add(ends[:-1], 1, out=starts[1:])
-        starts[::n] = lo[read]
+        if clean:
+            starts[0] = 0
+        else:
+            starts[::n] = lo[read]
         cells, refused = _swar_cells(data, start, ends, starts)
+    if refused is None and (clean or read.all()):
+        return cells
+    if clean:
+        lo = np.concatenate(([0], hi[:-1] + 1))
+        read = np.ones(hi.size, bool)
     if refused is not None:
         read[np.flatnonzero(read)[refused]] = False
         cells = cells[:, ~refused]
-    if read.all():
-        return cells
 
     # the other lines in order, by plain_float(); a line blank once stripped is no row
     blank, rows, values = [], [], array("d")

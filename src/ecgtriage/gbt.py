@@ -16,9 +16,13 @@ every tree starts from that order, the column block of exact greedy XGBoost
 (Chen & Guestrin 2016, section 4.1). A split hands each child its rows' order by
 a stable partition of the parent's, which is the order a stable sort of the
 child's rows would give. A node then scores all columns in one pass: cumulative
-sums of g and h along each column's order. Tied gains resolve to the lowest
-feature index and then the lowest threshold, so repeated fits come out
-identical.
+sums of g and h along each column's order. Each round pairs them as one complex
+array g + i h, so a node gathers and sums once; complex addition adds the real
+parts and the imaginary parts separately, in the same left-to-right order, so
+GL and HL come out bit for bit as two real sums would give them. The hessian
+tests and the gains are evaluated at value boundaries only. Tied gains resolve
+to the lowest feature index and then the lowest threshold, so repeated fits
+come out identical.
 """
 
 from __future__ import annotations
@@ -205,60 +209,71 @@ class Booster:
 
     def _grow(self, idx, order, g, h, depth, leaf_values) -> TreeNode:
         """Grow the subtree of the rows idx (ascending); order is (F, len(idx)),
-        each column's rows in (value, row index) order, or None at max_depth."""
+        each column's rows in (value, row index) order."""
         cfg = self.config
-        G = float(g[idx].sum())
-        H = float(h[idx].sum())
+        XT, F = self._XT, len(self._XT)
+        gh = np.empty(len(g), complex)  # g + i h, set part by part: each keeps its bits
+        gh.real, gh.imag = g, h
+        root = TreeNode()
+        # nodes still to grow, with their rows and depth; keep, unless None,
+        # selects a node's cells of its parent's (F, n) column orders and sorted
+        # values: a stable partition keeps each column's (value, row index) order
+        stack = [(root, idx, depth, order, XT.take(order + self._offsets), None)]
+        while stack:
+            node, rows, depth, order, values, keep = stack.pop()
+            G, H = float(g.take(rows).sum()), float(h.take(rows).sum())
+            split = None
+            # No cut can leave m = min_child_hessian on both sides of a node with
+            # H < 2m: such a cut has hl >= m > H/2 and fl(H - hl) >= m > 0, so
+            # H/2 < hl < H, H - hl is exact (Sterbenz) and H >= 2m. A node with
+            # one row or no feature has no cut either: the scan returns the same leaf.
+            if depth < cfg.max_depth and H >= 2 * cfg.min_child_hessian:
+                if keep is not None:
+                    order = order.compress(keep).reshape(F, -1)
+                    values = values.compress(keep).reshape(F, -1)
+                split = _best_split(values, gh.take(order), G, H, cfg)
+            if split is None:
+                node.weight = 0.0 if H + cfg.l2_reg == 0 else -G / (H + cfg.l2_reg)
+                leaf_values[rows] = node.weight
+                continue
+            node.gain, node.feature, node.threshold = split
+            node.left, node.right = TreeNode(), TreeNode()
+            goes = XT[node.feature] < node.threshold
+            goes_left, keep = goes.take(rows), goes.take(order).ravel()
+            stack.append((node.right, rows.compress(~goes_left), depth + 1, order, values, ~keep))
+            stack.append((node.left, rows.compress(goes_left), depth + 1, order, values, keep))
+        return root
 
-        def leaf() -> TreeNode:
-            weight = 0.0 if H + cfg.l2_reg == 0 else -G / (H + cfg.l2_reg)
-            leaf_values[idx] = weight
-            return TreeNode(weight=weight)
 
-        # No cut can leave m = min_child_hessian on both sides of a node with
-        # H < 2m: such a cut has hl >= m > H/2 and fl(H - hl) >= m > 0, so
-        # H/2 < hl < H, H - hl is exact (Sterbenz) and H >= 2m. A node with one
-        # row or no feature has no candidate cut: the scan returns the same leaf.
-        if depth >= cfg.max_depth or H < 2 * cfg.min_child_hessian:
-            return leaf()
+def _best_split(values, gh, G, H, cfg: TrainConfig):
+    """The first best split of a node as (gain, feature, threshold), or None.
 
-        values = self._XT.take(order + self._offsets)
-        gl = np.add.accumulate(g.take(order), axis=1)[:, :-1]
-        hl = np.add.accumulate(h.take(order), axis=1)[:, :-1]
-        hr = H - hl
-        # candidate cuts, in feature-major order: value boundaries with at least
-        # min_child_hessian on both sides
-        cuts = np.flatnonzero((values[:, :-1] < values[:, 1:]) & (hl >= cfg.min_child_hessian)
-                              & (hr >= cfg.min_child_hessian))
-        if cuts.size == 0:
-            return leaf()
-        gl, hl, hr = gl.take(cuts), hl.take(cuts), hr.take(cuts)
-        gains = 0.5 * (gl ** 2 / (hl + cfg.l2_reg) + (G - gl) ** 2 / (hr + cfg.l2_reg)
-                       - G * G / (H + cfg.l2_reg)) - cfg.gamma
-        # the first best cut: lowest feature first, then lowest threshold
+    values holds the node's sorted column values, (F, n), and gh its (g, h)
+    pairs in the same order. Cuts lie at value boundaries and leave at least
+    min_child_hessian on both sides; of equal gains the lowest feature wins,
+    then the lowest threshold."""
+    n = values.shape[1]
+    flat = values.ravel()
+    edge = flat[:-1] < flat[1:]
+    edge[n - 1::n] = False  # no boundary from one column's last row to the next's first
+    bounds = edge.nonzero()[0]
+    if bounds.size == 0:
+        return None
+    left = gh.cumsum(axis=1).take(bounds)
+    gl, hl = left.real, left.imag
+    hr = H - hl
+    lam = cfg.l2_reg
+    gains = 0.5 * (gl ** 2 / (hl + lam) + (G - gl) ** 2 / (hr + lam) - G * G / (H + lam)) - cfg.gamma
+    gains = np.where(np.minimum(hl, hr) >= cfg.min_child_hessian, gains, -np.inf)
+    best = gains.argmax()
+    if not math.isfinite(gains[best]):  # some gain is NaN or +inf: no such cut is taken
         gains[~np.isfinite(gains)] = -np.inf
-        best = int(np.argmax(gains))
-        gain = float(gains[best])
-        if gain <= 0.0:
-            return leaf()
-        feature, k = divmod(int(cuts[best]), values.shape[1] - 1)
-
-        threshold = float((values[feature, k] + values[feature, k + 1]) / 2.0)
-        left = self._XT[feature] < threshold
-        goes_left = left[idx]
-        left_order = right_order = None
-        if depth + 1 < cfg.max_depth:
-            # a stable partition keeps each column's (value, row index) order
-            flat, mask = order.ravel(), left.take(order).ravel()
-            left_order = flat.compress(mask).reshape(len(order), -1)
-            right_order = flat.compress(~mask).reshape(len(order), -1)
-        return TreeNode(
-            feature=feature,
-            threshold=threshold,
-            gain=gain,
-            left=self._grow(idx[goes_left], left_order, g, h, depth + 1, leaf_values),
-            right=self._grow(idx[~goes_left], right_order, g, h, depth + 1, leaf_values),
-        )
+        best = gains.argmax()
+    gain = float(gains[best])
+    if gain <= 0.0:
+        return None
+    cut = int(bounds[best])
+    return gain, cut // n, (flat.item(cut) + flat.item(cut + 1)) / 2.0
 
 
 def fit(X, y, config: TrainConfig, feature_names=None) -> Ensemble:

@@ -166,18 +166,24 @@ def roc_auc(labels, scores):
     return points, auc
 
 
+def _precision_recall(y, s, pos):
+    """Recall and precision at each distinct score, highest first, and the
+    average precision: their stepwise sum over pos positives."""
+    _, tp, fp = _tie_grouped_counts(y, s)
+    recall = tp / pos
+    precision = tp / (tp + fp)
+    # sequential accumulation keeps the sum order-deterministic, so the value
+    # is bit-identical to a stepwise reference evaluation
+    return recall, precision, float(np.add.accumulate(np.diff(recall, prepend=0.0) * precision)[-1])
+
+
 def pr_aucpr(labels, scores):
     """Precision-recall points and average precision (stepwise sum)."""
     y, s = _check_binary(labels, scores)
     pos = int(y.sum())
     if pos == 0:
         raise NoPositives("precision-recall needs at least one positive")
-    _, tp, fp = _tie_grouped_counts(y, s)
-    recall = tp / pos
-    precision = tp / (tp + fp)
-    # sequential accumulation keeps the sum order-deterministic, so the value
-    # is bit-identical to a stepwise reference evaluation
-    aucpr = float(np.add.accumulate(np.diff(recall, prepend=0.0) * precision)[-1])
+    recall, precision, aucpr = _precision_recall(y, s, pos)
     points = [(0.0, 1.0)] + [(float(r), float(p)) for r, p in zip(recall, precision)]
     return points, aucpr
 
@@ -290,21 +296,23 @@ def cv_tune(X, y, config: ExperimentConfig) -> CvResult:
     rebalanced = []
     for f, val_rows in enumerate(folds):
         train_rows = np.setdiff1d(all_rows, val_rows)
-        pick = rebalance(y[train_rows], np.random.SeedSequence((config.master_seed, STREAM_CV, f + 1)))
-        rebalanced.append((train_rows[pick], val_rows))
+        seed = np.random.SeedSequence((config.master_seed, STREAM_CV, f + 1))
+        pick = train_rows[rebalance(y[train_rows], seed)]
+        # every fold holds at least one positive (k <= positives)
+        rebalanced.append((X[pick], y[pick], X[val_rows], y[val_rows], int(y[val_rows].sum())))
 
     entries = []
     for eta in sorted(set(config.eta_grid)):
         tc = config.train_config(eta, config.max_rounds)
         fold_aucprs, fold_rounds = [], []
-        for train_rows, val_rows in rebalanced:
-            booster = Booster(X[train_rows], y[train_rows], tc)
-            margins_val = np.full(len(val_rows), booster.ensemble.base_score)
+        for X_train, y_train, X_val, y_val, pos in rebalanced:
+            booster = Booster(X_train, y_train, tc)
+            margins_val = np.full(len(y_val), booster.ensemble.base_score)
             best_aucpr, best_round = -math.inf, 0
             for r in range(1, config.max_rounds + 1):
                 tree = booster.step()
-                margins_val += eta * tree.predict(X[val_rows])
-                _, aucpr = pr_aucpr(y[val_rows], margins_val)
+                margins_val += eta * tree.predict(X_val)
+                aucpr = _precision_recall(y_val, margins_val, pos)[2]
                 if aucpr > best_aucpr:
                     best_aucpr, best_round = aucpr, r
                 elif r - best_round >= config.patience:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ecgtriage.errors import EmptyMatrix, SingleClass, WidthMismatch
@@ -225,6 +225,70 @@ class TestSplitSearch:
             reference = PerFeatureScanBooster(X, y, cfg)
             expected = reference._grow(np.arange(n), None, g, h, 0, np.empty(n))
         assert repr(root) == repr(expected)
+
+    def test_non_finite_gains_are_never_taken(self):
+        # l2_reg = min_child_hessian = 0 with exact-zero hessians: the first cut
+        # scores 0/0 = NaN and the second gl^2/0 = +inf, both ahead of the best
+        # finite cut; in the second node G^2 overflows and the one cut scores -inf
+        cfg = config(max_depth=1, min_child_hessian=0.0, l2_reg=0.0)
+        nodes = [(np.array([0.0, 1.0, -1.0, -1.0, 1.0, 1.0]), np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])),
+                 (np.array([1e154, 1e154]), np.array([2.0, 2.0]))]
+        scores = [math.nan, math.inf, 1 / 24, 1.125, 0.375], [-math.inf]
+        for (g, h), scored, split in zip(nodes, scores, [(0, 3.5), (None, None)]):
+            n = len(g)
+            X, y = np.arange(float(n))[:, None], np.arange(n) % 2
+            gl, hl = np.add.accumulate(g)[:-1], np.add.accumulate(h)[:-1]
+            G, H = g.sum(), h.sum()
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                gains = 0.5 * (gl ** 2 / hl + (G - gl) ** 2 / (H - hl) - G * G / H)
+                booster = Booster(X, y, cfg)
+                root = booster._grow(np.arange(n), booster._order, g, h, 0, np.empty(n))
+                expected = PerFeatureScanBooster(X, y, cfg)._grow(np.arange(n), None, g, h, 0, np.empty(n))
+            np.testing.assert_allclose(gains, scored, rtol=1e-12)
+            assert repr(root) == repr(expected)
+            assert (root.feature, root.threshold) == split
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 24), width=st.integers(1, 3), max_depth=st.integers(1, 3))
+    def test_non_finite_gains_equal_per_feature_scan(self, data, n, width, max_depth):
+        # exact-zero hessians without l2_reg make NaN and +inf gains, and
+        # gradients near 1e154 overflow into -inf, NaN and +inf ones
+        X = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * width, max_size=n * width)),
+                     dtype=float).reshape(n, width)
+        g = np.array(data.draw(st.lists(st.sampled_from([-1e154, -1.0, -0.0, 0.0, 0.5, 1.0, 1e154]),
+                                        min_size=n, max_size=n)))
+        h = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0, 2.0]), min_size=n, max_size=n)))
+        # the reference divides G^2 by H in Python floats, which raises at H = 0;
+        # a split never leaves a child with H = 0 here (its gain is not finite)
+        assume(h.sum() > 0)
+        y = np.arange(n) % 2
+        cfg = config(max_depth=max_depth, min_child_hessian=0.0, l2_reg=0.0)
+        leaves, expected_leaves = np.empty(n), np.empty(n)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            booster = Booster(X, y, cfg)
+            root = booster._grow(np.arange(n), booster._order, g, h, 0, leaves)
+            reference = PerFeatureScanBooster(X, y, cfg)
+            expected = reference._grow(np.arange(n), None, g, h, 0, expected_leaves)
+        assert repr(root) == repr(expected)
+        assert leaves.tobytes() == expected_leaves.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 4), n=st.integers(1, 40))
+    def test_complex_prefix_sums_are_the_real_ones(self, data, width, n):
+        # the (g, h) pairing of the split search, set part by part, against two
+        # real prefix sums along each column's order: bit for bit, signed zeros,
+        # subnormals and magnitudes near 1e300 included
+        cells = st.one_of(st.floats(-1e300, 1e300),
+                          st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                           1e300, -1e300]))
+        g = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)))
+        h = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)))
+        order = np.array([data.draw(st.permutations(range(n))) for _ in range(width)])
+        gh = np.empty(n, complex)
+        gh.real, gh.imag = g, h
+        paired = gh.take(order).cumsum(axis=1)
+        assert paired.real.tobytes() == np.add.accumulate(g.take(order), axis=1).tobytes()
+        assert paired.imag.tobytes() == np.add.accumulate(h.take(order), axis=1).tobytes()
 
     def test_identical_columns_split_on_lower_index(self):
         v = np.array([-2.0, -1.0, 1.0, 2.0])
