@@ -252,6 +252,8 @@ def _best_split(values, gh, G, H, cfg: TrainConfig):
     pairs in the same order. Cuts lie at value boundaries and leave at least
     min_child_hessian on both sides; of equal gains the lowest feature wins,
     then the lowest threshold."""
+    if H + cfg.l2_reg == 0:  # every gain holds G*G/0, so none is finite
+        return None
     n = values.shape[1]
     flat = values.ravel()
     edge = flat[:-1] < flat[1:]

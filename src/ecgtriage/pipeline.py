@@ -9,7 +9,6 @@ isolation.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -70,6 +69,8 @@ class ExperimentConfig:
                            l2_reg=self.l2_reg, gamma=self.gamma)
 
     def hash(self) -> str:
+        import hashlib  # loads OpenSSL (about 3.5 MB resident); only train-eval hashes
+
         text = json.dumps(
             {k: list(v) if isinstance(v, tuple) else v for k, v in sorted(vars(self).items())},
             sort_keys=True,

@@ -349,7 +349,8 @@ class PerFeatureScanBooster(Booster):
             leaf_values[idx] = weight
             return TreeNode(weight=weight)
 
-        if depth >= cfg.max_depth or len(idx) < 2:
+        # at H + l2_reg = 0 every gain holds G*G/0, so none is finite
+        if depth >= cfg.max_depth or len(idx) < 2 or H + cfg.l2_reg == 0:
             return leaf()
 
         best_gain, best_feature, best_threshold = -math.inf, -1, math.nan

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecgtriage.errors import EmptyMatrix, SingleClass, WidthMismatch
@@ -248,6 +248,18 @@ class TestSplitSearch:
             assert repr(root) == repr(expected)
             assert (root.feature, root.threshold) == split
 
+    def test_zero_hessian_node_is_a_zero_leaf(self):
+        # H + l2_reg = 0: the parent term G*G/(H + l2_reg) must not divide by zero
+        cfg = config(max_depth=2, min_child_hessian=0.0, l2_reg=0.0)
+        X, y, g, h = np.array([[0.0], [1.0]]), np.array([0, 1]), np.zeros(2), np.zeros(2)
+        leaves = np.full(2, np.nan)
+        booster = Booster(X, y, cfg)
+        root = booster._grow(np.arange(2), booster._order, g, h, 0, leaves)
+        expected = PerFeatureScanBooster(X, y, cfg)._grow(np.arange(2), None, g, h, 0, np.empty(2))
+        assert root.is_leaf and root.weight == 0.0
+        assert repr(root) == repr(expected)
+        assert leaves.tolist() == [0.0, 0.0]
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), n=st.integers(2, 24), width=st.integers(1, 3), max_depth=st.integers(1, 3))
     def test_non_finite_gains_equal_per_feature_scan(self, data, n, width, max_depth):
@@ -258,9 +270,6 @@ class TestSplitSearch:
         g = np.array(data.draw(st.lists(st.sampled_from([-1e154, -1.0, -0.0, 0.0, 0.5, 1.0, 1e154]),
                                         min_size=n, max_size=n)))
         h = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0, 2.0]), min_size=n, max_size=n)))
-        # the reference divides G^2 by H in Python floats, which raises at H = 0;
-        # a split never leaves a child with H = 0 here (its gain is not finite)
-        assume(h.sum() > 0)
         y = np.arange(n) % 2
         cfg = config(max_depth=max_depth, min_child_hessian=0.0, l2_reg=0.0)
         leaves, expected_leaves = np.empty(n), np.empty(n)

@@ -36,6 +36,7 @@ def read_rows(path):
 class TestSynthGenerator:
     def test_synthesis_matrix_is_right_inverse(self):
         np.testing.assert_allclose(KORS_MATRIX @ SYNTH_MATRIX, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(SYNTH_MATRIX, np.linalg.pinv(KORS_MATRIX), rtol=0, atol=1e-15)
 
     def test_class_counts_deterministic_rounding(self, tmp_path):
         assert round_half_up(300 * 0.186) == 56
@@ -800,3 +801,18 @@ class TestRuntimeDependencies:
             cwd=tmp_path)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_extract_loads_no_openssl(self, tmp_path):
+        # synth runs here: np.random loads _hashlib through secrets
+        generate(SynthConfig(n_patients=10, seed=4), tmp_path / "d")
+        cfg = write_cfg(tmp_path / "c.cfg", ecg_dir=tmp_path / "d" / "ecg",
+                        fiducial_dir=tmp_path / "d" / "fiducials",
+                        cohort_table=tmp_path / "d" / "cohort.csv")
+        done = self.run_python(
+            "-c", "import sys; from ecgtriage import cli; "
+                  "print(cli.main(['extract', '--config', sys.argv[1], '--out', sys.argv[2]]), "
+                  "'_hashlib' in sys.modules)",
+            cfg, str(tmp_path / "o"), cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "False"]
+        assert len(read_rows(tmp_path / "o" / "features.csv")) == 10
