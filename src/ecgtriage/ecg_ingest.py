@@ -21,10 +21,9 @@ Every other row (exponents, padding, NaN, other decimals, longer cells, faults)
 is split on commas, and each cell is read by float() under the numeral rule
 that header values and cohort cells share: ASCII without ``_``, apart from the
 whitespace around it (plain_float). The first bad row raises. One check over the
-separators gives the lines of a body whose every line holds 11 commas and no
-other separator and ends in LF, as synth writes it, or every line in CRLF;
-other bodies' lines are told apart one by one. The check only picks the lines:
-one kernel call then reads every body.
+separators gives the lines of a body whose every 12th separator is LF and whose
+others are commas, as synth writes it; other bodies' lines are told apart one by
+one. The check only picks the lines: one kernel call then reads every body.
 
 Annotation file format: JSON document with an array ``beats``; each beat carries
 an integer ``baseline`` sample plus ``p``/``qrs``/``t`` objects with integer
@@ -68,8 +67,7 @@ _TOP_BYTES = np.array([2**64 - 2 ** (64 - 8 * k) for k in range(9)], np.uint64)
 # high bit is already set carries into the next one
 _OVER_9 = np.uint64(0x7676767676767676)
 _HIGH_BITS = np.uint64(0x8080808080808080)
-# CRLF is one line end, so a CRLF body starts at its first row
-_LINE_END = re.compile(rb"\r\n?|\n")
+_LINE_END = re.compile(rb"[\n\r]")
 
 
 def round_half_up(x: float) -> int:
@@ -324,17 +322,15 @@ def _read_body(data: bytes, start: int, path) -> np.ndarray:
     n = len(LEAD_NAMES)
     body = np.frombuffer(data, np.uint8, offset=start)
     sep = np.flatnonzero(body < ord("-"))  # "," and line ends, and every other byte below "-"
-    cr = int(data.endswith(b"\r\n", start))  # separators per line: 11 commas, CR if CRLF, LF
-    hi = sep[n + cr - 1::n + cr]
-    # every line holds 11 commas and ends in LF, or in CRLF when the body does,
-    # and no other separator: all lines are rows for the kernel, each one
-    # starting after the LF of the one before, and a row's last cell ends at CR or LF
-    clean = bool(sep.size and sep.size % (n + cr) == 0 and sep[-1] == body.size - 1
-                 and (body[hi] == ord("\n")).all() and (not cr or (body[hi - 1] == ord("\r")).all())
-                 and np.count_nonzero(body == ord(",")) == len(sep) - (1 + cr) * len(hi))
+    hi = sep[n - 1::n]
+    # every 12th separator is LF and all the others are commas: every line
+    # holds 12 cells and ends in LF, and all are rows for the kernel, each one
+    # starting after the LF of the one before
+    clean = bool(sep.size and sep.size % n == 0 and sep[-1] == body.size - 1
+                 and (body[hi] == ord("\n")).all()
+                 and np.count_nonzero(body == ord(",")) == len(sep) - len(hi))
     if clean:
-        # a CRLF line's LF ends no cell; the kernel spends ends
-        ends, hi = sep.reshape(-1, n + cr)[:, :n].ravel(), hi.copy()
+        ends, hi = sep, hi.copy()  # the kernel spends sep
     else:
         # a line ends at LF or CR, or at the end of the body; it is a row for
         # the kernel when it holds 11 commas, no other byte below "-", and its end
@@ -357,7 +353,6 @@ def _read_body(data: bytes, start: int, path) -> np.ndarray:
         np.add(ends[:-1], 1, out=starts[1:])
         if clean:
             starts[0] = 0
-            starts[n::n] += cr  # past the LF after a CR
         else:
             starts[::n] = lo[read]
         cells, refused = _swar_cells(data, start, ends, starts)

@@ -227,7 +227,8 @@ class Booster:
             # H < 2m: such a cut has hl >= m > H/2 and fl(H - hl) >= m > 0, so
             # H/2 < hl < H, H - hl is exact (Sterbenz) and H >= 2m. A node with
             # one row or no feature has no cut either: the scan returns the same leaf.
-            if depth < cfg.max_depth and H >= 2 * cfg.min_child_hessian:
+            # At H + l2_reg = 0 every gain holds G*G/0, so none is finite: a leaf.
+            if depth < cfg.max_depth and H >= 2 * cfg.min_child_hessian and H + cfg.l2_reg > 0:
                 if keep is not None:
                     order = order.compress(keep).reshape(F, -1)
                     values = values.compress(keep).reshape(F, -1)
@@ -252,8 +253,6 @@ def _best_split(values, gh, G, H, cfg: TrainConfig):
     pairs in the same order. Cuts lie at value boundaries and leave at least
     min_child_hessian on both sides; of equal gains the lowest feature wins,
     then the lowest threshold."""
-    if H + cfg.l2_reg == 0:  # every gain holds G*G/0, so none is finite
-        return None
     n = values.shape[1]
     flat = values.ravel()
     edge = flat[:-1] < flat[1:]

@@ -31,22 +31,18 @@ import numpy as np
 from .cohort import BOOL_COLUMNS, PatientRecord, save_cohort
 from .ecg_ingest import LEAD_NAMES, MIN_SAMPLING_RATE_HZ, round_half_up
 from .errors import ConfigError
+from .vcg import KORS_MATRIX
 
 # cells at or above this magnitude (uV) are past the exact integer digit arithmetic
 _FAST_CELL_LIMIT = 2.0 ** 31 / 1000.0
 
-# fixed 8x3 synthesis matrix, the right-inverse of the lead-reduction matrix:
-# np.linalg.pinv(KORS_MATRIX) written out with repr, so no command runs an SVD
-SYNTH_MATRIX = np.array([
-    [0.9534346383022371, -0.11486015419150897, -0.3457574365527086],
-    [-0.04552242745177949, 0.9889082700481037, -0.06830960306448802],
-    [0.3991134982105206, -0.20067159658430558, -1.3442959599455995],
-    [0.2681743752683737, -0.08218466588828684, -0.33586189110961373],
-    [0.2468347550275532, -0.15949305500540673, -0.5486092574265125],
-    [0.777603385558622, -0.1116712535397858, -0.9778686076245175],
-    [0.4349405223324324, -0.3043521220609446, -0.6528765863554699],
-    [1.0009106402955499, 0.22813432500697772, 0.25783126131956186],
-])
+
+def synth_matrix() -> np.ndarray:
+    """The fixed 8x3 synthesis matrix: right-inverse of the lead-reduction matrix.
+
+    Taken when synth runs rather than at import, so no other command runs an SVD."""
+    return np.linalg.pinv(KORS_MATRIX)
+
 
 # beat timing: first R peak, longest RR interval, and the room kept after the last R
 _LEAD_IN_MS, _MAX_RR_MS, _TAIL_MS = 400.0, 1200.0, 520.0
@@ -253,6 +249,7 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
     fs = cfg.sampling_rate_hz
     fs_text = f"{fs:g}" if float(f"{fs:g}") == fs else repr(fs)  # parses back to exactly fs
     n_samples = round(cfg.duration_s * fs)
+    lead_matrix = synth_matrix()
     records, truth_rows = [], []
 
     for i in range(cfg.n_patients):
@@ -275,7 +272,7 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
         for center in centers:
             v += vcg_waveform(shape, t_axis_ms - t_axis_ms[center])
 
-        leads8 = SYNTH_MATRIX @ v  # rows in KORS_INPUT_LEADS order: I, II, V1..V6
+        leads8 = lead_matrix @ v  # rows in KORS_INPUT_LEADS order: I, II, V1..V6
         I, II = leads8[:2]
         traces = np.vstack([I, II, II - I, -(I + II) / 2.0, I - II / 2.0, II - I / 2.0, leads8[2:]])
         if cfg.noise_sd_mv > 0:

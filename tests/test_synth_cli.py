@@ -22,7 +22,7 @@ from ecgtriage.cohort import COHORT_COLUMNS, GEH_COLUMNS, load_cohort
 from ecgtriage.ecg_ingest import parse_ecg, parse_fiducials, round_half_up
 from ecgtriage.errors import ConfigError, SchemaError
 from ecgtriage.pipeline import ExperimentConfig
-from ecgtriage.synth import MIN_DURATION_S, SYNTH_MATRIX, SynthConfig, generate
+from ecgtriage.synth import MIN_DURATION_S, SynthConfig, generate, synth_matrix
 from ecgtriage.vcg import KORS_MATRIX
 
 from oracles import dense_grid_geh, gaussian_loop_vcg, savetxt_text
@@ -35,8 +35,7 @@ def read_rows(path):
 
 class TestSynthGenerator:
     def test_synthesis_matrix_is_right_inverse(self):
-        np.testing.assert_allclose(KORS_MATRIX @ SYNTH_MATRIX, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(SYNTH_MATRIX, np.linalg.pinv(KORS_MATRIX), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(KORS_MATRIX @ synth_matrix(), np.eye(3), atol=1e-12)
 
     def test_class_counts_deterministic_rounding(self, tmp_path):
         assert round_half_up(300 * 0.186) == 56
@@ -573,7 +572,7 @@ class TestExtractCommand:
         v = np.zeros((3, n))
         for c in centers:
             v += gaussian_loop_vcg(t_axis - c * dt, bumps)
-        leads8 = SYNTH_MATRIX @ v
+        leads8 = synth_matrix() @ v
         traces = np.vstack([
             leads8[0], leads8[1], leads8[1] - leads8[0],
             -(leads8[0] + leads8[1]) / 2, leads8[0] - leads8[1] / 2,
