@@ -16,13 +16,15 @@ which is master_seed (n_patients, positive_fraction, sampling_rate_hz,
 duration_s, noise_sd_mv, qrst_angle_shift_deg, svg_scale, risk_effect). A
 value takes its field's annotated type: int, float, str or Path from the text,
 bool from 1/true/yes or 0/false/no, a tuple from a comma-separated list. Each
-config class validates its own values.
+config class validates its own values. An int or float value follows the
+numeral rule of trace files and cohort tables (ecg_ingest.plain_float): ASCII
+only, no "_" between digits. A key given twice in the file is refused.
 
-Exit codes: 0 success; 2 configuration error (unknown key, bad value,
-unreadable config file, missing input path, output directory that cannot be
-created, output file that cannot be written); 3 data error (malformed input);
-4 degenerate statistics (e.g. a single outcome class). extract logs a patient
-whose files fail as failed or degenerate and goes on with the next one.
+Exit codes: 0 success; 2 configuration error (unknown or repeated key, bad
+value, unreadable config file, missing input path, output directory that cannot
+be created, output file that cannot be written); 3 data error (malformed
+input); 4 degenerate statistics (e.g. a single outcome class). extract logs a
+patient whose files fail as failed or degenerate and goes on with the next one.
 """
 
 from __future__ import annotations
@@ -74,20 +76,25 @@ class RunConfig:
 
 
 def read_config_file(path) -> dict:
-    """Flat key=value text; blank lines and # comments ignored."""
+    """Flat key=value text; blank lines and # comments ignored; a key given
+    twice is refused."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict = {}
+    first_line: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
+        values[key] = value
     return values
 
 
@@ -105,6 +112,8 @@ def fields_from_raw(cls, raw: dict, prefix: str = ""):
         if hint is bool:
             return {"1": True, "true": True, "yes": True,
                     "0": False, "false": False, "no": False}[text.lower()]
+        if hint in (int, float):
+            ecg_ingest.plain_float(text)  # the package's one numeral rule
         return hint(text)
 
     kwargs = {}

@@ -153,7 +153,8 @@ def _check_binary(labels, scores):
 
 
 def roc_auc(labels, scores):
-    """ROC points and trapezoidal AUC; equals concordance with half credit for ties."""
+    """ROC points and AUC: 2U / (2 * pos * neg), the concordance with half credit
+    for ties, as one correctly rounded division of exact integers."""
     y, s = _check_binary(labels, scores)
     pos = int(y.sum())
     neg = len(y) - pos
@@ -162,9 +163,8 @@ def roc_auc(labels, scores):
     _, tp, fp = _tie_grouped_counts(y, s)
     tpr = np.r_[0.0, tp / pos]
     fpr = np.r_[0.0, fp / neg]
-    auc = float(np.trapezoid(tpr, fpr))
     points = [(float(x), float(t)) for x, t in zip(fpr, tpr)]
-    return points, auc
+    return points, _two_u(tp, fp) / (2 * pos * neg)
 
 
 def _precision_recall(y, s, pos):
@@ -240,14 +240,11 @@ def choose_threshold(labels, scores, min_sens: float = 0.90) -> ThresholdChoice:
 
 
 def f2(confusion: Confusion) -> float:
-    """Recall-weighted F-measure (beta = 2)."""
-    if confusion.tp + confusion.fn == 0:
+    """Recall-weighted F-measure (beta = 2): 5tp / (5tp + 4fn + fp), correctly rounded."""
+    tp, fp, fn, _ = confusion
+    if tp + fn == 0:
         raise NoPositives("F2 needs at least one actual positive")
-    if confusion.tp == 0:
-        return 0.0
-    precision = confusion.tp / (confusion.tp + confusion.fp)
-    recall = confusion.tp / (confusion.tp + confusion.fn)
-    return 5.0 * precision * recall / (4.0 * precision + recall)
+    return 5 * tp / (5 * tp + 4 * fn + fp)
 
 
 # --- tuning -----------------------------------------------------------------
@@ -341,7 +338,6 @@ class InstanceRun:
     index: int
     seed_key: tuple[int, int, int]
     auc: float
-    two_u: int  # twice the Mann-Whitney U of the selection scores
 
 
 @dataclass(frozen=True)
@@ -363,10 +359,8 @@ def run_instance(X_train, y_train, X_sel, y_sel, tc: TrainConfig, master_seed: i
     pick = rebalance(y_train, np.random.SeedSequence(key))
     model = gbt.fit(np.asarray(X_train, dtype=float)[pick], np.asarray(y_train)[pick],
                     tc, feature_names)
-    scores = model.predict(X_sel)
-    _, auc = roc_auc(y_sel, scores)
-    _, tp, fp = _tie_grouped_counts(*_check_binary(y_sel, scores))
-    return model, InstanceRun(index=index, seed_key=key, auc=auc, two_u=_two_u(tp, fp))
+    _, auc = roc_auc(y_sel, model.predict(X_sel))
+    return model, InstanceRun(index=index, seed_key=key, auc=auc)
 
 
 def train_representative(X_train, y_train, X_test, y_test, tc: TrainConfig,
@@ -374,8 +368,9 @@ def train_representative(X_train, y_train, X_test, y_test, tc: TrainConfig,
                          holdout_selection: bool = False,
                          feature_names=None) -> RepresentativeResult:
     """Train n instances on independently rebalanced samples and keep the one
-    with the highest selection AUC, compared as 2U in integers; ties go to the
-    lowest instance index.
+    with the highest selection AUC; ties go to the lowest instance index. All
+    AUCs are correctly rounded ratios over one denominator, 2 * pos * neg, so
+    comparing them compares the exact U values.
 
     Selection AUC is measured on the test set by default, which mirrors the
     experiment protocol but leaks test information into model choice; pass
@@ -398,7 +393,7 @@ def train_representative(X_train, y_train, X_test, y_test, tc: TrainConfig,
     for i in range(1, n_instances + 1):
         model, run = run_instance(fit_X, fit_y, sel_X, sel_y, tc, master_seed, i, feature_names)
         runs.append(run)
-        if best_run is None or run.two_u > best_run.two_u:
+        if best_run is None or run.auc > best_run.auc:
             best_model, best_run = model, run
     return RepresentativeResult(
         ensemble=best_model,
@@ -412,7 +407,7 @@ def train_representative(X_train, y_train, X_test, y_test, tc: TrainConfig,
 
 def evaluate_model(spec: ModelSpec, cohort, config: ExperimentConfig,
                    split_plan: SplitPlan | None = None) -> dict:
-    """Full protocol for one feature set; bit-reproducible for a fixed config.
+    """Full protocol for one feature set; bit-reproducible for a fixed config on one machine.
 
     Returns the eval-report/1 document, ready for json.dumps (tuples are its
     arrays): the model label;

@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecgtriage.cohort import GEH_COLUMNS, ModelSpec, PatientRecord, mann_whitney
@@ -192,6 +193,33 @@ class TestRocAuc:
         _, tp, fp = _tie_grouped_counts(y, s)
         assert _two_u(tp, fp) == 2 * mann_whitney_u_pairs(s[y == 1], s[y == 0])
 
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 5)),
+                          min_size=2, max_size=30))
+    def test_auc_is_correctly_rounded_u_ratio(self, cells):
+        y = np.array([label for label, _ in cells])
+        s = np.array([score for _, score in cells], dtype=float)
+        pos, neg = int(y.sum()), int((y == 0).sum())
+        if pos == 0 or neg == 0:
+            return
+        two_u = int(2 * mann_whitney_u_pairs(s[y == 1], s[y == 0]))
+        assert roc_auc(y, s)[1] == float(Fraction(two_u, 2 * pos * neg))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 5), st.integers(0, 5)),
+                          min_size=2, max_size=30))
+    # equal U of 13 of 24 pairs, where a trapezoid over the ROC points rounds one ulp apart
+    @example(cells=list(zip([0] * 8 + [1] * 3, [1, 2, 2, 2, 0, 2, 4, 0, 0, 3, 2],
+                            [0, 4, 1, 3, 3, 4, 1, 1, 3, 2, 2])))
+    def test_auc_orders_as_two_u(self, cells):
+        # one label vector, so both AUCs share the denominator 2 * pos * neg
+        y, a, b = (np.array(column) for column in zip(*cells))
+        if y.sum() in (0, len(y)):
+            return
+        two_u_a, two_u_b = (_two_u(*_tie_grouped_counts(y, s)[1:]) for s in (a, b))
+        auc_a, auc_b = roc_auc(y, a)[1], roc_auc(y, b)[1]
+        assert (auc_a > auc_b, auc_a == auc_b) == (two_u_a > two_u_b, two_u_a == two_u_b)
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 9999))
     def test_monotone_transform_invariance(self, seed):
@@ -258,7 +286,8 @@ class TestChooseThreshold:
     def test_matches_scan_oracle(self, rng, min_sens):
         cases = [(y, rng.integers(0, 8, size=20) / 7.0)
                  for y in rng.integers(0, 2, size=(60, 20)) if 0 < y.sum() < 20]
-        # an exact AUC of 1/2, which the trapezoid rounds down to 0.49999999999999994
+        # an exact AUC of 1/2: a float AUC off by one ulp below it would flip
+        # the orientation, which is decided on 2U in integers
         cases.append((np.array([1, 1, 1, 0, 0]), np.array([1, 0, 2, 2, 0]) / 3))
         for y, s in cases:
             choice = choose_threshold(y, s, min_sens=min_sens)
@@ -315,6 +344,14 @@ class TestF2:
         recall = tp / (tp + fn)
         expected = 5 * precision * recall / (4 * precision + recall)
         assert f2(Confusion(tp, fp, fn, tn)) == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tp=st.integers(0, 500), fp=st.integers(0, 500),
+           fn=st.integers(0, 500), tn=st.integers(0, 500))
+    def test_correctly_rounded_ratio(self, tp, fp, fn, tn):
+        if tp + fn == 0:
+            return
+        assert f2(Confusion(tp, fp, fn, tn)) == float(Fraction(5 * tp, 5 * tp + 4 * fn + fp))
 
 
 class TestCvTune:
@@ -378,25 +415,26 @@ class TestTrainRepresentative:
         X, y, Xt, yt = self._data(seed=9)
         tc = TrainConfig(learning_rate=0.3, num_rounds=8, max_depth=3)
         rep = train_representative(X, y, Xt, yt, tc, n_instances=10, master_seed=3)
-        best = max(r.two_u for r in rep.runs)
-        assert rep.runs[rep.selected_index - 1].two_u == best
-        assert min(r.index for r in rep.runs if r.two_u == best) == rep.selected_index
+        best = max(r.auc for r in rep.runs)
+        assert rep.runs[rep.selected_index - 1].auc == best
+        assert min(r.index for r in rep.runs if r.auc == best) == rep.selected_index
 
     def test_equal_u_ties_go_to_first_whatever_the_float_order(self, monkeypatch):
-        # U = 13 of 24 pairs for both score vectors, but their trapezoid AUCs
-        # round one ulp apart, the later one up
+        # U = 13 of 24 pairs for both score vectors, but a trapezoid over their
+        # ROC points rounds one ulp apart, the later one up
         y = np.array([0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1])
         scores = {1: np.array([1.0, 2, 2, 2, 0, 2, 4, 0, 0, 3, 2]),
                   2: np.array([0.0, 4, 1, 3, 3, 4, 1, 1, 3, 2, 2])}
+        trapezoid = [np.trapezoid(*np.array(roc_auc(y, s)[0]).T[::-1]) for s in scores.values()]
+        assert trapezoid[1] == np.nextafter(trapezoid[0], 1.0)
 
         def scored(index):
             s = scores[index]
             return InstanceRun(index=index, seed_key=(0, STREAM_INSTANCE, index),
-                               auc=roc_auc(y, s)[1], two_u=_two_u(*_tie_grouped_counts(y, s)[1:]))
+                               auc=roc_auc(y, s)[1])
 
         first, second = scored(1), scored(2)
-        assert first.two_u == second.two_u == 26
-        assert second.auc == np.nextafter(first.auc, 1.0)
+        assert first.auc == second.auc == 13 / 24
         monkeypatch.setattr(pipeline, "run_instance",
                             lambda *args: (f"model {args[6]}", scored(args[6])))
         tc = TrainConfig(learning_rate=0.3, num_rounds=1)
@@ -411,7 +449,6 @@ class TestTrainRepresentative:
         probe = rep.runs[4]
         _, rerun = run_instance(X, y, Xt, yt, tc, master_seed=11, index=probe.index)
         assert rerun.auc == probe.auc
-        assert rerun.two_u == probe.two_u
         assert rerun.seed_key == probe.seed_key
 
     def test_holdout_selection_mode(self):
@@ -433,7 +470,7 @@ class TestTrainRepresentative:
             assert np.array_equal(fit_y, y[parts["fit"]])
             assert np.array_equal(sel_y, y[parts["hold"]])
             run = InstanceRun(index=index, seed_key=(master_seed, STREAM_INSTANCE, index),
-                              auc=0.5, two_u=0)
+                              auc=0.5)
             return "model", run
 
         monkeypatch.setattr(pipeline, "run_instance", record)

@@ -322,6 +322,32 @@ class TestCliBasics:
             assert cli.main(["table-one", "--config", str(cfg)]) == 2
         assert caplog.records[-1].getMessage().startswith("config error: cannot read config file")
 
+    def test_repeated_config_key_exits_2(self, tmp_path, synth_cohort_dir, caplog):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"master_seed=1\ncohort_table={synth_cohort_dir / 'extract' / 'features.csv'}\n"
+                       f"# a comment\n\n master_seed = 2\n", encoding="utf-8")
+        with caplog.at_level(logging.ERROR, logger="ecgtriage"):
+            assert cli.main(["table-one", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        [record] = caplog.records
+        assert record.getMessage() == f"config error: {cfg}:5: key 'master_seed' repeats line 1"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("master_seed", "1_0"), ("n_instances", "٥"), ("k_folds", "５"), ("max_depth", " 4_0 "),
+        ("eta_grid", "0.1,0_3"), ("l2_reg", "1_0.5"), ("min_sensitivity", "0.９"),
+        ("pre_ms", "٣٠٠"), ("synth_n_patients", "1_00"), ("synth_noise_sd_mv", "0.0２"),
+    ])
+    def test_config_numerals_follow_the_numeral_rule(self, tmp_path, synth_cohort_dir, caplog,
+                                                     key, value):
+        cfg = write_cfg(tmp_path / "c.cfg", cohort_table=synth_cohort_dir / "extract" / "features.csv",
+                        **{key: value})
+        command = "synth" if key.startswith("synth_") else "table-one"
+        with caplog.at_level(logging.ERROR, logger="ecgtriage"):
+            assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        [record] = caplog.records
+        assert record.getMessage() == f"config error: {key}: cannot parse {value.strip()!r}"
+        assert not (tmp_path / "o").exists()
+
 
 def load(argv):
     return cli.load_config(cli.build_parser().parse_args(argv))
