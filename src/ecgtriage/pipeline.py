@@ -19,7 +19,15 @@ import numpy as np
 from . import gbt
 from .cohort import FeatureMatrix, ModelSpec, _tie_grouped_counts, _two_u, assemble_features
 from .ecg_ingest import round_half_up
-from .errors import ConfigError, NoPositives, SingleClass, TooFewPerClass, TooSmall
+from .errors import (
+    ConfigError,
+    NoPositives,
+    SchemaError,
+    SingleClass,
+    TooFewPerClass,
+    TooSmall,
+    UndefinedStatistic,
+)
 from .gbt import Booster, Ensemble, TrainConfig, importance_gain
 
 STREAM_SPLIT = 1
@@ -145,11 +153,17 @@ def rebalance(labels, seed) -> np.ndarray:
 # reads U off the same counts.
 
 def _check_binary(labels, scores):
-    y = np.asarray(labels, dtype=int)
+    """Labels as 0/1 ints and scores as floats, aligned; a label other than 0 or 1
+    is a SchemaError and a NaN score, which has no rank, UndefinedStatistic."""
+    raw = np.asarray(labels)
     s = np.asarray(scores, dtype=float)
-    if len(y) != len(s):
+    if len(raw) != len(s):
         raise ValueError("labels and scores must be aligned")
-    return y, s
+    if not ((raw == 0) | (raw == 1)).all():
+        raise SchemaError(f"labels must be 0/1, got {np.unique(raw)}")
+    if np.isnan(s).any():
+        raise UndefinedStatistic("ranking metrics are undefined for NaN scores")
+    return raw.astype(int), s
 
 
 def roc_auc(labels, scores):

@@ -12,11 +12,20 @@ effects are injected in VCG space: positives get their repolarization axis
 rotated away from the depolarization axis and their whole loop amplitude
 rescaled; risk covariates shift by a separate knob.
 
+A patient's beats are evaluated in one pass over the (beats, samples) grid of
+times relative to each R peak, each over the whole record; only the lanes
+where exp underflows to +0.0 are filled instead of evaluated. Every sample
+keeps one summation order: 0 + beat 1 + beat 2 + ..., each beat
+0 + P + R + S + T, so where every term underflowed, such as -0.0 from an S
+bump, the sum is +0.0 and writes as 0.000, not -0.000.
+
 Each trace file is a header line, the lead names, then one row per sample of
 12 cells in microvolts, each written as "%.3f", joined by "," and ended by
 "\n": the same bytes np.savetxt writes with those settings. write_trace_cells
-builds that text with array arithmetic. A trace with a non-finite cell, or
-with any |cell| >= 2**31 / 1000 uV, is written by np.savetxt itself.
+builds that text with array arithmetic in TraceWork arrays, which generate
+allocates once per cohort and reuses for every trace. A trace with a
+non-finite cell, or with any |cell| >= 2**31 / 1000 uV, is written by
+np.savetxt itself.
 """
 
 from __future__ import annotations
@@ -35,6 +44,8 @@ from .vcg import KORS_MATRIX
 
 # cells at or above this magnitude (uV) are past the exact integer digit arithmetic
 _FAST_CELL_LIMIT = 2.0 ** 31 / 1000.0
+# widest cell below that limit: sign, 7 integer digits, ".", 3 decimals, separator
+_MAX_CELL_WIDTH = 13
 
 
 def synth_matrix() -> np.ndarray:
@@ -43,6 +54,11 @@ def synth_matrix() -> np.ndarray:
     Taken when synth runs rather than at import, so no other command runs an SVD."""
     return np.linalg.pinv(KORS_MATRIX)
 
+
+# exp(x) rounds to +0.0 for every x below this (it underflows below about
+# -745.13), and numpy's exp is several times slower on lanes that underflow, so
+# those lanes are filled with +0.0 instead of evaluated: the same values
+_EXP_ZERO_BELOW = -750.0
 
 # beat timing: first R peak, longest RR interval, and the room kept after the last R
 _LEAD_IN_MS, _MAX_RR_MS, _TAIL_MS = 400.0, 1200.0, 520.0
@@ -179,10 +195,24 @@ def _draw_shape(cfg: SynthConfig, rng, positive: bool):
 
 
 def vcg_waveform(shape: _BeatShape, t_ms: np.ndarray) -> np.ndarray:
-    """Closed-form template evaluated at times (ms relative to the R peak); 3 x len(t)."""
-    v = np.zeros((3, len(t_ms)))
+    """Closed-form template evaluated at times (ms relative to the R peak) of any
+    shape; returns (3, *t_ms.shape). Each value is 0 + P + R + S + T, in that
+    order. A bump is evaluated at every time where its exp is not +0.0: no
+    window, since its far tails still move the last bits of a sum."""
+    v = np.zeros((3, *np.shape(t_ms)))
     for amp, width, center, direction in shape.bumps:
-        v += np.outer(direction, amp * np.exp(-0.5 * ((t_ms - center) / width) ** 2))
+        z = -0.5 * ((t_ms - center) / width) ** 2
+        bump = np.exp(z, out=np.zeros_like(z), where=z > _EXP_ZERO_BELOW)
+        v += np.multiply.outer(direction, amp * bump)
+    return v
+
+
+def _patient_vcg(shape: _BeatShape, t_axis_ms: np.ndarray, centers) -> np.ndarray:
+    """The record's VCG: every beat over the whole record, from one vcg_waveform
+    call on the (beats, samples) grid, summed 0 + beat 1 + beat 2 + ... in beat order."""
+    v = np.zeros((3, len(t_axis_ms)))
+    for beat in vcg_waveform(shape, t_axis_ms - t_axis_ms[centers, None]).transpose(1, 0, 2):
+        v += beat
     return v
 
 
@@ -199,37 +229,64 @@ def _draw_covariates(cfg: SynthConfig, rng, positive: bool):
     return sex, age, bmi, flags
 
 
-def write_trace_cells(fh, cells):
-    """Write a 2-D float array as "%.3f" cells, "," between them and "\n" after each row."""
-    if not np.all(np.abs(cells) < _FAST_CELL_LIMIT):  # nan fails the comparison too
+class TraceWork:
+    """Work arrays for write_trace_cells, sized for traces of n_cells cells."""
+
+    def __init__(self, n_cells: int):
+        self.flat, self.y, self.rest, self.q = np.empty((4, n_cells))
+        self.text = np.empty(n_cells * _MAX_CELL_WIDTH, dtype=np.uint8)
+        self.keep = np.empty(n_cells * _MAX_CELL_WIDTH, dtype=bool)
+        self.out = np.empty(n_cells * _MAX_CELL_WIDTH, dtype=np.uint8)
+
+
+def write_trace_cells(fh, cells, work: TraceWork | None = None):
+    """Write a 2-D float array as "%.3f" cells, "," between them and "\n" after each row.
+
+    work holds the arrays the arithmetic writes into; a caller writing many
+    traces of one size passes the same TraceWork to each."""
+    n = cells.size
+    work = TraceWork(n) if work is None else work
+    flat, y, rest, q = work.flat, work.y, work.rest, work.q
+    below = work.keep[:n]  # scratch until the mask is built over it
+    flat.reshape(cells.shape)[...] = cells
+    np.less(np.abs(flat, out=y), _FAST_CELL_LIMIT, out=below)
+    if not below.all():  # nan fails the comparison too
         np.savetxt(fh, cells, fmt="%.3f", delimiter=",", newline="\n")
         return
-    flat = cells.ravel()
-    y = flat * 1000.0
-    rest = np.abs(np.rint(y))  # thousandths, exact integers below 2**31
+    np.multiply(flat, 1000.0, out=y)
+    np.abs(np.rint(y, out=rest), out=rest)  # thousandths, exact integers below 2**31
     # y lies within one rounding of a half-integer: the exact product may round
     # the other way, so take those digits from "%.3f" itself
-    for i in np.flatnonzero(np.abs(y - np.floor(y) - 0.5) <= np.spacing(np.abs(y))):
+    # (|y - floor(y) - 0.5| <= spacing(|y|), computed in the work arrays)
+    np.subtract(np.subtract(y, np.floor(y, out=q), out=q), 0.5, out=q)
+    np.less_equal(np.abs(q, out=q), np.spacing(np.abs(y, out=y), out=y), out=below)
+    for i in np.flatnonzero(below):
         rest[i] = abs(int(("%.3f" % flat[i]).replace(".", "")))
     n_int = len(str(int(rest.max()) // 1000))
-    # one column per cell: sign, n_int integer digits, ".", 3 decimals, separator
+    # one row per cell: sign, n_int integer digits, ".", 3 decimals, separator
     width = n_int + 6
-    text = np.empty((width, flat.size), dtype=np.uint8)
-    keep = np.ones((width, flat.size), dtype=bool)
-    text[0] = ord("-")
-    keep[0] = np.signbit(flat)
-    for row in range(width - 2, 0, -1):
-        if row == n_int + 1:
-            text[row] = ord(".")
+    text = work.text[:n * width].reshape(n, width)
+    keep = work.keep[:n * width].reshape(n, width)
+    keep.fill(True)  # holds the scratch above and the last trace, whose width may differ
+    text[:, 0] = ord("-")
+    # assigned, not written through out=: numpy 2.4 writes wrong values when
+    # signbit gets a strided bool out
+    keep[:, 0] = np.signbit(flat)
+    for col in range(width - 2, 0, -1):
+        if col == n_int + 1:
+            text[:, col] = ord(".")
             continue
-        if row < n_int:  # a leading integer digit shows only while digits remain
-            keep[row] = rest > 0
-        q = np.floor(rest * 0.1)
-        text[row] = rest - 10.0 * q + 48.0
-        rest = q
-    text[-1] = ord(",")
-    text[-1].reshape(cells.shape)[:, -1] = ord("\n")
-    fh.write(text.T[keep.T].tobytes().decode("ascii"))
+        if col < n_int:  # a leading integer digit shows only while digits remain
+            keep[:, col] = rest > 0
+        np.floor(np.multiply(rest, 0.1, out=q), out=q)
+        # the digit's ASCII code: rest - 10 * q + 48
+        text[:, col] = np.add(np.subtract(rest, np.multiply(q, 10.0, out=y), out=y), 48.0, out=y)
+        rest, q = q, rest
+    text[:, -1] = ord(",")
+    text.reshape(*cells.shape, width)[:, -1, -1] = ord("\n")
+    out = work.out[:np.count_nonzero(keep)]
+    np.compress(keep.ravel(), text.ravel(), out=out)
+    fh.write(str(out, "ascii"))
 
 
 def generate(cfg: SynthConfig, out_dir) -> dict:
@@ -250,6 +307,8 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
     fs_text = f"{fs:g}" if float(f"{fs:g}") == fs else repr(fs)  # parses back to exactly fs
     n_samples = round(cfg.duration_s * fs)
     lead_matrix = synth_matrix()
+    work = TraceWork(n_samples * len(LEAD_NAMES))
+    t_axis_ms = np.arange(n_samples) * 1000.0 / fs
     records, truth_rows = [], []
 
     for i in range(cfg.n_patients):
@@ -267,12 +326,8 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
             centers.append(round_half_up(c * fs / 1000.0))
             c += min(rr_ms + float(rng.normal(0.0, 4.0)), _MAX_RR_MS)
 
-        v = np.zeros((3, n_samples))
-        t_axis_ms = np.arange(n_samples) * 1000.0 / fs
-        for center in centers:
-            v += vcg_waveform(shape, t_axis_ms - t_axis_ms[center])
-
-        leads8 = lead_matrix @ v  # rows in KORS_INPUT_LEADS order: I, II, V1..V6
+        # rows in KORS_INPUT_LEADS order: I, II, V1..V6
+        leads8 = lead_matrix @ _patient_vcg(shape, t_axis_ms, centers)
         I, II = leads8[:2]
         traces = np.vstack([I, II, II - I, -(I + II) / 2.0, I - II / 2.0, II - I / 2.0, leads8[2:]])
         if cfg.noise_sd_mv > 0:
@@ -281,7 +336,7 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
         with open(ecg_dir / f"{pid}.csv", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"sample_rate_hz={fs_text} gain_uv_per_unit=1.0\n")
             fh.write(",".join(LEAD_NAMES) + "\n")
-            write_trace_cells(fh, traces.T * 1000.0)
+            write_trace_cells(fh, traces.T * 1000.0, work)
 
         marks = {k: round_half_up(ms * fs / 1000.0) for k, ms in shape.landmarks_ms.items()}
         beats = []

@@ -452,3 +452,17 @@ def savetxt_text(cells):
     buf = io.StringIO()
     np.savetxt(buf, cells, fmt="%.3f", delimiter=",", newline="\n")
     return buf.getvalue()
+
+
+def per_beat_vcg(bumps, t_ms, centers):
+    """A record's VCG summed one beat at a time, each beat its own pass of
+    (amp, width_ms, center_ms, direction) Gaussian bumps over the whole record:
+    0 + beat 1 + beat 2 + ..., each beat 0 + its bumps in order."""
+    v = np.zeros((3, len(t_ms)))
+    for c in centers:
+        t_rel = t_ms - t_ms[c]
+        beat = np.zeros((3, len(t_ms)))
+        for amp, width, center, direction in bumps:
+            beat += np.outer(direction, amp * np.exp(-0.5 * ((t_rel - center) / width) ** 2))
+        v += beat
+    return v

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from ecgtriage.cohort import GEH_COLUMNS, ModelSpec, PatientRecord, mann_whitney
 from ecgtriage.ecg_ingest import StandardEcgMeasures
-from ecgtriage.errors import NoPositives, SingleClass, TooFewPerClass, TooSmall
+from ecgtriage.errors import (
+    NoPositives,
+    SchemaError,
+    SingleClass,
+    TooFewPerClass,
+    TooSmall,
+    UndefinedStatistic,
+)
 from ecgtriage.gbt import TrainConfig
 from ecgtriage import pipeline
 from ecgtriage.geh import GehMeasures
@@ -317,6 +324,21 @@ class TestChooseThreshold:
             k = round(c.sensitivity * p_count)
             assert k / p_count == pytest.approx(c.sensitivity)
             assert k >= np.ceil(0.9 * p_count)
+
+
+class TestBinaryInputs:
+    @pytest.mark.parametrize("metric", [roc_auc, pr_aucpr, choose_threshold])
+    @pytest.mark.parametrize("labels", [[0, 0, 2, 1], [0, 0.5, 1, 1]])
+    def test_labels_other_than_0_1_are_refused(self, metric, labels):
+        # a 2 once gave an AUC of 1.333, and an int cast read 0.5 as a negative
+        with pytest.raises(SchemaError, match="labels must be 0/1"):
+            metric(labels, [0.1, 0.2, 0.3, 0.4])
+
+    @pytest.mark.parametrize("metric", [roc_auc, pr_aucpr, choose_threshold])
+    def test_nan_score_is_undefined(self, metric):
+        # a NaN has no rank: sorted last, it once read as the lowest score
+        with pytest.raises(UndefinedStatistic):
+            metric([0, 1, 0, 1], [np.nan, 0.2, 0.1, 0.3])
 
 
 class TestF2:

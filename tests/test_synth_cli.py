@@ -25,7 +25,7 @@ from ecgtriage.pipeline import ExperimentConfig
 from ecgtriage.synth import MIN_DURATION_S, SynthConfig, generate, synth_matrix
 from ecgtriage.vcg import KORS_MATRIX
 
-from oracles import dense_grid_geh, gaussian_loop_vcg, savetxt_text
+from oracles import dense_grid_geh, gaussian_loop_vcg, per_beat_vcg, savetxt_text
 
 
 def read_rows(path):
@@ -137,6 +137,37 @@ class TestSynthGenerator:
         assert 0.25 <= float(np.mean(aucs)) <= 0.75
 
 
+class TestBeatSum:
+    @pytest.mark.parametrize("keys", [{}, {"sampling_rate_hz": 1234.5678, "duration_s": MIN_DURATION_S}])
+    def test_generate_matches_per_beat_loop(self, tmp_path, monkeypatch, keys):
+        sums, patient_vcg = [], synth._patient_vcg
+
+        def recorded(shape, t_axis_ms, centers):
+            v = patient_vcg(shape, t_axis_ms, centers)
+            sums.append((shape, t_axis_ms, centers, v))
+            return v
+
+        monkeypatch.setattr(synth, "_patient_vcg", recorded)
+        generate(SynthConfig(n_patients=20, seed=6, positive_fraction=0.3, **keys), tmp_path)
+        assert len(sums) == 20
+        for shape, t_axis_ms, centers, v in sums:
+            # tobytes: a -0.0 where the loop gives +0.0 counts as a difference
+            assert v.tobytes() == per_beat_vcg(shape.bumps, t_axis_ms, centers).tobytes()
+
+    def test_underflowed_s_bump_sums_to_positive_zero(self):
+        # away from its center a narrow S bump's exp underflows and each of its
+        # terms is -0.0; the zero starts of the beat and of the record make it +0.0
+        shape, _, _ = synth._draw_shape(SynthConfig(), np.random.default_rng(3), False)
+        amp, _, center, direction = shape.bumps[2]
+        assert amp < 0
+        narrow_s = dataclasses.replace(shape, bumps=((amp, 0.5, center, np.abs(direction)),))
+        t_axis_ms = np.arange(1680) * 1000.0 / 240.0
+        centers = [96, 305, 514, 723]
+        v = synth._patient_vcg(narrow_s, t_axis_ms, centers)
+        assert v.tobytes() == per_beat_vcg(narrow_s.bumps, t_axis_ms, centers).tobytes()
+        assert (v == 0).any() and not np.signbit(v[v == 0]).any()
+
+
 _LIMIT = 2.0 ** 31 / 1000.0  # uV; at or above it the trace writer hands over to np.savetxt
 _HALF_WAY = st.integers(-2_000_000_000, 2_000_000_000).map(lambda k: k / 1000 + 0.0005)
 _CELLS = st.one_of(
@@ -182,12 +213,49 @@ class TestTraceWriter:
         assert write_cells(cells) == savetxt_text(cells)
         assert write_cells(cells).startswith("0.000,-0.000,-0.000,-0.000,0.001,-0.001,0.062,-0.003\n")
 
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1), n_edge=st.integers(0, 120),
+           column_major=st.booleans())
+    def test_full_trace_with_edge_cells(self, data, seed, n_edge, column_major):
+        # a synth-sized trace, laid out as generate hands it over or row by row
+        rng = np.random.default_rng(seed)
+        cells = rng.normal(0.0, 800.0, size=(1680, 12))
+        cells.ravel()[rng.choice(cells.size, size=n_edge, replace=False)] = data.draw(
+            st.lists(_CELLS, min_size=n_edge, max_size=n_edge))
+        cells = np.asfortranarray(cells) if column_major else cells
+        assert write_cells(cells) == savetxt_text(cells)
+
+    @pytest.mark.parametrize("shape", [(1, 12), (2, 1), (255, 12), (257, 7), (1023, 12), (1681, 12),
+                                       (4099, 3)])
+    def test_row_counts(self, shape):
+        rng = np.random.default_rng(shape[0])
+        cells = rng.normal(0.0, 1500.0, size=shape)
+        assert write_cells(cells) == savetxt_text(cells)
+
+    def test_reused_work_arrays_reset_between_traces(self):
+        # 7 integer digits, then 1, then 7 again, through the same work arrays
+        rng = np.random.default_rng(7)
+        wide = rng.uniform(-2_000_000.0, 2_000_000.0, size=(1680, 12))
+        narrow = rng.uniform(-9.9, 9.9, size=(1680, 12))
+        work = synth.TraceWork(wide.size)
+        for cells in (wide, narrow, wide):
+            buf = io.StringIO()
+            synth.write_trace_cells(buf, cells, work)
+            assert buf.getvalue() == savetxt_text(cells)
+
     @pytest.mark.parametrize("keys", [{"noise_sd_mv": 0.0}, {"svg_scale": 1e6}])
     def test_cohort_bytes_match_savetxt(self, tmp_path, monkeypatch, keys):
         cfg = SynthConfig(n_patients=12, seed=9, **keys)
         generate(cfg, tmp_path / "shipped")
-        monkeypatch.setattr(synth, "write_trace_cells", lambda fh, cells: fh.write(savetxt_text(cells)))
+        calls = []
+
+        def savetxt_cells(fh, cells, work):
+            calls.append(1)
+            fh.write(savetxt_text(cells))
+
+        monkeypatch.setattr(synth, "write_trace_cells", savetxt_cells)
         generate(cfg, tmp_path / "oracle")
+        assert len(calls) == 12  # one per trace: the substitute ran
         files = sorted(p.relative_to(tmp_path / "oracle") for p in (tmp_path / "oracle").rglob("*.*"))
         assert len(files) == 2 * 12 + 2
         for rel in files:
