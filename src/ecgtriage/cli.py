@@ -4,21 +4,22 @@ Subcommands: extract, table-one, train-eval, synth, version. Every command is
 deterministic given the same config and seed, and only writes under out_dir.
 
 Options come from a flat key=value file (blank lines and # comments ignored).
-The flags --seed, --out, --specs, --min-sens, --no-stratify and
---holdout-selection overwrite its keys master_seed, out_dir, specs,
-min_sensitivity, stratify and holdout_selection; fields_from_raw then parses
-all keys once. The keys are the fields of RunConfig (ecg_dir, fiducial_dir,
-cohort_table, out_dir, specs, pre_ms, post_ms), of its nested ExperimentConfig
-(master_seed, eta_grid, k_folds, n_instances, min_sensitivity, stratify,
-holdout_selection, max_rounds, patience, max_depth, min_child_hessian, l2_reg,
-gamma, split_ratio) and, prefixed synth_, of synth.SynthConfig except its seed,
-which is master_seed (n_patients, positive_fraction, sampling_rate_hz,
-duration_s, noise_sd_mv, qrst_angle_shift_deg, svg_scale, risk_effect). A
-value takes its field's annotated type: int, float, str or Path from the text,
-bool from 1/true/yes or 0/false/no, a tuple from a comma-separated list. Each
-config class validates its own values. An int or float value follows the
-numeral rule of trace files and cohort tables (ecg_ingest.plain_float): ASCII
-only, no "_" between digits. A key given twice in the file is refused.
+The flags --seed, --out, --specs and --holdout-selection overwrite its keys
+master_seed, out_dir, specs and holdout_selection, and --config names the file;
+fields_from_raw then parses all keys once. The keys are the fields of RunConfig
+(ecg_dir, fiducial_dir, cohort_table, out_dir, specs), of its nested
+ExperimentConfig (master_seed, eta_grid, k_folds, n_instances,
+holdout_selection, max_rounds, patience, max_depth) and, prefixed synth_, of
+synth.SynthConfig except its seed, which is master_seed (n_patients,
+positive_fraction, sampling_rate_hz, duration_s, noise_sd_mv,
+qrst_angle_shift_deg, svg_scale, risk_effect). The protocol's constants are
+the defaults of the functions that use them: the stratified 70/30 split, the
+0.90 sensitivity floor, the tree regularisation and the beat window. A value
+takes its field's annotated type: int, float, str or Path from the text, bool
+from 1/true/yes or 0/false/no, a tuple from a comma-separated list. Each config
+class validates its own values. An int or float value follows the numeral rule
+of trace files and cohort tables (ecg_ingest.plain_float): ASCII only, no "_"
+between digits. A key given twice in the file is refused.
 
 Exit codes: 0 success; 2 configuration error (unknown or repeated key, bad
 value, unreadable config file, missing input path, output directory that cannot
@@ -34,7 +35,6 @@ import contextlib
 import dataclasses
 import json
 import logging
-import math
 import sys
 import typing
 from dataclasses import dataclass
@@ -59,8 +59,6 @@ class RunConfig:
     cohort_table: Path = Path("cohort.csv")
     out_dir: Path = Path("out")
     specs: tuple[str, ...] = tuple(MODEL_COLUMNS)
-    pre_ms: float = 300.0
-    post_ms: float = 500.0
     experiment: ExperimentConfig = ExperimentConfig()
 
     def __post_init__(self):
@@ -71,8 +69,6 @@ class RunConfig:
                               f"got {self.specs}")
         if len(set(self.specs)) != len(self.specs):
             raise ConfigError(f"specs lists a model more than once: {self.specs}")
-        if not (0.0 <= self.pre_ms < math.inf and 0.0 <= self.post_ms < math.inf):
-            raise ConfigError("pre_ms and post_ms must be finite and non-negative")
 
 
 def read_config_file(path) -> dict:
@@ -193,7 +189,7 @@ def cmd_extract(cfg: RunConfig) -> int:
             ecg = ecg_ingest.parse_ecg(_require(cfg.ecg_dir / f"{record.id}.csv", "trace file"))
             fiducials = ecg_ingest.parse_fiducials(
                 _require(cfg.fiducial_dir / f"{record.id}.json", "fiducial file"))
-            beat = ecg_ingest.median_beat(ecg, fiducials, pre_ms=cfg.pre_ms, post_ms=cfg.post_ms)
+            beat = ecg_ingest.median_beat(ecg, fiducials)
             corrected = baseline_correct(beat)
             geh = compute_geh(kors_transform(corrected))
             standard = ecg_ingest.standard_measures(corrected)
@@ -243,8 +239,7 @@ def cmd_train_eval(cfg: RunConfig) -> int:
     _make_dir(reports_dir)
     cohort = load_cohort(cfg.cohort_table)
     experiment = cfg.experiment
-    plan = split(cohort, experiment.master_seed, ratio=experiment.split_ratio,
-                 stratified=experiment.stratify)
+    plan = split(cohort, experiment.master_seed)
 
     reports, summary_rows = [], []
     for label in cfg.specs:
@@ -299,12 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", dest="master_seed", help="master seed override")
     common.add_argument("--out", dest="out_dir", help="output directory override")
     common.add_argument("--specs", help="comma list of model labels, e.g. s,r,g,srg")
-    common.add_argument("--no-stratify", dest="stratify", action="store_const", const="false",
-                        help="plain random split instead of outcome-stratified")
     common.add_argument("--holdout-selection", action="store_const", const="true",
                         help="score instance selection on a train holdout, not the test set")
-    common.add_argument("--min-sens", dest="min_sensitivity",
-                        help="sensitivity floor for thresholding")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("extract", "table-one", "train-eval", "synth", "version"):
         sub.add_parser(name, parents=[common])

@@ -46,25 +46,17 @@ class ExperimentConfig:
     eta_grid: tuple[float, ...] = (0.01, 0.05, 0.1, 0.2, 0.3)
     k_folds: int = 5
     n_instances: int = 50
-    min_sensitivity: float = 0.9
-    stratify: bool = True
     holdout_selection: bool = False
     max_rounds: int = 500
     patience: int = 20
     max_depth: int = 6
-    min_child_hessian: float = 1.0
-    l2_reg: float = 1.0
-    gamma: float = 0.0
-    split_ratio: float = 0.7
 
     def __post_init__(self):
         for name, ok, rule in (("master_seed", self.master_seed >= 0, ">= 0"),
                                ("eta_grid", len(self.eta_grid) > 0, "non-empty"),
                                ("k_folds", self.k_folds >= 2, ">= 2"),
                                ("n_instances", self.n_instances >= 1, ">= 1"),
-                               ("patience", self.patience >= 1, ">= 1"),
-                               ("min_sensitivity", 0.0 < self.min_sensitivity <= 1.0, "in (0, 1]"),
-                               ("split_ratio", 0.0 < self.split_ratio < 1.0, "in (0, 1)")):
+                               ("patience", self.patience >= 1, ">= 1")):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         # the booster's own checks cover the grid and the tree parameters
@@ -73,8 +65,7 @@ class ExperimentConfig:
 
     def train_config(self, learning_rate: float, num_rounds: int) -> TrainConfig:
         return TrainConfig(learning_rate=learning_rate, num_rounds=num_rounds,
-                           max_depth=self.max_depth, min_child_hessian=self.min_child_hessian,
-                           l2_reg=self.l2_reg, gamma=self.gamma)
+                           max_depth=self.max_depth)
 
     def hash(self) -> str:
         import hashlib  # loads OpenSSL (about 3.5 MB resident); only train-eval hashes
@@ -92,11 +83,10 @@ class SplitPlan:
     test_ids: tuple[str, ...]
 
 
-def split(cohort, seed: int, ratio: float = 0.7, stratified: bool = True) -> SplitPlan:
-    """Random train/test split of patient ids, stratified by outcome by default.
-
-    Stratification keeps the class ratio of each part within one patient of
-    the cohort's.
+def split(cohort, seed: int, ratio: float = 0.7) -> SplitPlan:
+    """Random train/test split of patient ids, always stratified by outcome:
+    each class is split at the ratio, so the class ratio of each part stays
+    within one patient of the cohort's.
     """
     labels = np.asarray([r.label for r in cohort])
     if len(np.unique(labels)) < 2:
@@ -106,23 +96,21 @@ def split(cohort, seed: int, ratio: float = 0.7, stratified: bool = True) -> Spl
     if not 0.0 < ratio < 1.0:
         raise TooSmall(f"split ratio {ratio} leaves an empty train or test part")
 
-    train = _stratified_draw(labels, lambda n: round_half_up(ratio * n), seed, STREAM_SPLIT,
-                             stratified)
+    train = _stratified_draw(labels, lambda n: round_half_up(ratio * n), seed, STREAM_SPLIT)
     return SplitPlan(train_ids=tuple(r.id for r, t in zip(cohort, train) if t),
                      test_ids=tuple(r.id for r, t in zip(cohort, train) if not t))
 
 
-def _stratified_draw(labels, size, seed: int, stream: int, stratified: bool = True) -> np.ndarray:
-    """Mask of the first size(n) rows of a permutation of each stratum's n
-    members (each class, or all rows); both parts of a stratum non-empty."""
+def _stratified_draw(labels, size, seed: int, stream: int) -> np.ndarray:
+    """Mask of the first size(n) rows of a permutation of each class's n
+    members; both parts of a class non-empty."""
     rng = derived_rng(seed, stream)
-    strata = ({f"class {c}": np.flatnonzero(labels == c) for c in (0, 1)} if stratified
-              else {"cohort": np.arange(len(labels))})
     drawn = np.zeros(len(labels), dtype=bool)
-    for name, members in strata.items():
+    for c in (0, 1):
+        members = np.flatnonzero(labels == c)
         k = size(len(members))
         if not 0 < k < len(members):
-            raise TooSmall(f"{name} would have an empty train or test part")
+            raise TooSmall(f"class {c} would have an empty train or test part")
         drawn[rng.permutation(members)[:k]] = True
     return drawn
 
@@ -432,8 +420,7 @@ def evaluate_model(spec: ModelSpec, cohort, config: ExperimentConfig,
     hash; and the ROC and PR points.
     """
     if split_plan is None:
-        split_plan = split(cohort, config.master_seed, ratio=config.split_ratio,
-                           stratified=config.stratify)
+        split_plan = split(cohort, config.master_seed)
     matrix = assemble_features(cohort, spec)
     train_m = matrix.rows_for(split_plan.train_ids)
     test_m = matrix.rows_for(split_plan.test_ids)
@@ -452,7 +439,7 @@ def evaluate_model(spec: ModelSpec, cohort, config: ExperimentConfig,
     scores = rep.ensemble.predict(test_m.X)
     roc_points, auc = roc_auc(test_m.y, scores)
     pr_points, aucpr = pr_aucpr(test_m.y, scores)
-    choice = choose_threshold(test_m.y, scores, min_sens=config.min_sensitivity)
+    choice = choose_threshold(test_m.y, scores)
     importance = importance_gain(rep.ensemble)
 
     return {

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecgtriage.errors import EmptyMatrix, SingleClass, WidthMismatch
+from ecgtriage.errors import ConfigError, EmptyMatrix, SingleClass, WidthMismatch
 from ecgtriage.gbt import (
     Booster,
     Ensemble,
@@ -42,6 +42,15 @@ def config(**kw):
                     min_child_hessian=0.0, l2_reg=1.0, gamma=0.0)
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("min_child_hessian", math.nan), ("min_child_hessian", math.inf), ("min_child_hessian", -1.0),
+    ("l2_reg", math.nan), ("l2_reg", math.inf), ("gamma", -1.0), ("gamma", math.inf),
+])
+def test_tree_parameters_finite_and_non_negative(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be finite and >= 0"):
+        config(**{field: value})
 
 
 class TestFit:

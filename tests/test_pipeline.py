@@ -22,7 +22,6 @@ from ecgtriage.geh import GehMeasures
 from ecgtriage.pipeline import (
     STREAM_HOLDOUT,
     STREAM_INSTANCE,
-    STREAM_SPLIT,
     Confusion,
     CvResult,
     ExperimentConfig,
@@ -107,13 +106,6 @@ class TestSplit:
     def test_single_class_rejected(self):
         with pytest.raises(SingleClass):
             split(toy_cohort(30, 0), seed=1)
-
-    def test_unstratified_mode(self):
-        cohort = toy_cohort(40, 10)
-        plan = split(cohort, seed=2, stratified=False)
-        assert len(plan.train_ids) == 35
-        drawn = set(derived_rng(2, STREAM_SPLIT).permutation(50)[:35].tolist())
-        assert plan.train_ids == tuple(r.id for i, r in enumerate(cohort) if i in drawn)
 
 
 class TestRebalance:

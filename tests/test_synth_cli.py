@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -326,20 +327,11 @@ class TestCliBasics:
         cfg = write_cfg(tmp_path / "c.cfg", cohort_table=single, out_dir=tmp_path / "o")
         assert cli.main(["train-eval", "--config", cfg]) == 4
 
-    def test_invalid_min_sens_is_config_error(self, tmp_path, synth_cohort_dir):
-        cfg = write_cfg(tmp_path / "c.cfg",
-                        cohort_table=synth_cohort_dir / "extract" / "features.csv",
-                        out_dir=tmp_path / "o")
-        assert cli.main(["train-eval", "--config", cfg, "--min-sens", "1.5"]) == 2
-
     @pytest.mark.parametrize("line", [
-        "eta_grid=", "specs=", "specs=X", "eta_grid=2.0", "eta_grid=0.1,abc", "split_ratio=1.5",
+        "eta_grid=", "specs=", "specs=X", "eta_grid=2.0", "eta_grid=0.1,abc",
         "k_folds=0", "k_folds=1", "k_folds=2.5", "max_rounds=0", "max_depth=0", "master_seed=-1",
-        "n_instances=0", "patience=0", "min_sensitivity=0", "l2_reg=nan", "gamma=-1",
-        "min_child_hessian=nan", "min_child_hessian=inf", "min_child_hessian=-1", "l2_reg=inf",
-        "gamma=inf",
-        "stratify=maybe", "beat_aggregation=mode", "beat_aggregation=mean", "pre_ms=nan",
-        "post_ms=inf", "synth_seed=3", "experiment=1", "specs=s,S,r",
+        "n_instances=0", "patience=0", "holdout_selection=maybe", "beat_aggregation=mode",
+        "beat_aggregation=mean", "synth_seed=3", "experiment=1", "specs=s,S,r",
     ])
     def test_bad_value_exits_2(self, tmp_path, synth_cohort_dir, caplog, line):
         cfg = tmp_path / "c.cfg"
@@ -402,8 +394,8 @@ class TestCliBasics:
 
     @pytest.mark.parametrize("key,value", [
         ("master_seed", "1_0"), ("n_instances", "٥"), ("k_folds", "５"), ("max_depth", " 4_0 "),
-        ("eta_grid", "0.1,0_3"), ("l2_reg", "1_0.5"), ("min_sensitivity", "0.９"),
-        ("pre_ms", "٣٠٠"), ("synth_n_patients", "1_00"), ("synth_noise_sd_mv", "0.0２"),
+        ("eta_grid", "0.1,0_3"), ("synth_duration_s", "1_0.5"), ("synth_positive_fraction", "0.９"),
+        ("patience", "٣٠"), ("synth_n_patients", "1_00"), ("synth_noise_sd_mv", "0.0２"),
     ])
     def test_config_numerals_follow_the_numeral_rule(self, tmp_path, synth_cohort_dir, caplog,
                                                      key, value):
@@ -424,12 +416,10 @@ def load(argv):
 class TestConfigPath:
     def test_every_field_round_trips(self, tmp_path):
         run = {"ecg_dir": Path("e"), "fiducial_dir": Path("f"), "cohort_table": Path("c.csv"),
-               "out_dir": Path("o"), "specs": ("SRG", "G"), "pre_ms": 250.5, "post_ms": 450.25}
+               "out_dir": Path("o"), "specs": ("SRG", "G")}
         experiment = {"master_seed": 12, "eta_grid": (0.05, 0.2), "k_folds": 4,
-                      "n_instances": 7, "min_sensitivity": 0.85, "stratify": False,
-                      "holdout_selection": True, "max_rounds": 90, "patience": 9,
-                      "max_depth": 5, "min_child_hessian": 0.5, "l2_reg": 2.5,
-                      "gamma": 0.125, "split_ratio": 0.6}
+                      "n_instances": 7, "holdout_selection": True, "max_rounds": 90,
+                      "patience": 9, "max_depth": 5}
         synth = {f.name: f.default + (1 if f.type == "int" else 0.125)
                  for f in dataclasses.fields(SynthConfig) if f.name != "seed"}
         assert set(run) | {"experiment"} == {f.name for f in dataclasses.fields(cli.RunConfig)}
@@ -440,6 +430,7 @@ class TestConfigPath:
 
         lines = [f"{k}={text(v)}" for k, v in (run | experiment).items()]
         lines += [f"synth_{k}={v!r}" for k, v in synth.items()]
+        assert len(lines) == 21
         lines[lines.index("specs=SRG,G")] = "specs=srg, g"
         (tmp_path / "c.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
         cfg, raw = load(["synth", "--config", str(tmp_path / "c.cfg")])
@@ -455,14 +446,48 @@ class TestConfigPath:
 
     def test_flags_override_file_keys(self, tmp_path):
         cfg_path = write_cfg(tmp_path / "c.cfg", master_seed=3, out_dir="a", specs="S",
-                             min_sensitivity=0.5, stratify="yes", holdout_selection="no")
+                             holdout_selection="no")
         cfg, _ = load(["train-eval", "--config", cfg_path, "--seed", "4", "--out", "b",
-                       "--specs", "r,srg", "--min-sens", "0.75", "--no-stratify",
-                       "--holdout-selection"])
+                       "--specs", "r,srg", "--holdout-selection"])
         assert cfg.out_dir == Path("b")
         assert cfg.specs == ("R", "SRG")
-        assert cfg.experiment == ExperimentConfig(master_seed=4, min_sensitivity=0.75,
-                                                  stratify=False, holdout_selection=True)
+        assert cfg.experiment == ExperimentConfig(master_seed=4, holdout_selection=True)
+
+    def test_docstring_names_exactly_the_keys_and_flags(self, capsys):
+        doc = cli.__doc__
+
+        def listed(after):
+            return {k.strip() for k in re.search(after + r"\s+\(([^)]*)\)", doc)[1].split(",")}
+
+        keys = (listed("RunConfig") | listed("ExperimentConfig")
+                | {"synth_" + k for k in listed("which is master_seed")})
+        accepted = {f.name for cls in (cli.RunConfig, ExperimentConfig) for f in dataclasses.fields(cls)}
+        accepted |= {"synth_" + f.name for f in dataclasses.fields(SynthConfig)}
+        assert keys == accepted - {"experiment", "synth_seed"}
+        assert len(keys) == 21
+        with pytest.raises(SystemExit):
+            cli.main(["train-eval", "--help"])
+        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+        assert set(re.findall(r"--[a-z-]+", doc)) == flags
+        assert len(flags) == 5
+
+    @pytest.mark.parametrize("argv", [
+        ["--no-stratify"], ["--min-sens", "0.5"], *[[f"{key}=1"] for key in (
+            "min_sensitivity", "stratify", "split_ratio", "min_child_hessian", "l2_reg", "gamma",
+            "pre_ms", "post_ms")],
+    ])
+    def test_removed_keys_and_flags_exit_2(self, tmp_path, caplog, argv):
+        if argv[0].startswith("--"):
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(["table-one", *argv])
+            assert exit_.value.code == 2
+            return
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(argv[0] + "\n", encoding="utf-8")
+        with caplog.at_level(logging.ERROR, logger="ecgtriage"):
+            assert cli.main(["table-one", "--config", str(cfg)]) == 2
+        [record] = caplog.records
+        assert record.getMessage() == f"config error: unknown config key {argv[0][:-2]!r}"
 
     def test_defaults_without_config_file(self):
         cfg, raw = load(["table-one"])
@@ -549,42 +574,38 @@ class TestExtractCommand:
         table = write_cfg(tmp_path / "t.cfg", cohort_table=tmp_path / "o" / "features.csv")
         assert cli.main(["table-one", "--config", table, "--out", str(tmp_path / "t")]) == 0
 
-    # windows too short for the synthetic landmarks: every consolidated beat
-    # has a landmark before (pre_ms) or after (post_ms) its window
-    @pytest.mark.parametrize("key, value, width, indices", [
-        ("pre_ms", 100, 145, (-23, -22, -26, -20, -22, -26, -27, -24, -23, -26)),
-        ("post_ms", 250, 133, (151, 159, 156, 157, 158, 150, 143, 157, 154, 151)),
-    ])
-    def test_short_window_fails_every_patient(self, tmp_path, key, value, width, indices):
+    # landmarks annotated past the beat window, 300 ms before R to 500 ms after
+    # (72 + 120 samples at 240 Hz): every consolidated beat has one outside it
+    @pytest.mark.parametrize("wave, mark, offset", [("p", "onset", -73), ("t", "offset", 121)])
+    def test_landmark_outside_window_fails_every_patient(self, tmp_path, wave, mark, offset):
         data = generate(SynthConfig(n_patients=10, seed=3, positive_fraction=0.3), tmp_path / "d")
+        for path in (tmp_path / "d" / "fiducials").glob("*.json"):
+            doc = json.loads(path.read_text())
+            for beat in doc["beats"]:
+                beat[wave][mark] = beat["qrs"]["peak"] + offset
+            path.write_text(json.dumps(doc))
         cfg = write_cfg(tmp_path / "c.cfg", ecg_dir=tmp_path / "d" / "ecg",
                         fiducial_dir=tmp_path / "d" / "fiducials",
-                        cohort_table=data["cohort_table"], out_dir=tmp_path / "o", **{key: value})
+                        cohort_table=data["cohort_table"], out_dir=tmp_path / "o")
         assert cli.main(["extract", "--config", cfg]) == 0
         assert (tmp_path / "o" / "extract_log.txt").read_text().splitlines() == [
-            f"p{k:04d}\tfailed\tconsolidated landmark at window index {i} outside [0, {width})"
-            for k, i in enumerate(indices, 1)]
+            f"p{k:04d}\tfailed\tconsolidated landmark at window index {72 + offset} outside [0, 193)"
+            for k in range(1, 11)]
 
-    # a window too wide to count in samples fails the patients it meets, and the run goes on
-    @pytest.mark.parametrize("rate, keys, failed", [
-        ("1e307", {}, ["p0004"]),
-        (None, {"pre_ms": 1e308}, [f"p{k:04d}" for k in range(1, 11)]),
-    ])
-    def test_window_too_wide_to_count_fails_its_patients(self, tmp_path, rate, keys, failed):
+    # a window too wide to count in samples fails the patient it meets, and the run goes on
+    def test_window_too_wide_to_count_fails_its_patient(self, tmp_path):
         data = generate(SynthConfig(n_patients=10, seed=3, positive_fraction=0.3), tmp_path / "d")
-        if rate is not None:
-            trace = tmp_path / "d" / "ecg" / "p0004.csv"
-            body = trace.read_text().split("\n", 1)[1]
-            trace.write_text(f"sample_rate_hz={rate} gain_uv_per_unit=1.0\n{body}")
+        trace = tmp_path / "d" / "ecg" / "p0004.csv"
+        body = trace.read_text().split("\n", 1)[1]
+        trace.write_text(f"sample_rate_hz=1e307 gain_uv_per_unit=1.0\n{body}")
         cfg = write_cfg(tmp_path / "c.cfg", ecg_dir=tmp_path / "d" / "ecg",
                         fiducial_dir=tmp_path / "d" / "fiducials",
-                        cohort_table=data["cohort_table"], out_dir=tmp_path / "o", **keys)
+                        cohort_table=data["cohort_table"], out_dir=tmp_path / "o")
         assert cli.main(["extract", "--config", cfg]) == 0
         log = [ln.split("\t") for ln in (tmp_path / "o" / "extract_log.txt").read_text().splitlines()]
         assert len(log) == len(read_rows(tmp_path / "o" / "features.csv")) == 10
-        assert [(pid, status) for pid, status, _ in log if status != "ok"] == [
-            (pid, "failed") for pid in failed]
-        assert all(message.endswith("has no finite width") for pid, _, message in log if pid in failed)
+        assert [(pid, status) for pid, status, _ in log if status != "ok"] == [("p0004", "failed")]
+        assert log[3][2].endswith("has no finite width")
 
     def test_forged_id_is_data_error(self, tmp_path):
         data = generate(SynthConfig(n_patients=10, seed=6, positive_fraction=0.4), tmp_path / "d")
@@ -804,7 +825,7 @@ class TestTrainEvalCommand:
     def test_flags_change_protocol(self, tmp_path, synth_cohort_dir):
         cfg = self.run_cfg(tmp_path, synth_cohort_dir, tmp_path / "o")
         assert cli.main(["train-eval", "--config", cfg, "--specs", "g",
-                         "--holdout-selection", "--no-stratify"]) == 0
+                         "--holdout-selection"]) == 0
         report = json.loads((tmp_path / "o" / "reports" / "report_G.json").read_text())
         assert report["selection"]["on"] == "holdout"
 
