@@ -322,15 +322,14 @@ def _read_body(data: bytes, start: int, path) -> np.ndarray:
     n = len(LEAD_NAMES)
     body = np.frombuffer(data, np.uint8, offset=start)
     sep = np.flatnonzero(body < ord("-"))  # "," and line ends, and every other byte below "-"
-    hi = sep[n - 1::n]
+    line_end = slice(n - 1, None, n)  # as indices into sep
     # every 12th separator is LF and all the others are commas: every line
-    # holds 12 cells and ends in LF, and all are rows for the kernel, each one
-    # starting after the LF of the one before
-    clean = bool(sep.size and sep.size % n == 0 and sep[-1] == body.size - 1
-                 and (body[hi] == ord("\n")).all()
-                 and np.count_nonzero(body == ord(",")) == len(sep) - len(hi))
-    if clean:
-        ends, hi = sep, hi.copy()  # the kernel spends sep
+    # holds 12 cells and ends in LF, and all are rows for the kernel (the
+    # empty line after the last LF is dropped below, as every empty line is)
+    if (sep.size and sep.size % n == 0 and sep[-1] == body.size - 1
+            and (body[sep[line_end]] == ord("\n")).all()
+            and np.count_nonzero(body == ord(",")) == len(sep) - len(sep) // n):
+        ends, read = sep, np.ones(len(sep) // n + 1, bool)
     else:
         # a line ends at LF or CR, or at the end of the body; it is a row for
         # the kernel when it holds 11 commas, no other byte below "-", and its end
@@ -343,24 +342,18 @@ def _read_body(data: bytes, start: int, path) -> np.ndarray:
         read = np.append(read[is_end], False)
         in_row = np.repeat(read[:-1], np.diff(line_end, prepend=-1))
         ends = sep[:in_row.size].compress(in_row)
-        hi = np.append(sep[line_end], body.size)
-        lo = np.concatenate(([0], hi[:-1] + 1))
-        filled = hi > lo  # an empty line is no row
-        lo, hi, read = lo[filled], hi[filled], read[filled]
+    hi = np.append(sep[line_end], body.size)
+    lo = np.concatenate(([0], hi[:-1] + 1))
+    filled = hi > lo  # an empty line is no row
+    lo, hi, read = lo[filled], hi[filled], read[filled]
     cells, refused = np.empty((n, 0)), None
-    if ends.size:
+    if ends.size:  # the kernel spends ends, and sep with it
         starts = np.empty_like(ends)
         np.add(ends[:-1], 1, out=starts[1:])
-        if clean:
-            starts[0] = 0
-        else:
-            starts[::n] = lo[read]
+        starts[::n] = lo[read]
         cells, refused = _swar_cells(data, start, ends, starts)
-    if refused is None and (clean or read.all()):
+    if refused is None and read.all():
         return cells
-    if clean:
-        lo = np.concatenate(([0], hi[:-1] + 1))
-        read = np.ones(hi.size, bool)
     if refused is not None:
         read[np.flatnonzero(read)[refused]] = False
         cells = cells[:, ~refused]

@@ -6,7 +6,8 @@ hessians h = p (1 - p); a tree is grown greedily, scoring each candidate split
 
     gain = 1/2 * [GL^2/(HL + lambda) + GR^2/(HR + lambda) - G^2/(H + lambda)] - gamma
 
-over the exact midpoints between sorted distinct feature values. Leaf weight is
+over the exact midpoints between sorted distinct feature values, or the higher
+value where the midpoint rounds to the lower one or overflows. Leaf weight is
 -G/(H + lambda). The prediction is sigmoid(base_score + lr * sum of tree
 outputs), with base_score the log-odds of the training prevalence.
 
@@ -274,7 +275,9 @@ def _best_split(values, gh, G, H, cfg: TrainConfig):
     if gain <= 0.0:
         return None
     cut = int(bounds[best])
-    return gain, cut // n, (flat.item(cut) + flat.item(cut + 1)) / 2.0
+    lo, hi = flat.item(cut), flat.item(cut + 1)
+    mid = (lo + hi) / 2.0  # rounds to lo between adjacent values, overflows near the limit
+    return gain, cut // n, mid if lo < mid < math.inf else hi
 
 
 def fit(X, y, config: TrainConfig, feature_names=None) -> Ensemble:

@@ -141,6 +141,14 @@ def threshold_scan(labels, scores, min_sens):
     return t, orientation, sens, spec
 
 
+def cut_between(lo, hi):
+    """The split threshold between distinct values lo < hi: their midpoint,
+    or hi where the midpoint rounds to lo or overflows."""
+    lo, hi = float(lo), float(hi)
+    mid = (lo + hi) / 2.0
+    return mid if lo < mid < math.inf else hi
+
+
 def first_tree_bruteforce(X, y, max_depth, l2_reg, gamma, min_child_hessian, base_score):
     """Grow one Newton tree by exhaustively evaluating every candidate split.
 
@@ -166,7 +174,7 @@ def first_tree_bruteforce(X, y, max_depth, l2_reg, gamma, min_child_hessian, bas
         for j in range(X.shape[1]):
             values = sorted(set(X[i, j] for i in rows))
             for lo, hi in zip(values, values[1:]):
-                threshold = (lo + hi) / 2.0
+                threshold = cut_between(lo, hi)
                 left = [i for i in rows if X[i, j] < threshold]
                 right = [i for i in rows if X[i, j] >= threshold]
                 gl, hl = node_term(left)
@@ -204,7 +212,7 @@ def first_tree_bruteforce_masked(X, y, max_depth, l2_reg, gamma, min_child_hessi
         for j in range(X.shape[1]):
             values = np.unique(X[rows, j])
             for lo, hi in zip(values, values[1:]):
-                threshold = (lo + hi) / 2.0
+                threshold = cut_between(lo, hi)
                 mask = X[rows, j] < threshold
                 gl = float(g[rows[mask]].sum())
                 hl = float(h[rows[mask]].sum())
@@ -385,7 +393,7 @@ class PerFeatureScanBooster(Booster):
             if top > best_gain:
                 best_gain = top
                 best_feature = j
-                best_threshold = float((values[k] + values[k + 1]) / 2.0)
+                best_threshold = cut_between(values[k], values[k + 1])
 
         if best_feature < 0 or best_gain <= 0.0:
             return leaf()

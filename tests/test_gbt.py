@@ -316,6 +316,25 @@ class TestSplitSearch:
         assert root.feature == 1
         assert root.threshold == 0.0
 
+    # the midpoint of adjacent values rounds to the lower one, and near the
+    # float limit it overflows: the cut must still separate the two values
+    @pytest.mark.parametrize("lo, hi", [(1.0, math.nextafter(1.0, 2.0)), (1e308, 1.5e308),
+                                        (-1.5e308, -1e308)])
+    @pytest.mark.parametrize("min_child_hessian", [1.0, 0.0])
+    def test_cut_separates_adjacent_and_huge_values(self, lo, hi, min_child_hessian):
+        X = np.tile([lo, lo, hi, hi], 5)[:, None]
+        y = np.tile([0, 0, 1, 1], 5)
+        cfg = TrainConfig(learning_rate=0.3, num_rounds=1, min_child_hessian=min_child_hessian)
+        model = fit(X, y, cfg)
+        root = model.trees[0].root
+        assert lo < root.threshold <= hi
+        assert root.left.is_leaf and root.right.is_leaf
+        np.testing.assert_array_equal(model.predict(X) > 0.5, y == 1)
+        assert shapes_equal(tree_shape(root), first_tree_bruteforce(
+            X, y, cfg.max_depth, cfg.l2_reg, cfg.gamma, min_child_hessian, model.base_score))
+        scan = PerFeatureScanBooster(X, y, cfg).run(1)
+        assert tree_shape(scan.trees[0].root) == tree_shape(root)
+
     def test_no_columns_grows_leaves(self):
         model = fit(np.zeros((4, 0)), np.array([0, 1, 0, 1]), config(num_rounds=2))
         assert all(tree.root.is_leaf for tree in model.trees)
