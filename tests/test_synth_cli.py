@@ -471,23 +471,22 @@ class TestConfigPath:
         assert set(re.findall(r"--[a-z-]+", doc)) == flags
         assert len(flags) == 5
 
-    @pytest.mark.parametrize("argv", [
-        ["--no-stratify"], ["--min-sens", "0.5"], *[[f"{key}=1"] for key in (
-            "min_sensitivity", "stratify", "split_ratio", "min_child_hessian", "l2_reg", "gamma",
-            "pre_ms", "post_ms")],
+    @pytest.mark.parametrize("removed", [
+        "--no-stratify", "--min-sens=0.5", "min_sensitivity", "stratify", "split_ratio",
+        "min_child_hessian", "l2_reg", "gamma", "pre_ms", "post_ms",
     ])
-    def test_removed_keys_and_flags_exit_2(self, tmp_path, caplog, argv):
-        if argv[0].startswith("--"):
+    def test_removed_keys_and_flags_exit_2(self, tmp_path, caplog, removed):
+        if removed.startswith("--"):
             with pytest.raises(SystemExit) as exit_:
-                cli.main(["table-one", *argv])
+                cli.main(["table-one", removed])
             assert exit_.value.code == 2
             return
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(argv[0] + "\n", encoding="utf-8")
+        cfg.write_text(f"{removed}=1\n", encoding="utf-8")
         with caplog.at_level(logging.ERROR, logger="ecgtriage"):
             assert cli.main(["table-one", "--config", str(cfg)]) == 2
         [record] = caplog.records
-        assert record.getMessage() == f"config error: unknown config key {argv[0][:-2]!r}"
+        assert record.getMessage() == f"config error: unknown config key {removed!r}"
 
     def test_defaults_without_config_file(self):
         cfg, raw = load(["table-one"])
