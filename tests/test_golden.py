@@ -11,6 +11,7 @@ import json
 import runpy
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,13 +31,9 @@ def environment() -> dict:
 
 def demo_digests(out: Path) -> dict:
     """SHA-256 of the demo's extract, table-one and train-eval outputs, as CI's demo step runs it."""
-    argv = sys.argv
-    sys.argv = [str(DEMO), "--out", str(out), "--n-patients", "60", "--n-instances", "2"]
-    try:
-        with pytest.raises(SystemExit) as done:
-            runpy.run_path(str(DEMO), run_name="__main__")
-    finally:
-        sys.argv = argv
+    argv = [str(DEMO), "--out", str(out), "--n-patients", "60", "--n-instances", "2"]
+    with mock.patch.object(sys, "argv", argv), pytest.raises(SystemExit) as done:
+        runpy.run_path(str(DEMO), run_name="__main__")
     assert done.value.code == 0
     files = [out / "features" / "features.csv", out / "features" / "extract_log.txt",
              out / "tables" / "table_one.json", *sorted((out / "models" / "reports").iterdir())]
