@@ -6,6 +6,7 @@ why. To write it afresh from the current code:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import ctypes
 import hashlib
 import json
 import runpy
@@ -21,12 +22,22 @@ DEMO = Path(__file__).parents[1] / "scripts" / "run_synthetic_experiment.py"
 
 
 def environment() -> dict:
-    """The numpy build and the SIMD targets its run-time dispatch picks on this CPU."""
+    """The numpy build, the SIMD targets its run-time dispatch picks on this CPU
+    and the BLAS kernel: the run-time config of the OpenBLAS numpy bundles, or
+    where that library is not there, the BLAS numpy was built against."""
     from numpy._core import _multiarray_umath as umath
 
+    try:  # looked up through numpy's core module, which links the bundled OpenBLAS
+        get_config = ctypes.CDLL(umath.__file__).scipy_openblas_get_config64_
+        get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+        blas = get_config().decode()
+    except (AttributeError, OSError):
+        build = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        blas = f"{build['name']} {build['version']} (build entry)"
     return {"numpy": np.__version__,
             "simd_baseline": list(umath.__cpu_baseline__),
-            "simd_dispatched": [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]}
+            "simd_dispatched": [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]],
+            "blas": blas}
 
 
 def demo_digests(out: Path) -> dict:
@@ -49,6 +60,11 @@ def test_demo_outputs_match_golden_digests(tmp_path):
     assert not differ, (
         f"demo outputs differ from {GOLDEN.name}: {', '.join(differ)}; recorded under "
         f"{golden['environment']}, this run under {environment()}")
+
+
+def test_environment_falls_back_to_the_build_blas():
+    with mock.patch.object(ctypes, "CDLL", lambda path: object()):
+        assert environment()["blas"].endswith("(build entry)")
 
 
 if __name__ == "__main__":
