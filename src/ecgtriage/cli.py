@@ -13,8 +13,9 @@ holdout_selection, max_rounds, patience, max_depth) and, prefixed synth_, of
 synth.SynthConfig except its seed, which is master_seed (n_patients,
 positive_fraction, sampling_rate_hz, duration_s, noise_sd_mv,
 qrst_angle_shift_deg, svg_scale, risk_effect). The protocol's constants are
-the defaults of the functions that use them: the stratified 70/30 split, the
-0.90 sensitivity floor, the tree regularisation and the beat window. A value
+the defaults of the functions that use them (the stratified 70/30 split, the
+0.90 sensitivity floor and the beat window) or, for the tree regularisation at
+XGBoost's defaults, constants of gbt (L2_REG, MIN_CHILD_HESSIAN). A value
 takes its field's annotated type: int, float, str or Path from the text, bool
 from 1/true/yes or 0/false/no, a tuple from a comma-separated list. Each config
 class validates its own values. An int or float value follows the numeral rule

@@ -1,15 +1,20 @@
 """Gradient-boosted decision trees for binary classification, written from
 scratch with second-order (Newton) split gain.
 
-Per boosting round, with current probabilities p: gradients g = p - y and
-hessians h = p (1 - p); a tree is grown greedily, scoring each candidate split
+Per boosting round, with current probabilities p: gradients g = p - y in
+[-1, 1] and hessians h = p (1 - p) in [0, 1/4]; a tree is grown greedily,
+scoring each candidate split
 
-    gain = 1/2 * [GL^2/(HL + lambda) + GR^2/(HR + lambda) - G^2/(H + lambda)] - gamma
+    gain = 1/2 * [GL^2/(HL + 1) + GR^2/(HR + 1) - G^2/(H + 1)]
 
 over the exact midpoints between sorted distinct feature values, or the higher
 value where the midpoint rounds to the lower one or overflows. Leaf weight is
--G/(H + lambda). The prediction is sigmoid(base_score + lr * sum of tree
-outputs), with base_score the log-odds of the training prevalence.
+-G/(H + 1). The regularisation is XGBoost's default, fixed (Chen & Guestrin
+2016): lambda = L2_REG = 1, gamma = 0, and each child holds a hessian sum of at
+least MIN_CHILD_HESSIAN = 1. No denominator is then below 1 by more than
+rounding, and |GL|, |G| <= n, so every gain is finite. The prediction is
+sigmoid(base_score + lr * sum of tree outputs), with base_score the log-odds of
+the training prevalence.
 
 The matrix never changes while a booster trains, so each column is sorted
 once, stably (tied values keep row order, NaN last), when the booster is built;
@@ -35,15 +40,16 @@ import numpy as np
 
 from .errors import ConfigError, EmptyMatrix, SchemaError, SingleClass, WidthMismatch
 
+# L2 penalty on leaf weights, and the least hessian sum a child may hold
+L2_REG = 1.0
+MIN_CHILD_HESSIAN = 1.0
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float
     num_rounds: int
     max_depth: int = 6
-    min_child_hessian: float = 1.0
-    l2_reg: float = 1.0
-    gamma: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate <= 1.0:
@@ -52,10 +58,6 @@ class TrainConfig:
             raise ConfigError("num_rounds must be >= 1")
         if self.max_depth < 1:
             raise ConfigError("max_depth must be >= 1")
-        for name in ("min_child_hessian", "l2_reg", "gamma"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass
@@ -196,9 +198,7 @@ class Booster:
         g = p - self.y
         h = p * (1.0 - p)
         leaf_values = np.empty(len(self.y))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root = self._grow(np.arange(len(self.y)), self._order, g, h, 0, leaf_values)
-        tree = Tree(root)
+        tree = Tree(self._grow(np.arange(len(self.y)), self._order, g, h, 0, leaf_values))
         self.ensemble.trees.append(tree)
         self._margins = self._margins + self.config.learning_rate * leaf_values
         return tree
@@ -210,8 +210,8 @@ class Booster:
 
     def _grow(self, idx, order, g, h, depth, leaf_values) -> TreeNode:
         """Grow the subtree of the rows idx (ascending); order is (F, len(idx)),
-        each column's rows in (value, row index) order."""
-        cfg = self.config
+        each column's rows in (value, row index) order. g lies in [-1, 1] and h
+        in [0, 1/4], as step() makes them."""
         XT, F = self._XT, len(self._XT)
         gh = np.empty(len(g), complex)  # g + i h, set part by part: each keeps its bits
         gh.real, gh.imag = g, h
@@ -224,18 +224,17 @@ class Booster:
             node, rows, depth, order, values, keep = stack.pop()
             G, H = float(g.take(rows).sum()), float(h.take(rows).sum())
             split = None
-            # No cut can leave m = min_child_hessian on both sides of a node with
+            # No cut can leave m = MIN_CHILD_HESSIAN on both sides of a node with
             # H < 2m: such a cut has hl >= m > H/2 and fl(H - hl) >= m > 0, so
             # H/2 < hl < H, H - hl is exact (Sterbenz) and H >= 2m. A node with
             # one row or no feature has no cut either: the scan returns the same leaf.
-            # At H + l2_reg = 0 every gain holds G*G/0, so none is finite: a leaf.
-            if depth < cfg.max_depth and H >= 2 * cfg.min_child_hessian and H + cfg.l2_reg > 0:
+            if depth < self.config.max_depth and H >= 2 * MIN_CHILD_HESSIAN:
                 if keep is not None:
                     order = order.compress(keep).reshape(F, -1)
                     values = values.compress(keep).reshape(F, -1)
-                split = _best_split(values, gh.take(order), G, H, cfg)
+                split = _best_split(values, gh.take(order), G, H)
             if split is None:
-                node.weight = 0.0 if H + cfg.l2_reg == 0 else -G / (H + cfg.l2_reg)
+                node.weight = -G / (H + L2_REG)
                 leaf_values[rows] = node.weight
                 continue
             node.gain, node.feature, node.threshold = split
@@ -247,12 +246,12 @@ class Booster:
         return root
 
 
-def _best_split(values, gh, G, H, cfg: TrainConfig):
+def _best_split(values, gh, G, H):
     """The first best split of a node as (gain, feature, threshold), or None.
 
     values holds the node's sorted column values, (F, n), and gh its (g, h)
     pairs in the same order. Cuts lie at value boundaries and leave at least
-    min_child_hessian on both sides; of equal gains the lowest feature wins,
+    MIN_CHILD_HESSIAN on both sides; of equal gains the lowest feature wins,
     then the lowest threshold."""
     n = values.shape[1]
     flat = values.ravel()
@@ -264,13 +263,9 @@ def _best_split(values, gh, G, H, cfg: TrainConfig):
     left = gh.cumsum(axis=1).take(bounds)
     gl, hl = left.real, left.imag
     hr = H - hl
-    lam = cfg.l2_reg
-    gains = 0.5 * (gl ** 2 / (hl + lam) + (G - gl) ** 2 / (hr + lam) - G * G / (H + lam)) - cfg.gamma
-    gains = np.where(np.minimum(hl, hr) >= cfg.min_child_hessian, gains, -np.inf)
+    gains = 0.5 * (gl ** 2 / (hl + L2_REG) + (G - gl) ** 2 / (hr + L2_REG) - G * G / (H + L2_REG))
+    gains = np.where(np.minimum(hl, hr) >= MIN_CHILD_HESSIAN, gains, -np.inf)
     best = gains.argmax()
-    if not math.isfinite(gains[best]):  # some gain is NaN or +inf: no such cut is taken
-        gains[~np.isfinite(gains)] = -np.inf
-        best = gains.argmax()
     gain = float(gains[best])
     if gain <= 0.0:
         return None

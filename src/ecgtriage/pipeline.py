@@ -59,7 +59,7 @@ class ExperimentConfig:
                                ("patience", self.patience >= 1, ">= 1")):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-        # the booster's own checks cover the grid and the tree parameters
+        # the booster's own checks cover the grid, max_rounds and max_depth
         for eta in self.eta_grid:
             self.train_config(eta, self.max_rounds)
 

@@ -347,22 +347,21 @@ class PerFeatureScanBooster(Booster):
         self._order = np.argsort(self.X, axis=0, kind="stable")
 
     def _grow(self, idx, order, g, h, depth, leaf_values):
-        # order is the package's presorted row order; the reference ignores it
-        cfg = self.config
+        # order is the package's presorted row order; the reference ignores it.
+        # L2 penalty 1.0 and least child hessian 1.0, as the package fixes them
         G = float(g[idx].sum())
         H = float(h[idx].sum())
 
         def leaf():
-            weight = 0.0 if H + cfg.l2_reg == 0 else -G / (H + cfg.l2_reg)
+            weight = -G / (H + 1.0)
             leaf_values[idx] = weight
             return TreeNode(weight=weight)
 
-        # at H + l2_reg = 0 every gain holds G*G/0, so none is finite
-        if depth >= cfg.max_depth or len(idx) < 2 or H + cfg.l2_reg == 0:
+        if depth >= self.config.max_depth or len(idx) < 2:
             return leaf()
 
         best_gain, best_feature, best_threshold = -math.inf, -1, math.nan
-        parent_term = G * G / (H + cfg.l2_reg)
+        parent_term = G * G / (H + 1.0)
         member = np.zeros(len(self.y), dtype=bool)
         member[idx] = True
         for j in range(self.X.shape[1]):
@@ -375,19 +374,12 @@ class PerFeatureScanBooster(Booster):
             gr = G - gl
             hr = H - hl
             boundary = values[:-1] < values[1:]
-            feasible = np.flatnonzero(
-                boundary & (hl >= cfg.min_child_hessian) & (hr >= cfg.min_child_hessian)
-            )
+            feasible = np.flatnonzero(boundary & (hl >= 1.0) & (hr >= 1.0))
             if feasible.size == 0:
                 continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gains = (
-                    0.5 * (gl[feasible] ** 2 / (hl[feasible] + cfg.l2_reg)
-                           + gr[feasible] ** 2 / (hr[feasible] + cfg.l2_reg)
+            gains = 0.5 * (gl[feasible] ** 2 / (hl[feasible] + 1.0)
+                           + gr[feasible] ** 2 / (hr[feasible] + 1.0)
                            - parent_term)
-                    - cfg.gamma
-                )
-            gains = np.where(np.isfinite(gains), gains, -np.inf)
             k = int(feasible[np.argmax(gains)])
             top = float(np.max(gains))
             if top > best_gain:

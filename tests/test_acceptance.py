@@ -309,8 +309,7 @@ def _shapes_equal(a, b, tol=1e-9):
 
 
 def test_criterion_07_boosted_tree_correctness(rng):
-    cfg = TrainConfig(learning_rate=0.3, num_rounds=1, max_depth=3,
-                      min_child_hessian=1.0, l2_reg=1.0, gamma=0.0)
+    cfg = TrainConfig(learning_rate=0.3, num_rounds=1, max_depth=3)
     for _ in range(50):
         X = rng.normal(size=(200, 5))
         # exactly balanced labels, as after rebalancing: the prevalence is a
@@ -320,16 +319,14 @@ def test_criterion_07_boosted_tree_correctness(rng):
         y = np.zeros(200, dtype=int)
         y[np.argsort(scores)[100:]] = 1
         model = fit(X, y, cfg)
-        oracle = first_tree_bruteforce_masked(
-            X, y, cfg.max_depth, cfg.l2_reg, cfg.gamma,
-            cfg.min_child_hessian, model.base_score)
+        # the package's fixed regularisation: l2_reg 1, gamma 0, min_child_hessian 1
+        oracle = first_tree_bruteforce_masked(X, y, cfg.max_depth, 1.0, 0.0, 1.0, model.base_score)
         assert _shapes_equal(_tree_shape(model.trees[0].root), oracle)
 
     for _ in range(10):
         X = rng.normal(size=(100, 4))
         y = (X[:, 1] + rng.normal(size=100) > 0).astype(int)
-        booster = Booster(X, y, TrainConfig(learning_rate=0.3, num_rounds=25,
-                                            max_depth=4, gamma=0.0))
+        booster = Booster(X, y, TrainConfig(learning_rate=0.3, num_rounds=25, max_depth=4))
 
         def train_loss():
             m = booster.ensemble.margins(X)

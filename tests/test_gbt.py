@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ecgtriage.errors import ConfigError, EmptyMatrix, SingleClass, WidthMismatch
+from ecgtriage.errors import EmptyMatrix, SingleClass, WidthMismatch
 from ecgtriage.gbt import (
     Booster,
     Ensemble,
@@ -37,27 +38,33 @@ def shapes_equal(a, b, tol=1e-9):
             and shapes_equal(a[4], b[4], tol) and shapes_equal(a[5], b[5], tol))
 
 
+# the package's fixed regularisation, as the brute-force oracles take it
+L2_REG, GAMMA, MIN_CHILD_HESSIAN = 1.0, 0.0, 1.0
+
+
 def config(**kw):
-    defaults = dict(learning_rate=0.3, num_rounds=1, max_depth=6,
-                    min_child_hessian=0.0, l2_reg=1.0, gamma=0.0)
-    defaults.update(kw)
-    return TrainConfig(**defaults)
+    """The protocol's configuration; a keyword TrainConfig lacks is a TypeError."""
+    return TrainConfig(**{"learning_rate": 0.3, "num_rounds": 1, "max_depth": 6, **kw})
 
 
-@pytest.mark.parametrize("field, value", [
-    ("min_child_hessian", math.nan), ("min_child_hessian", math.inf), ("min_child_hessian", -1.0),
-    ("l2_reg", math.nan), ("l2_reg", math.inf), ("gamma", -1.0), ("gamma", math.inf),
-])
-def test_tree_parameters_finite_and_non_negative(field, value):
-    with pytest.raises(ConfigError, match=f"^{field} must be finite and >= 0"):
-        config(**{field: value})
+def test_regularisation_is_not_configurable():
+    assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+        "learning_rate", "num_rounds", "max_depth"]
+    for name in ("min_child_hessian", "l2_reg", "gamma"):
+        with pytest.raises(TypeError, match=name):
+            config(**{name: 1.0})
+
+
+# X = [-2, -1, 1, 2] three times over: at p = 1/2 each side of the cut holds a
+# hessian sum of 1.5, over MIN_CHILD_HESSIAN
+STEP_X = np.tile([[-2.0], [-1.0], [1.0], [2.0]], (3, 1))
+STEP_Y = np.tile([0, 0, 1, 1], 3)
 
 
 class TestFit:
     def test_separable_step(self):
-        X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
-        y = np.array([0, 0, 1, 1])
-        model = fit(X, y, config(min_child_hessian=0.0))
+        X, y = STEP_X, STEP_Y
+        model = fit(X, y, config())
         root = model.trees[0].root
         assert not root.is_leaf
         assert root.feature == 0
@@ -65,13 +72,6 @@ class TestFit:
         assert root.left.is_leaf and root.right.is_leaf
         preds = model.predict(X)
         np.testing.assert_array_equal((preds > 0.5).astype(int), y)
-
-    def test_huge_l2_collapses_to_base_rate(self, rng):
-        X = rng.normal(size=(40, 3))
-        y = (X[:, 0] > 0).astype(int)
-        model = fit(X, y, config(num_rounds=5, l2_reg=1e12))
-        base = 1.0 / (1.0 + math.exp(-model.base_score))
-        np.testing.assert_allclose(model.predict(X), base, atol=1e-9)
 
     def test_first_tree_matches_bruteforce(self, rng):
         for _ in range(6):
@@ -81,11 +81,10 @@ class TestFit:
             # acceptance suite for the rounding argument)
             y = np.zeros(200, dtype=int)
             y[np.argsort(logits)[100:]] = 1
-            cfg = config(max_depth=3, min_child_hessian=1.0)
+            cfg = config(max_depth=3)
             model = fit(X, y, cfg)
             oracle = first_tree_bruteforce(
-                X, y, cfg.max_depth, cfg.l2_reg, cfg.gamma,
-                cfg.min_child_hessian, model.base_score)
+                X, y, cfg.max_depth, L2_REG, GAMMA, MIN_CHILD_HESSIAN, model.base_score)
             assert shapes_equal(tree_shape(model.trees[0].root), oracle)
 
     def test_single_class_rejected(self):
@@ -97,16 +96,16 @@ class TestFit:
             fit(np.zeros((0, 2)), np.zeros(0), config())
 
     def test_gain_formula_on_toy_node(self):
-        # single feature, 6 rows; evaluate the documented gain expression by hand
-        X = np.array([[1.0], [2.0], [3.0], [4.0], [5.0], [6.0]])
-        y = np.array([0, 0, 1, 0, 1, 1])
-        lam = 1.3
-        cfg = config(max_depth=1, l2_reg=lam, min_child_hessian=0.0)
-        model = fit(X, y, cfg)
+        # single feature, 12 rows; evaluate the documented gain expression by hand
+        X = np.arange(1.0, 13.0)[:, None]
+        y = np.array([0, 0, 0, 1, 0, 0, 1, 1, 0, 1, 1, 1])
+        lam = L2_REG
+        model = fit(X, y, config(max_depth=1))
         root = model.trees[0].root
-        p = 0.5  # prevalence 3/6 -> base score 0, p = 1/2
+        assert not root.is_leaf
+        p = 0.5  # prevalence 6/12 -> base score 0, p = 1/2
         g = p - y
-        h = np.full(6, p * (1 - p))
+        h = np.full(12, p * (1 - p))
         split = int(root.threshold)  # thresholds are midpoints k + 0.5
         gl, hl = g[:split].sum(), h[:split].sum()
         gr, hr = g[split:].sum(), h[split:].sum()
@@ -139,7 +138,7 @@ class TestFit:
     def test_training_loss_non_increasing(self, rng):
         X = rng.normal(size=(80, 4))
         y = (X[:, 0] + rng.normal(size=80) > 0).astype(int)
-        booster = Booster(X, y, config(learning_rate=0.3, num_rounds=30, gamma=0.0))
+        booster = Booster(X, y, config(learning_rate=0.3, num_rounds=30))
 
         def train_loss():
             m = booster.ensemble.margins(X)
@@ -164,16 +163,13 @@ class TestSplitSearch:
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(),
-           n=st.integers(4, 40),
+           n=st.integers(8, 60),
            width=st.integers(1, 4),
-           min_child_hessian=st.sampled_from([0.0, 1.0]),
-           l2_reg=st.sampled_from([0.0, 1.0]),
            max_depth=st.integers(1, 5),
            num_rounds=st.integers(1, 4))
-    def test_fit_equals_per_feature_scan(self, data, n, width, min_child_hessian,
-                                         l2_reg, max_depth, num_rounds):
+    def test_fit_equals_per_feature_scan(self, data, n, width, max_depth, num_rounds):
         # small integers and duplicated columns make tied values and tied gains;
-        # NaN cells sort last and go right
+        # NaN cells sort last and go right. Below 8 rows no node holds H >= 2.
         cells = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, math.nan]),
                                    min_size=n * width, max_size=n * width))
         base = np.array(cells, dtype=float).reshape(n, width)
@@ -181,8 +177,7 @@ class TestSplitSearch:
         X = np.column_stack([base] + [base[:, j] for j in copies])
         y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
         y[:2] = [0, 1]
-        cfg = config(num_rounds=num_rounds, max_depth=max_depth,
-                     min_child_hessian=min_child_hessian, l2_reg=l2_reg)
+        cfg = config(num_rounds=num_rounds, max_depth=max_depth)
         model = fit(X, y, cfg)
         reference = PerFeatureScanBooster(X, y, cfg).run(cfg.num_rounds)
         assert model == reference
@@ -209,86 +204,45 @@ class TestSplitSearch:
         assert repr(model) == repr(reference)
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), n=st.integers(2, 30), width=st.integers(1, 3),
-           l2_reg=st.sampled_from([1e-3, 1.0]), nudge=st.sampled_from([-1, 0, 1]))
-    def test_hessian_skip_keeps_every_split(self, data, n, width, l2_reg, nudge):
-        # min_child_hessian at (or one ulp around) the most one cut admits: the
-        # skip before the scan fires only where the scan finds no admitted cut,
-        # and the root comes out as the full per-feature scan grows it
+    @given(data=st.data(), n=st.integers(8, 30), width=st.integers(1, 3),
+           nudge=st.sampled_from([-1, 0, 1]))
+    def test_hessian_skip_keeps_every_split(self, data, n, width, nudge):
+        # H at 2 * MIN_CHILD_HESSIAN or one ulp of 2 around it, with the cut of
+        # column j after sorted row k holding exactly 1 on each side before the
+        # nudge: the skip before the scan fires only where the scan finds no
+        # admitted cut, and the root comes out as the full per-feature scan grows it
         X = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * width, max_size=n * width)),
                      dtype=float).reshape(n, width)
-        g = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
-        h = np.array(data.draw(st.lists(st.one_of(st.floats(0.0, 0.25), st.floats(1e-12, 1e6)),
-                                        min_size=n, max_size=n)))
-        j, k = data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, n - 2))
-        H = float(h.sum())
-        hl = float(np.add.accumulate(h[np.argsort(X[:, j], kind="stable")])[k])
-        m = max(float(np.nextafter(min(hl, H - hl), nudge * math.inf)) if nudge else min(hl, H - hl), 0.0)
-        if hl >= m and H - hl >= m:
-            assert not H * (1 + 1e-12) < 2 * m
+        g = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+        j, k = data.draw(st.integers(0, width - 1)), data.draw(st.integers(3, n - 5))
+        # h in sixty-fourths within [0, 1/4], 64 of them on each side of the
+        # cut, so every partial sum is exact
+        q = data.draw(st.lists(st.integers(0, 16), min_size=n, max_size=n))
+        sides = np.split(np.argsort(X[:, j], kind="stable"), [k + 1])
+        for side in sides:
+            short = 64 - sum(q[i] for i in side)
+            for i in side:
+                move = max(-q[i], min(16 - q[i], short))
+                q[i] += move
+                short -= move
+        h = np.array(q) / 64.0
+        # one row moves H to the float next to 2 on the nudge's side, keeping
+        # h in [0, 1/4]; every partial sum stays exact
+        step = float(np.nextafter(2.0, nudge * math.inf)) - 2.0 if nudge else 0.0
+        first = sides[data.draw(st.integers(0, 1))]
+        rows = [i for i in np.concatenate([first, *sides]) if 0.0 <= h[i] + step <= 0.25]
+        assume(rows)
+        h[rows[0]] += step
+        H, hl = float(h.sum()), float(h[sides[0]].sum())
+        assert H == 2.0 + step
+        if hl >= MIN_CHILD_HESSIAN and H - hl >= MIN_CHILD_HESSIAN:
+            assert not H < 2 * MIN_CHILD_HESSIAN
         y = np.arange(n) % 2
-        cfg = config(max_depth=1, min_child_hessian=m, l2_reg=l2_reg)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            booster = Booster(X, y, cfg)
-            root = booster._grow(np.arange(n), booster._order, g, h, 0, np.empty(n))
-            reference = PerFeatureScanBooster(X, y, cfg)
-            expected = reference._grow(np.arange(n), None, g, h, 0, np.empty(n))
+        booster = Booster(X, y, config(max_depth=1))
+        root = booster._grow(np.arange(n), booster._order, g, h, 0, np.empty(n))
+        reference = PerFeatureScanBooster(X, y, config(max_depth=1))
+        expected = reference._grow(np.arange(n), None, g, h, 0, np.empty(n))
         assert repr(root) == repr(expected)
-
-    def test_non_finite_gains_are_never_taken(self):
-        # l2_reg = min_child_hessian = 0 with exact-zero hessians: the first cut
-        # scores 0/0 = NaN and the second gl^2/0 = +inf, both ahead of the best
-        # finite cut; in the second node G^2 overflows and the one cut scores -inf
-        cfg = config(max_depth=1, min_child_hessian=0.0, l2_reg=0.0)
-        nodes = [(np.array([0.0, 1.0, -1.0, -1.0, 1.0, 1.0]), np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])),
-                 (np.array([1e154, 1e154]), np.array([2.0, 2.0]))]
-        scores = [math.nan, math.inf, 1 / 24, 1.125, 0.375], [-math.inf]
-        for (g, h), scored, split in zip(nodes, scores, [(0, 3.5), (None, None)]):
-            n = len(g)
-            X, y = np.arange(float(n))[:, None], np.arange(n) % 2
-            gl, hl = np.add.accumulate(g)[:-1], np.add.accumulate(h)[:-1]
-            G, H = g.sum(), h.sum()
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                gains = 0.5 * (gl ** 2 / hl + (G - gl) ** 2 / (H - hl) - G * G / H)
-                booster = Booster(X, y, cfg)
-                root = booster._grow(np.arange(n), booster._order, g, h, 0, np.empty(n))
-                expected = PerFeatureScanBooster(X, y, cfg)._grow(np.arange(n), None, g, h, 0, np.empty(n))
-            np.testing.assert_allclose(gains, scored, rtol=1e-12)
-            assert repr(root) == repr(expected)
-            assert (root.feature, root.threshold) == split
-
-    def test_zero_hessian_node_is_a_zero_leaf(self):
-        # H + l2_reg = 0: the parent term G*G/(H + l2_reg) must not divide by zero
-        cfg = config(max_depth=2, min_child_hessian=0.0, l2_reg=0.0)
-        X, y, g, h = np.array([[0.0], [1.0]]), np.array([0, 1]), np.zeros(2), np.zeros(2)
-        leaves = np.full(2, np.nan)
-        booster = Booster(X, y, cfg)
-        root = booster._grow(np.arange(2), booster._order, g, h, 0, leaves)
-        expected = PerFeatureScanBooster(X, y, cfg)._grow(np.arange(2), None, g, h, 0, np.empty(2))
-        assert root.is_leaf and root.weight == 0.0
-        assert repr(root) == repr(expected)
-        assert leaves.tolist() == [0.0, 0.0]
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), n=st.integers(2, 24), width=st.integers(1, 3), max_depth=st.integers(1, 3))
-    def test_non_finite_gains_equal_per_feature_scan(self, data, n, width, max_depth):
-        # exact-zero hessians without l2_reg make NaN and +inf gains, and
-        # gradients near 1e154 overflow into -inf, NaN and +inf ones
-        X = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * width, max_size=n * width)),
-                     dtype=float).reshape(n, width)
-        g = np.array(data.draw(st.lists(st.sampled_from([-1e154, -1.0, -0.0, 0.0, 0.5, 1.0, 1e154]),
-                                        min_size=n, max_size=n)))
-        h = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0, 2.0]), min_size=n, max_size=n)))
-        y = np.arange(n) % 2
-        cfg = config(max_depth=max_depth, min_child_hessian=0.0, l2_reg=0.0)
-        leaves, expected_leaves = np.empty(n), np.empty(n)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            booster = Booster(X, y, cfg)
-            root = booster._grow(np.arange(n), booster._order, g, h, 0, leaves)
-            reference = PerFeatureScanBooster(X, y, cfg)
-            expected = reference._grow(np.arange(n), None, g, h, 0, expected_leaves)
-        assert repr(root) == repr(expected)
-        assert leaves.tobytes() == expected_leaves.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), width=st.integers(1, 4), n=st.integers(1, 40))
@@ -309,10 +263,8 @@ class TestSplitSearch:
         assert paired.imag.tobytes() == np.add.accumulate(h.take(order), axis=1).tobytes()
 
     def test_identical_columns_split_on_lower_index(self):
-        v = np.array([-2.0, -1.0, 1.0, 2.0])
-        X = np.column_stack([np.zeros(4), v, v])
-        y = np.array([0, 0, 1, 1])
-        root = fit(X, y, config()).trees[0].root
+        X = np.column_stack([np.zeros(12), STEP_X, STEP_X])
+        root = fit(X, STEP_Y, config()).trees[0].root
         assert root.feature == 1
         assert root.threshold == 0.0
 
@@ -320,18 +272,17 @@ class TestSplitSearch:
     # float limit it overflows: the cut must still separate the two values
     @pytest.mark.parametrize("lo, hi", [(1.0, math.nextafter(1.0, 2.0)), (1e308, 1.5e308),
                                         (-1.5e308, -1e308)])
-    @pytest.mark.parametrize("min_child_hessian", [1.0, 0.0])
-    def test_cut_separates_adjacent_and_huge_values(self, lo, hi, min_child_hessian):
+    def test_cut_separates_adjacent_and_huge_values(self, lo, hi):
         X = np.tile([lo, lo, hi, hi], 5)[:, None]
         y = np.tile([0, 0, 1, 1], 5)
-        cfg = TrainConfig(learning_rate=0.3, num_rounds=1, min_child_hessian=min_child_hessian)
+        cfg = TrainConfig(learning_rate=0.3, num_rounds=1)
         model = fit(X, y, cfg)
         root = model.trees[0].root
         assert lo < root.threshold <= hi
         assert root.left.is_leaf and root.right.is_leaf
         np.testing.assert_array_equal(model.predict(X) > 0.5, y == 1)
         assert shapes_equal(tree_shape(root), first_tree_bruteforce(
-            X, y, cfg.max_depth, cfg.l2_reg, cfg.gamma, min_child_hessian, model.base_score))
+            X, y, cfg.max_depth, L2_REG, GAMMA, MIN_CHILD_HESSIAN, model.base_score))
         scan = PerFeatureScanBooster(X, y, cfg).run(1)
         assert tree_shape(scan.trees[0].root) == tree_shape(root)
 
@@ -347,10 +298,10 @@ class TestPredict:
         np.testing.assert_allclose(m.predict(np.zeros((5, 1))), expected)
 
     def test_single_leaf_closed_form(self, rng):
-        X = rng.normal(size=(30, 2))
-        y = np.r_[np.zeros(15), np.ones(15)].astype(int)
-        # gamma very large: no split clears it, so the tree is one leaf
-        model = fit(X, y, config(num_rounds=1, gamma=1e9))
+        X = rng.normal(size=(6, 2))
+        y = np.r_[np.zeros(3), np.ones(3)].astype(int)
+        # H = 6/4 < 2 * MIN_CHILD_HESSIAN: no cut is admitted, so the tree is one leaf
+        model = fit(X, y, config(num_rounds=1))
         root = model.trees[0].root
         assert root.is_leaf
         expected = 1.0 / (1.0 + math.exp(-(model.base_score + 0.3 * root.weight)))
@@ -359,8 +310,7 @@ class TestPredict:
     def test_probabilities_strictly_inside_unit_interval(self, rng):
         X = rng.normal(size=(100, 3))
         y = (X[:, 0] > 0).astype(int)
-        model = fit(X, y, config(learning_rate=1.0, num_rounds=60, l2_reg=0.01,
-                                 min_child_hessian=0.0))
+        model = fit(X, y, config(learning_rate=1.0, num_rounds=60))
         p = model.predict(X)
         assert np.all(p > 0.0) and np.all(p < 1.0)
 
@@ -372,9 +322,8 @@ class TestPredict:
             model.predict(np.zeros((4, 2)))
 
     def test_nan_routes_to_default_direction(self):
-        X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
-        y = np.array([0, 0, 1, 1])
-        model = fit(X, y, config())
+        model = fit(STEP_X, STEP_Y, config())
+        assert not model.trees[0].root.is_leaf
         right = model.predict(np.array([[2.0]]))[0]
         assert model.predict(np.array([[np.nan]]))[0] == pytest.approx(right)
 
@@ -394,18 +343,18 @@ class TestPredict:
 
 class TestImportance:
     def test_single_feature_gets_everything(self):
-        X = np.array([[-2.0, 5.0], [-1.0, 5.0], [1.0, 5.0], [2.0, 5.0]])
-        y = np.array([0, 0, 1, 1])
-        model = fit(X, y, config(num_rounds=3, min_child_hessian=0.0))
+        X = np.column_stack([STEP_X, np.full(12, 5.0)])
+        model = fit(X, STEP_Y, config(num_rounds=3))
         table = importance_gain(model)
         by_name = {e.name: e for e in table.entries}
         assert by_name["f0"].percent == pytest.approx(100.0)
         assert by_name["f1"].percent == 0.0
 
     def test_no_splits_marker(self, rng):
-        X = rng.normal(size=(10, 2))
-        y = np.r_[np.zeros(5), np.ones(5)].astype(int)
-        model = fit(X, y, config(gamma=1e9))
+        # H = 6/4 < 2 * MIN_CHILD_HESSIAN: no cut is admitted
+        X = rng.normal(size=(6, 2))
+        y = np.r_[np.zeros(3), np.ones(3)].astype(int)
+        model = fit(X, y, config())
         table = importance_gain(model)
         assert table.no_splits
         assert table.entries == ()
