@@ -6,7 +6,8 @@ dm, outcome, the six standard interval measures, then the nine heterogeneity
 measures. Booleans are 0/1, sex is F/M, outcome is positive/negative, feature
 cells may be empty when extraction failed for that patient. An id names the
 patient's trace and annotation files and keys its extract_log.txt line: it is
-non-empty, holds no control character, "/" or "\\", and is not "." or "..".
+non-empty, holds no control character, line or paragraph separator (U+2028,
+U+2029), "/" or "\\", and is not "." or "..".
 
 The measure columns are the fields, in order, of the record dataclasses
 ecg_ingest.StandardEcgMeasures and geh.GehMeasures (less its degenerate flags).
@@ -44,7 +45,7 @@ from .geh import GehMeasures
 log = logging.getLogger(__name__)
 
 # an id character that would split a log line or leave the trace directory
-_UNSAFE_ID_CHAR = re.compile(r"[\x00-\x1f\x7f-\x9f/\\]")
+_UNSAFE_ID_CHAR = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029/\\]")
 
 STANDARD_COLUMNS, GEH_COLUMNS = (
     tuple(f.name for f in dataclasses.fields(cls) if f.name != "degenerate")

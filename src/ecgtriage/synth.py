@@ -13,7 +13,8 @@ rotated away from the depolarization axis and their whole loop amplitude
 rescaled; risk covariates shift by a separate knob.
 
 A patient's beats are evaluated in one pass over the (beats, samples) grid of
-times relative to each R peak, each over the whole record; only the lanes
+times relative to each R peak, each over the whole record, so SynthConfig
+refuses a record whose grid would pass MAX_BEAT_GRID_BYTES; only the lanes
 where exp underflows to +0.0 are filled instead of evaluated. Every sample
 keeps one summation order: 0 + beat 1 + beat 2 + ..., each beat
 0 + P + R + S + T, so where every term underflowed, such as -0.0 from an S
@@ -60,10 +61,17 @@ def synth_matrix() -> np.ndarray:
 # those lanes are filled with +0.0 instead of evaluated: the same values
 _EXP_ZERO_BELOW = -750.0
 
-# beat timing: first R peak, longest RR interval, and the room kept after the last R
-_LEAD_IN_MS, _MAX_RR_MS, _TAIL_MS = 400.0, 1200.0, 520.0
+# beat timing: first R peak, floor and ceiling of the RR interval, and the room
+# kept after the last R
+_LEAD_IN_MS, _MIN_RR_MS, _MAX_RR_MS, _TAIL_MS = 400.0, 600.0, 1200.0, 520.0
 # shortest trace holding the three beats extract needs at the longest RR
 MIN_DURATION_S = (_LEAD_IN_MS + 2 * _MAX_RR_MS + _TAIL_MS) / 1000.0
+# largest (3, beats, samples) float64 grid _patient_vcg may build, beats counted
+# at the RR floor: the default 7 s at 240 Hz needs 0.44 MB, 600 s at 240 Hz
+# would need 3.5 GB
+MAX_BEAT_GRID_BYTES = 2 ** 28
+# far above any desk-scale cohort: each patient writes a 0.15 MB trace at the defaults
+MAX_N_PATIENTS = 100_000
 
 # per-patient beat template: each wave's (amplitude mV, width ms) is scaled by
 # exp(N(0, jitter)) with the jitter of its kind; the QRS-T angle (deg) and the
@@ -102,8 +110,8 @@ class SynthConfig:
     risk_effect: float = 1.0
 
     def __post_init__(self):
-        if self.n_patients < 10:
-            raise ConfigError("n_patients must be at least 10")
+        if not 10 <= self.n_patients <= MAX_N_PATIENTS:
+            raise ConfigError(f"n_patients must be in [10, {MAX_N_PATIENTS}], got {self.n_patients}")
         if not 0.0 < self.positive_fraction < 1.0:
             raise ConfigError("positive_fraction must be in (0, 1)")
         if not 0.0 <= self.noise_sd_mv < math.inf:
@@ -112,6 +120,15 @@ class SynthConfig:
             raise ConfigError(f"sampling_rate_hz must be finite and >= {MIN_SAMPLING_RATE_HZ:g}")
         if not MIN_DURATION_S <= self.duration_s < math.inf:
             raise ConfigError(f"duration_s must be finite and >= {MIN_DURATION_S:g} (three beats)")
+        # checked in floats, before anything is allocated
+        n_samples = self.duration_s * self.sampling_rate_hz
+        if not math.isfinite(n_samples):
+            raise ConfigError(f"duration_s * sampling_rate_hz must be finite, got {n_samples!r} samples")
+        n_beats = (self.duration_s * 1000.0 - _LEAD_IN_MS - _TAIL_MS) // _MIN_RR_MS + 1
+        grid_bytes = 3 * 8 * n_beats * n_samples
+        if not grid_bytes <= MAX_BEAT_GRID_BYTES:
+            raise ConfigError(f"a {self.duration_s:g} s record at {self.sampling_rate_hz:g} Hz needs a "
+                              f"{grid_bytes:.3g}-byte beat grid, over {MAX_BEAT_GRID_BYTES}")
         if not 0.0 <= self.qrst_angle_shift_deg < math.inf:
             raise ConfigError("qrst_angle_shift_deg must be finite and non-negative")
         if not 0.0 < self.svg_scale < math.inf:
@@ -319,7 +336,7 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
 
         # beat centers on integer samples, spaced by a jittered RR interval that
         # never exceeds _MAX_RR_MS, so MIN_DURATION_S holds three beats
-        rr_ms = max(float(rng.normal(*BEAT_TEMPLATE["rr_ms"])), 600.0)
+        rr_ms = max(float(rng.normal(*BEAT_TEMPLATE["rr_ms"])), _MIN_RR_MS)
         centers = []
         c = _LEAD_IN_MS
         while c <= cfg.duration_s * 1000.0 - _TAIL_MS:

@@ -115,7 +115,9 @@ class TestLoadCohort:
 
     # an id names trace files and keys a line of extract_log.txt
     @pytest.mark.parametrize("pid", ["p0001\tok\tforged\np9999", "../p0001", "a/b", "a\\b",
-                                     ".", "..", "p\x00", "p\x7f", "p\x85"])
+                                     ".", "..", "p\x00", "p\x7f", "p\x85",
+                                     # str.splitlines() ends a line at these too
+                                     "p\u2028x", "p\u2029x"])
     def test_id_that_is_not_a_plain_file_name(self, tmp_path, pid):
         save_cohort([make_patient("p0"), make_patient(pid)], tmp_path / "c.csv")
         with pytest.raises(SchemaError) as info:

@@ -865,14 +865,23 @@ class TestSynthCommand:
         "synth_noise_sd_mv=inf", "synth_noise_sd_mv=nan", "synth_qrst_angle_shift_deg=nan",
         "synth_svg_scale=nan", "synth_risk_effect=nan", "synth_risk_effect=inf",
         "synth_qrst_angle_shift_deg=-60", "synth_svg_scale=0", "synth_svg_scale=-1",
+        # a record or cohort too large to build: refused before anything is allocated
+        "synth_sampling_rate_hz=1e308", "synth_sampling_rate_hz=1e306", "synth_duration_s=1e300",
+        "synth_n_patients=10000000000000000000000",
     ])
     def test_bad_synth_value_exits_2(self, tmp_path, caplog, line):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(f"synth_n_patients=10\n{line}\n", encoding="utf-8")
+        size = "" if line.startswith("synth_n_patients=") else "synth_n_patients=10\n"
+        cfg.write_text(f"{size}{line}\n", encoding="utf-8")
         with caplog.at_level(logging.ERROR, logger="ecgtriage"):
             assert cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
         assert [r.getMessage().split(":")[0] for r in caplog.records] == ["config error"]
         assert not (tmp_path / "s").exists()
+
+    def test_beat_grid_bound(self):
+        # 600 s at 240 Hz: 999 beats at the 600 ms RR floor x 144,000 samples x 3 x 8 bytes
+        with pytest.raises(ConfigError, match="3.45e\\+09-byte beat grid"):
+            SynthConfig(duration_s=600.0)
 
 
 # Runs the whole CLI with scipy made unimportable: numpy is the only runtime dependency.
