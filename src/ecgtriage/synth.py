@@ -120,15 +120,13 @@ class SynthConfig:
             raise ConfigError(f"sampling_rate_hz must be finite and >= {MIN_SAMPLING_RATE_HZ:g}")
         if not MIN_DURATION_S <= self.duration_s < math.inf:
             raise ConfigError(f"duration_s must be finite and >= {MIN_DURATION_S:g} (three beats)")
-        # checked in floats, before anything is allocated
-        n_samples = self.duration_s * self.sampling_rate_hz
-        if not math.isfinite(n_samples):
-            raise ConfigError(f"duration_s * sampling_rate_hz must be finite, got {n_samples!r} samples")
+        # in floats, before anything is allocated: a sample count that
+        # overflows to inf makes an inf-byte grid
         n_beats = (self.duration_s * 1000.0 - _LEAD_IN_MS - _TAIL_MS) // _MIN_RR_MS + 1
-        grid_bytes = 3 * 8 * n_beats * n_samples
+        grid_bytes = 3 * 8 * n_beats * (self.duration_s * self.sampling_rate_hz)
         if not grid_bytes <= MAX_BEAT_GRID_BYTES:
             raise ConfigError(f"a {self.duration_s:g} s record at {self.sampling_rate_hz:g} Hz needs a "
-                              f"{grid_bytes:.3g}-byte beat grid, over {MAX_BEAT_GRID_BYTES}")
+                              f"beat grid of {grid_bytes:.3g} bytes, over the {MAX_BEAT_GRID_BYTES} allowed")
         if not 0.0 <= self.qrst_angle_shift_deg < math.inf:
             raise ConfigError("qrst_angle_shift_deg must be finite and non-negative")
         if not 0.0 < self.svg_scale < math.inf:

@@ -880,7 +880,7 @@ class TestSynthCommand:
 
     def test_beat_grid_bound(self):
         # 600 s at 240 Hz: 999 beats at the 600 ms RR floor x 144,000 samples x 3 x 8 bytes
-        with pytest.raises(ConfigError, match="3.45e\\+09-byte beat grid"):
+        with pytest.raises(ConfigError, match="beat grid of 3.45e\\+09 bytes"):
             SynthConfig(duration_s=600.0)
 
 
