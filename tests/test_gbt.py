@@ -47,12 +47,12 @@ def config(**kw):
     return TrainConfig(**{"learning_rate": 0.3, "num_rounds": 1, "max_depth": 6, **kw})
 
 
-def test_regularisation_is_not_configurable():
+@pytest.mark.parametrize("name", ["min_child_hessian", "l2_reg", "gamma"])
+def test_regularisation_is_not_configurable(name):
     assert [f.name for f in dataclasses.fields(TrainConfig)] == [
         "learning_rate", "num_rounds", "max_depth"]
-    for name in ("min_child_hessian", "l2_reg", "gamma"):
-        with pytest.raises(TypeError, match=name):
-            config(**{name: 1.0})
+    with pytest.raises(TypeError, match=name):
+        config(**{name: 1.0})
 
 
 # X = [-2, -1, 1, 2] three times over: at p = 1/2 each side of the cut holds a
@@ -243,6 +243,60 @@ class TestSplitSearch:
         reference = PerFeatureScanBooster(X, y, config(max_depth=1))
         expected = reference._grow(np.arange(n), None, g, h, 0, np.empty(n))
         assert repr(root) == repr(expected)
+
+    def test_zero_hessian_node_is_a_zero_leaf(self):
+        # h = 0 where step() rounds p to 0 or 1: H = 0 < 2 * MIN_CHILD_HESSIAN
+        # makes the node a leaf, and L2_REG keeps -G/(H + 1) a plain zero
+        cfg = config(max_depth=2)
+        X, y, g, h = np.array([[0.0], [1.0]]), np.array([0, 1]), np.zeros(2), np.zeros(2)
+        leaves = np.full(2, np.nan)
+        booster = Booster(X, y, cfg)
+        root = booster._grow(np.arange(2), booster._order, g, h, 0, leaves)
+        expected = PerFeatureScanBooster(X, y, cfg)._grow(np.arange(2), None, g, h, 0, np.empty(2))
+        assert root.is_leaf and root.weight == 0.0
+        assert repr(root) == repr(expected)
+        assert leaves.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("first", [0.0, 1.0], ids=["one_row_apart", "all_tied"])
+    def test_node_without_an_admitted_cut_is_a_leaf(self, first):
+        # H = 9/4 >= 2 * MIN_CHILD_HESSIAN, so the scan runs. Apart, the one cut
+        # leaves 1/4 on its left, under MIN_CHILD_HESSIAN, and would gain 0.65 if
+        # admitted; every gain is -inf and the node ends at gain <= 0. Tied, the
+        # column has no value boundary at all.
+        X = np.array([[first]] + [[1.0]] * 8)
+        y = np.array([1] + [0] * 8)
+        g, h = np.array([-0.75] + [0.25] * 8), np.full(9, 0.25)
+        assert h.sum() >= 2 * MIN_CHILD_HESSIAN
+        leaves = np.full(9, np.nan)
+        booster = Booster(X, y, config())
+        root = booster._grow(np.arange(9), booster._order, g, h, 0, leaves)
+        expected = PerFeatureScanBooster(X, y, config())._grow(np.arange(9), None, g, h, 0, np.empty(9))
+        assert root.is_leaf and root.weight == -1.25 / 3.25
+        assert repr(root) == repr(expected)
+        assert leaves.tolist() == [root.weight] * 9
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 40), width=st.integers(1, 3), max_depth=st.integers(1, 3))
+    def test_domain_extremes_equal_per_feature_scan(self, data, n, width, max_depth):
+        # g and h at the ends of step()'s domain, exact zeros and subnormals
+        # included: no operation overflows, divides by zero or makes a NaN, and
+        # the tree and its leaf values are the per-feature scan's bit for bit
+        X = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * width, max_size=n * width)),
+                     dtype=float).reshape(n, width)
+        below_one = math.nextafter(1.0, 0.0)
+        g = np.array(data.draw(st.lists(st.sampled_from([-1.0, -below_one, -5e-324, -0.0, 0.0, 0.5, below_one, 1.0]),
+                                        min_size=n, max_size=n)))
+        h = np.array(data.draw(st.lists(st.sampled_from([0.0, 5e-324, 0.125, 0.25, 0.25]), min_size=n, max_size=n)))
+        y = np.arange(n) % 2
+        cfg = config(max_depth=max_depth)
+        leaves, expected_leaves = np.empty(n), np.empty(n)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            booster = Booster(X, y, cfg)
+            root = booster._grow(np.arange(n), booster._order, g, h, 0, leaves)
+            reference = PerFeatureScanBooster(X, y, cfg)
+            expected = reference._grow(np.arange(n), None, g, h, 0, expected_leaves)
+        assert repr(root) == repr(expected)
+        assert leaves.tobytes() == expected_leaves.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), width=st.integers(1, 4), n=st.integers(1, 40))
