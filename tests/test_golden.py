@@ -40,16 +40,29 @@ def environment() -> dict:
             "blas": blas}
 
 
+def tree_digest(root: Path, names) -> str:
+    """One SHA-256 over the relative paths and contents of the matching files, in path order."""
+    digest = hashlib.sha256()
+    for path in sorted(p for name in names for p in root.glob(name)):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def demo_digests(out: Path) -> dict:
-    """SHA-256 of the demo's extract, table-one and train-eval outputs, as CI's demo step runs it."""
+    """SHA-256 of the demo's synth, extract, table-one and train-eval outputs, as
+    CI's demo step runs it; the traces and annotations share one digest."""
     argv = [str(DEMO), "--out", str(out), "--n-patients", "60", "--n-instances", "2"]
     with mock.patch.object(sys, "argv", argv), pytest.raises(SystemExit) as done:
         runpy.run_path(str(DEMO), run_name="__main__")
     assert done.value.code == 0
-    files = [out / "features" / "features.csv", out / "features" / "extract_log.txt",
+    files = [out / "data" / "cohort.csv", out / "data" / "truth.csv",
+             out / "features" / "features.csv", out / "features" / "extract_log.txt",
              out / "tables" / "table_one.json", *sorted((out / "models" / "reports").iterdir())]
-    return {f.relative_to(out).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
-            for f in files}
+    traces = ("data/ecg/*", "data/fiducials/*")
+    return {",".join(traces): tree_digest(out, traces),
+            **{f.relative_to(out).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in files}}
 
 
 def test_demo_outputs_match_golden_digests(tmp_path):
