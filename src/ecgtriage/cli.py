@@ -4,23 +4,22 @@ Subcommands: extract, table-one, train-eval, synth, version. Every command is
 deterministic given the same config and seed, and only writes under out_dir.
 
 Options come from a flat key=value file (blank lines and # comments ignored).
-The flags --seed, --out, --specs and --holdout-selection overwrite its keys
-master_seed, out_dir, specs and holdout_selection, and --config names the file;
-fields_from_raw then parses all keys once. The keys are the fields of RunConfig
-(ecg_dir, fiducial_dir, cohort_table, out_dir, specs), of its nested
-ExperimentConfig (master_seed, eta_grid, k_folds, n_instances,
-holdout_selection, max_rounds, patience, max_depth) and, prefixed synth_, of
-synth.SynthConfig except its seed, which is master_seed (n_patients,
-positive_fraction, sampling_rate_hz, duration_s, noise_sd_mv,
-qrst_angle_shift_deg, svg_scale, risk_effect). The protocol's constants are
-the defaults of the functions that use them (the stratified 70/30 split, the
-0.90 sensitivity floor and the beat window) or, for the tree regularisation at
-XGBoost's defaults, constants of gbt (L2_REG, MIN_CHILD_HESSIAN). A value
-takes its field's annotated type: int, float, str or Path from the text, bool
-from 1/true/yes or 0/false/no, a tuple from a comma-separated list. Each config
-class validates its own values. An int or float value follows the numeral rule
-of trace files and cohort tables (ecg_ingest.plain_float): ASCII only, no "_"
-between digits. A key given twice in the file is refused.
+The flags --seed and --out overwrite its keys master_seed and out_dir, and
+--config names the file; fields_from_raw then parses all keys once. The keys
+are the fields of RunConfig (ecg_dir, fiducial_dir, cohort_table, out_dir,
+specs), of its nested ExperimentConfig (master_seed, eta_grid, k_folds,
+n_instances, holdout_selection, max_rounds, patience, max_depth) and, prefixed
+synth_, of synth.SynthConfig except its seed, which is master_seed (n_patients,
+positive_fraction, noise_sd_mv, qrst_angle_shift_deg, svg_scale, risk_effect).
+The protocol's constants are the defaults of the functions that use them (the
+stratified 70/30 split, the 0.90 sensitivity floor and the beat window) or, for
+the tree regularisation at XGBoost's defaults, constants of gbt (L2_REG,
+MIN_CHILD_HESSIAN). A value takes its field's annotated type: int, float, str
+or Path from the text, bool from 1/true/yes or 0/false/no, a tuple from a
+comma-separated list. Each config class validates its own values. An int or
+float value follows the numeral rule of trace files and cohort tables
+(ecg_ingest.plain_float): ASCII only, no "_" between digits. A key given twice
+in the file is refused.
 
 Exit codes: 0 success; 2 configuration error (unknown or repeated key, bad
 value, unreadable config file, missing input path, output directory that cannot
@@ -294,9 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="flat key=value config file")
     common.add_argument("--seed", dest="master_seed", help="master seed override")
     common.add_argument("--out", dest="out_dir", help="output directory override")
-    common.add_argument("--specs", help="comma list of model labels, e.g. s,r,g,srg")
-    common.add_argument("--holdout-selection", action="store_const", const="true",
-                        help="score instance selection on a train holdout, not the test set")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("extract", "table-one", "train-eval", "synth", "version"):
         sub.add_parser(name, parents=[common])

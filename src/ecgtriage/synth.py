@@ -7,14 +7,14 @@ recovers the injected loops up to noise. The four derived limb leads are
 reconstructed from I and II. Each patient's bump amplitudes and widths, QRS-T
 angle and RR interval are drawn around the fixed table BEAT_TEMPLATE, so
 SynthConfig holds only the study design (cohort size, class ratio, seed, class
-effects) and the recording format (sampling rate, duration, noise). Class
-effects are injected in VCG space: positives get their repolarization axis
-rotated away from the depolarization axis and their whole loop amplitude
-rescaled; risk covariates shift by a separate knob.
+effects) and the noise level. Every record has one format, as the ECGs of one
+recording protocol do: SAMPLING_RATE_HZ for DURATION_S. Class effects are
+injected in VCG space: positives get their repolarization axis rotated away
+from the depolarization axis and their whole loop amplitude rescaled; risk
+covariates shift by a separate knob.
 
 A patient's beats are evaluated in one pass over the (beats, samples) grid of
-times relative to each R peak, each over the whole record, so SynthConfig
-refuses a record whose grid would pass MAX_BEAT_GRID_BYTES; only the lanes
+times relative to each R peak, each over the whole record; only the lanes
 where exp underflows to +0.0 are filled instead of evaluated. Every sample
 keeps one summation order: 0 + beat 1 + beat 2 + ..., each beat
 0 + P + R + S + T, so where every term underflowed, such as -0.0 from an S
@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .cohort import BOOL_COLUMNS, PatientRecord, save_cohort
-from .ecg_ingest import LEAD_NAMES, MIN_SAMPLING_RATE_HZ, round_half_up
+from .ecg_ingest import LEAD_NAMES, round_half_up
 from .errors import ConfigError
 from .vcg import KORS_MATRIX
 
@@ -61,16 +61,12 @@ def synth_matrix() -> np.ndarray:
 # those lanes are filled with +0.0 instead of evaluated: the same values
 _EXP_ZERO_BELOW = -750.0
 
+# every record's format
+SAMPLING_RATE_HZ, DURATION_S = 240.0, 7.0
 # beat timing: first R peak, floor and ceiling of the RR interval, and the room
 # kept after the last R
 _LEAD_IN_MS, _MIN_RR_MS, _MAX_RR_MS, _TAIL_MS = 400.0, 600.0, 1200.0, 520.0
-# shortest trace holding the three beats extract needs at the longest RR
-MIN_DURATION_S = (_LEAD_IN_MS + 2 * _MAX_RR_MS + _TAIL_MS) / 1000.0
-# largest (3, beats, samples) float64 grid _patient_vcg may build, beats counted
-# at the RR floor: the default 7 s at 240 Hz needs 0.44 MB, 600 s at 240 Hz
-# would need 3.5 GB
-MAX_BEAT_GRID_BYTES = 2 ** 28
-# far above any desk-scale cohort: each patient writes a 0.15 MB trace at the defaults
+# far above any desk-scale cohort: each patient writes a 0.15 MB trace
 MAX_N_PATIENTS = 100_000
 
 # per-patient beat template: each wave's (amplitude mV, width ms) is scaled by
@@ -101,8 +97,6 @@ class SynthConfig:
     n_patients: int = 300
     positive_fraction: float = 0.186
     seed: int = 0
-    sampling_rate_hz: float = 240.0
-    duration_s: float = 7.0
     noise_sd_mv: float = 0.01
     # class effects in VCG space; risk_effect scales the covariate shifts
     qrst_angle_shift_deg: float = 30.0
@@ -116,17 +110,6 @@ class SynthConfig:
             raise ConfigError("positive_fraction must be in (0, 1)")
         if not 0.0 <= self.noise_sd_mv < math.inf:
             raise ConfigError("noise_sd_mv must be finite and non-negative")
-        if not MIN_SAMPLING_RATE_HZ <= self.sampling_rate_hz < math.inf:
-            raise ConfigError(f"sampling_rate_hz must be finite and >= {MIN_SAMPLING_RATE_HZ:g}")
-        if not MIN_DURATION_S <= self.duration_s < math.inf:
-            raise ConfigError(f"duration_s must be finite and >= {MIN_DURATION_S:g} (three beats)")
-        # in floats, before anything is allocated: a sample count that
-        # overflows to inf makes an inf-byte grid
-        n_beats = (self.duration_s * 1000.0 - _LEAD_IN_MS - _TAIL_MS) // _MIN_RR_MS + 1
-        grid_bytes = 3 * 8 * n_beats * (self.duration_s * self.sampling_rate_hz)
-        if not grid_bytes <= MAX_BEAT_GRID_BYTES:
-            raise ConfigError(f"a {self.duration_s:g} s record at {self.sampling_rate_hz:g} Hz needs a "
-                              f"beat grid of {grid_bytes:.3g} bytes, over the {MAX_BEAT_GRID_BYTES} allowed")
         if not 0.0 <= self.qrst_angle_shift_deg < math.inf:
             raise ConfigError("qrst_angle_shift_deg must be finite and non-negative")
         if not 0.0 < self.svg_scale < math.inf:
@@ -318,9 +301,8 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
     flags[:n_pos] = True
     np.random.default_rng(np.random.SeedSequence((cfg.seed, 0))).shuffle(flags)
 
-    fs = cfg.sampling_rate_hz
-    fs_text = f"{fs:g}" if float(f"{fs:g}") == fs else repr(fs)  # parses back to exactly fs
-    n_samples = round(cfg.duration_s * fs)
+    fs = SAMPLING_RATE_HZ
+    n_samples = round(DURATION_S * fs)
     lead_matrix = synth_matrix()
     work = TraceWork(n_samples * len(LEAD_NAMES))
     t_axis_ms = np.arange(n_samples) * 1000.0 / fs
@@ -333,11 +315,11 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
         shape, angle, scale = _draw_shape(cfg, rng, positive)
 
         # beat centers on integer samples, spaced by a jittered RR interval that
-        # never exceeds _MAX_RR_MS, so MIN_DURATION_S holds three beats
+        # never exceeds _MAX_RR_MS
         rr_ms = max(float(rng.normal(*BEAT_TEMPLATE["rr_ms"])), _MIN_RR_MS)
         centers = []
         c = _LEAD_IN_MS
-        while c <= cfg.duration_s * 1000.0 - _TAIL_MS:
+        while c <= DURATION_S * 1000.0 - _TAIL_MS:
             centers.append(round_half_up(c * fs / 1000.0))
             c += min(rr_ms + float(rng.normal(0.0, 4.0)), _MAX_RR_MS)
 
@@ -349,7 +331,7 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
             traces = traces + rng.normal(0.0, cfg.noise_sd_mv, size=traces.shape)
 
         with open(ecg_dir / f"{pid}.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"sample_rate_hz={fs_text} gain_uv_per_unit=1.0\n")
+            fh.write(f"sample_rate_hz={fs:g} gain_uv_per_unit=1.0\n")
             fh.write(",".join(LEAD_NAMES) + "\n")
             write_trace_cells(fh, traces.T * 1000.0, work)
 

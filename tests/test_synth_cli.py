@@ -23,7 +23,7 @@ from ecgtriage.cohort import COHORT_COLUMNS, GEH_COLUMNS, load_cohort
 from ecgtriage.ecg_ingest import parse_ecg, parse_fiducials, round_half_up
 from ecgtriage.errors import ConfigError, SchemaError
 from ecgtriage.pipeline import ExperimentConfig
-from ecgtriage.synth import MIN_DURATION_S, SynthConfig, generate, synth_matrix
+from ecgtriage.synth import SynthConfig, generate, synth_matrix
 from ecgtriage.vcg import KORS_MATRIX
 
 from oracles import dense_grid_geh, gaussian_loop_vcg, per_beat_vcg, savetxt_text
@@ -57,9 +57,7 @@ class TestSynthGenerator:
         fids.validate_against(rec)
 
     def test_header_rate_parses_back_exactly(self, tmp_path):
-        generate(SynthConfig(n_patients=10, seed=2, sampling_rate_hz=1234.5678), tmp_path / "odd")
         generate(SynthConfig(n_patients=10, seed=2), tmp_path / "default")
-        assert parse_ecg(tmp_path / "odd" / "ecg" / "p0001.csv").sampling_rate_hz == 1234.5678
         header = (tmp_path / "default" / "ecg" / "p0001.csv").read_text().splitlines()[0]
         assert header == "sample_rate_hz=240 gain_uv_per_unit=1.0"
 
@@ -77,17 +75,14 @@ class TestSynthGenerator:
         with pytest.raises(ConfigError):
             SynthConfig(noise_sd_mv=-0.1)
 
-    def test_shortest_duration_gives_three_beats(self, tmp_path):
-        generate(SynthConfig(n_patients=10, duration_s=MIN_DURATION_S), tmp_path)
-        for path in sorted((tmp_path / "fiducials").glob("*.json")):
-            assert len(parse_fiducials(path).beats) >= 3
-
-    def test_shortest_duration_gives_three_beats_at_longest_rr(self, tmp_path, monkeypatch):
-        # RR draws near 1400 ms sit above the longest RR that MIN_DURATION_S allows for
+    def test_r_peak_spacing_capped_at_longest_rr(self, tmp_path, monkeypatch):
+        # RR draws near 1400 ms sit above the 1200 ms ceiling
         monkeypatch.setitem(synth.BEAT_TEMPLATE, "rr_ms", (1400.0, synth.BEAT_TEMPLATE["rr_ms"][1]))
-        generate(SynthConfig(n_patients=20, duration_s=MIN_DURATION_S), tmp_path)
+        generate(SynthConfig(n_patients=20), tmp_path)
         for path in sorted((tmp_path / "fiducials").glob("*.json")):
-            assert len(parse_fiducials(path).beats) >= 3
+            peaks = [beat.qrs.peak for beat in parse_fiducials(path).beats]
+            assert len(peaks) >= 3
+            assert max(np.diff(peaks)) * 1000.0 / synth.SAMPLING_RATE_HZ <= 1200.0, path.name
 
     def test_angle_shift_separates_truth(self, tmp_path):
         out = generate(SynthConfig(n_patients=60, seed=4, positive_fraction=0.4,
@@ -139,8 +134,7 @@ class TestSynthGenerator:
 
 
 class TestBeatSum:
-    @pytest.mark.parametrize("keys", [{}, {"sampling_rate_hz": 1234.5678, "duration_s": MIN_DURATION_S}])
-    def test_generate_matches_per_beat_loop(self, tmp_path, monkeypatch, keys):
+    def test_generate_matches_per_beat_loop(self, tmp_path, monkeypatch):
         sums, patient_vcg = [], synth._patient_vcg
 
         def recorded(shape, t_axis_ms, centers):
@@ -149,7 +143,7 @@ class TestBeatSum:
             return v
 
         monkeypatch.setattr(synth, "_patient_vcg", recorded)
-        generate(SynthConfig(n_patients=20, seed=6, positive_fraction=0.3, **keys), tmp_path)
+        generate(SynthConfig(n_patients=20, seed=6, positive_fraction=0.3), tmp_path)
         assert len(sums) == 20
         for shape, t_axis_ms, centers, v in sums:
             # tobytes: a -0.0 where the loop gives +0.0 counts as a difference
@@ -394,7 +388,7 @@ class TestCliBasics:
 
     @pytest.mark.parametrize("key,value", [
         ("master_seed", "1_0"), ("n_instances", "٥"), ("k_folds", "５"), ("max_depth", " 4_0 "),
-        ("eta_grid", "0.1,0_3"), ("synth_duration_s", "1_0.5"), ("synth_positive_fraction", "0.９"),
+        ("eta_grid", "0.1,0_3"), ("synth_risk_effect", "1_0.5"), ("synth_positive_fraction", "0.９"),
         ("patience", "٣٠"), ("synth_n_patients", "1_00"), ("synth_noise_sd_mv", "0.0２"),
     ])
     def test_config_numerals_follow_the_numeral_rule(self, tmp_path, synth_cohort_dir, caplog,
@@ -430,7 +424,7 @@ class TestConfigPath:
 
         lines = [f"{k}={text(v)}" for k, v in (run | experiment).items()]
         lines += [f"synth_{k}={v!r}" for k, v in synth.items()]
-        assert len(lines) == 21
+        assert len(lines) == 19
         lines[lines.index("specs=SRG,G")] = "specs=srg, g"
         (tmp_path / "c.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
         cfg, raw = load(["synth", "--config", str(tmp_path / "c.cfg")])
@@ -445,10 +439,9 @@ class TestConfigPath:
                     assert type(value).__name__ in f.type or isinstance(value, Path), f.name
 
     def test_flags_override_file_keys(self, tmp_path):
-        cfg_path = write_cfg(tmp_path / "c.cfg", master_seed=3, out_dir="a", specs="S",
-                             holdout_selection="no")
-        cfg, _ = load(["train-eval", "--config", cfg_path, "--seed", "4", "--out", "b",
-                       "--specs", "r,srg", "--holdout-selection"])
+        cfg_path = write_cfg(tmp_path / "c.cfg", master_seed=3, out_dir="a", specs="r,srg",
+                             holdout_selection="yes")
+        cfg, _ = load(["train-eval", "--config", cfg_path, "--seed", "4", "--out", "b"])
         assert cfg.out_dir == Path("b")
         assert cfg.specs == ("R", "SRG")
         assert cfg.experiment == ExperimentConfig(master_seed=4, holdout_selection=True)
@@ -464,16 +457,17 @@ class TestConfigPath:
         accepted = {f.name for cls in (cli.RunConfig, ExperimentConfig) for f in dataclasses.fields(cls)}
         accepted |= {"synth_" + f.name for f in dataclasses.fields(SynthConfig)}
         assert keys == accepted - {"experiment", "synth_seed"}
-        assert len(keys) == 21
+        assert len(keys) == 19
         with pytest.raises(SystemExit):
             cli.main(["train-eval", "--help"])
         flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
         assert set(re.findall(r"--[a-z-]+", doc)) == flags
-        assert len(flags) == 5
+        assert len(flags) == 3
 
     @pytest.mark.parametrize("removed", [
         "--no-stratify", "--min-sens=0.5", "min_sensitivity", "stratify", "split_ratio",
         "min_child_hessian", "l2_reg", "gamma", "pre_ms", "post_ms",
+        "synth_sampling_rate_hz", "synth_duration_s", "--specs", "--holdout-selection",
     ])
     def test_removed_keys_and_flags_exit_2(self, tmp_path, caplog, removed):
         if removed.startswith("--"):
@@ -734,7 +728,7 @@ class TestExtractCommand:
         assert cli.main(["extract", "--config", run]) == 0
         rows = read_rows(tmp_path / "o" / "features.csv")
         assert len(rows) == 20 and all(row["peak_qrst_angle_deg"] for row in rows)
-        fs = cfg.sampling_rate_hz
+        fs = synth.SAMPLING_RATE_HZ
         for i, row in enumerate(rows):
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1, i)))
             shape, _, _ = synth._draw_shape(cfg, rng, row["outcome"] == "positive")
@@ -815,22 +809,22 @@ class TestTrainEvalCommand:
         assert (tmp_path / "o" / "reports" / "winner_importance.txt").exists()
 
     def test_single_spec(self, tmp_path, synth_cohort_dir):
-        cfg = self.run_cfg(tmp_path, synth_cohort_dir, tmp_path / "o")
-        assert cli.main(["train-eval", "--config", cfg, "--specs", "g"]) == 0
+        cfg = self.run_cfg(tmp_path, synth_cohort_dir, tmp_path / "o", specs="g")
+        assert cli.main(["train-eval", "--config", cfg]) == 0
         summary = json.loads((tmp_path / "o" / "reports" / "summary.json").read_text())
         assert [r["model"] for r in summary["rows"]] == ["G"]
         assert not (tmp_path / "o" / "reports" / "report_S.json").exists()
 
-    def test_flags_change_protocol(self, tmp_path, synth_cohort_dir):
-        cfg = self.run_cfg(tmp_path, synth_cohort_dir, tmp_path / "o")
-        assert cli.main(["train-eval", "--config", cfg, "--specs", "g",
-                         "--holdout-selection"]) == 0
+    def test_holdout_selection_key_changes_protocol(self, tmp_path, synth_cohort_dir):
+        cfg = self.run_cfg(tmp_path, synth_cohort_dir, tmp_path / "o", specs="g",
+                           holdout_selection="true")
+        assert cli.main(["train-eval", "--config", cfg]) == 0
         report = json.loads((tmp_path / "o" / "reports" / "report_G.json").read_text())
         assert report["selection"]["on"] == "holdout"
 
     def test_roc_table_is_two_columns(self, tmp_path, synth_cohort_dir):
-        cfg = self.run_cfg(tmp_path, synth_cohort_dir, tmp_path / "o")
-        assert cli.main(["train-eval", "--config", cfg, "--specs", "g"]) == 0
+        cfg = self.run_cfg(tmp_path, synth_cohort_dir, tmp_path / "o", specs="g")
+        assert cli.main(["train-eval", "--config", cfg]) == 0
         lines = (tmp_path / "o" / "reports" / "roc_G.txt").read_text().splitlines()
         assert lines[0] == "fpr,tpr"
         assert all(len(ln.split(",")) == 2 for ln in lines[1:])
@@ -856,17 +850,13 @@ class TestSynthCommand:
         assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
 
     @pytest.mark.parametrize("line", [
-        "synth_sampling_rate_hz=0", "synth_sampling_rate_hz=99", "synth_sampling_rate_hz=nan",
-        "synth_sampling_rate_hz=inf", "synth_duration_s=0", "synth_duration_s=-1",
-        "synth_duration_s=3.3", "synth_duration_s=nan", "synth_duration_s=inf",
         # the beat template is fixed: its constants are not config keys
         "synth_rr_sd_ms=-1", "synth_amp_jitter=-0.1", "synth_qrst_angle_sd_deg=-5",
         "synth_t_width_ms=inf", "synth_r_width_ms=0", "synth_rr_mean_ms=nan",
         "synth_noise_sd_mv=inf", "synth_noise_sd_mv=nan", "synth_qrst_angle_shift_deg=nan",
         "synth_svg_scale=nan", "synth_risk_effect=nan", "synth_risk_effect=inf",
         "synth_qrst_angle_shift_deg=-60", "synth_svg_scale=0", "synth_svg_scale=-1",
-        # a record or cohort too large to build: refused before anything is allocated
-        "synth_sampling_rate_hz=1e308", "synth_sampling_rate_hz=1e306", "synth_duration_s=1e300",
+        # a cohort too large to build: refused before anything is allocated
         "synth_n_patients=10000000000000000000000",
     ])
     def test_bad_synth_value_exits_2(self, tmp_path, caplog, line):
@@ -877,11 +867,6 @@ class TestSynthCommand:
             assert cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
         assert [r.getMessage().split(":")[0] for r in caplog.records] == ["config error"]
         assert not (tmp_path / "s").exists()
-
-    def test_beat_grid_bound(self):
-        # 600 s at 240 Hz: 999 beats at the 600 ms RR floor x 144,000 samples x 3 x 8 bytes
-        with pytest.raises(ConfigError, match="beat grid of 3.45e\\+09 bytes"):
-            SynthConfig(duration_s=600.0)
 
 
 # Runs the whole CLI with scipy made unimportable: numpy is the only runtime dependency.
