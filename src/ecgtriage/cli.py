@@ -176,7 +176,7 @@ def _write_json(path: Path, doc) -> None:
 
 def cmd_extract(cfg: RunConfig) -> int:
     """Per patient: trace + annotations -> median beat -> baseline -> XYZ ->
-    features; failures are logged and the row left incomplete, never fatal."""
+    features; a failure is logged and its row's measures left empty, never fatal."""
     _require(cfg.cohort_table, "cohort table")
     _require(cfg.ecg_dir, "ecg directory")
     _require(cfg.fiducial_dir, "fiducial directory")
@@ -195,7 +195,7 @@ def cmd_extract(cfg: RunConfig) -> int:
             standard = ecg_ingest.standard_measures(corrected)
         except TriageError as exc:
             status = "degenerate" if isinstance(exc, DegenerateStatsError) else "failed"
-            out_rows.append(record)
+            out_rows.append(dataclasses.replace(record, standard=None, geh=None))
             log_lines.append(f"{record.id}\t{status}\t{exc}")
             n_failed += 1
             continue
@@ -204,7 +204,7 @@ def cmd_extract(cfg: RunConfig) -> int:
 
     with _writing(cfg.out_dir / "features.csv"):
         save_cohort(out_rows, cfg.out_dir / "features.csv")
-    _write_text(cfg.out_dir / "extract_log.txt", "\n".join(log_lines) + "\n")
+    _write_text(cfg.out_dir / "extract_log.txt", "".join(line + "\n" for line in log_lines))
     log.info("extracted %d patients (%d failed) -> %s",
              len(out_rows), n_failed, cfg.out_dir / "features.csv")
     return 0

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ecgtriage import cli, synth
-from ecgtriage.cohort import COHORT_COLUMNS, GEH_COLUMNS, load_cohort
+from ecgtriage.cohort import COHORT_COLUMNS, GEH_COLUMNS, STANDARD_COLUMNS, load_cohort
 from ecgtriage.ecg_ingest import parse_ecg, parse_fiducials, round_half_up
 from ecgtriage.errors import ConfigError, SchemaError
 from ecgtriage.pipeline import ExperimentConfig
@@ -534,6 +534,37 @@ class TestExtractCommand:
         out = {r["id"]: r for r in read_rows(tmp_path / "o" / "features.csv")}
         assert out["p0004"]["svg_mvms"] == ""
         assert out["p0005"]["svg_mvms"] != ""
+
+    def test_failed_patient_drops_measures_it_came_with(self, tmp_path):
+        data = generate(SynthConfig(n_patients=10, seed=6, positive_fraction=0.4), tmp_path / "d")
+        dirs = dict(ecg_dir=tmp_path / "d" / "ecg", fiducial_dir=tmp_path / "d" / "fiducials")
+        first = write_cfg(tmp_path / "a.cfg", **dirs, cohort_table=data["cohort_table"],
+                          out_dir=tmp_path / "a")
+        assert cli.main(["extract", "--config", first]) == 0
+        (tmp_path / "d" / "ecg" / "p0002.csv").write_text("not a trace\n")
+        again = write_cfg(tmp_path / "b.cfg", **dirs, cohort_table=tmp_path / "a" / "features.csv",
+                          out_dir=tmp_path / "b")
+        assert cli.main(["extract", "--config", again]) == 0
+        log = (tmp_path / "b" / "extract_log.txt").read_text().splitlines()
+        assert log[1].startswith("p0002\tfailed\t")
+        measures = STANDARD_COLUMNS + GEH_COLUMNS
+        assert len(measures) == 15
+        first_rows = {r["id"]: r for r in read_rows(tmp_path / "a" / "features.csv")}
+        for row in read_rows(tmp_path / "b" / "features.csv"):
+            if row["id"] == "p0002":
+                assert [row[c] for c in measures] == [""] * 15
+                assert first_rows["p0002"]["svg_mvms"] != ""
+            else:
+                assert row == first_rows[row["id"]]
+
+    def test_empty_cohort_writes_empty_log(self, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text(",".join(COHORT_COLUMNS) + "\n")
+        cfg = write_cfg(tmp_path / "c.cfg", ecg_dir=tmp_path, fiducial_dir=tmp_path,
+                        cohort_table=table, out_dir=tmp_path / "o")
+        assert cli.main(["extract", "--config", cfg]) == 0
+        assert (tmp_path / "o" / "extract_log.txt").read_bytes() == b""
+        assert read_rows(tmp_path / "o" / "features.csv") == []
 
     def test_undecodable_files_are_isolated(self, tmp_path):
         data = generate(SynthConfig(n_patients=10, seed=6, positive_fraction=0.4),
