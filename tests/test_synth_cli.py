@@ -134,7 +134,11 @@ class TestSynthGenerator:
 
 
 class TestBeatSum:
-    def test_generate_matches_per_beat_loop(self, tmp_path, monkeypatch):
+    # the template's RR draws, and draws near 1400 ms that the 1200 ms ceiling caps
+    @pytest.mark.parametrize("rr_ms", [None, 1400.0])
+    def test_generate_matches_per_beat_loop(self, tmp_path, monkeypatch, rr_ms):
+        if rr_ms is not None:
+            monkeypatch.setitem(synth.BEAT_TEMPLATE, "rr_ms", (rr_ms, synth.BEAT_TEMPLATE["rr_ms"][1]))
         sums, patient_vcg = [], synth._patient_vcg
 
         def recorded(shape, t_axis_ms, centers):
@@ -887,6 +891,12 @@ class TestSynthCommand:
         "synth_noise_sd_mv=inf", "synth_noise_sd_mv=nan", "synth_qrst_angle_shift_deg=nan",
         "synth_svg_scale=nan", "synth_risk_effect=nan", "synth_risk_effect=inf",
         "synth_qrst_angle_shift_deg=-60", "synth_svg_scale=0", "synth_svg_scale=-1",
+        "synth_noise_sd_mv=-0.1", "synth_qrst_angle_shift_deg=inf", "synth_svg_scale=inf",
+        "synth_risk_effect=-inf",
+        # the class ratio is open at both ends
+        "synth_positive_fraction=0", "synth_positive_fraction=1", "synth_positive_fraction=nan",
+        # one patient past either end of the cohort-size range
+        "synth_n_patients=9", "synth_n_patients=100001",
         # a cohort too large to build: refused before anything is allocated
         "synth_n_patients=10000000000000000000000",
     ])
