@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, ecg_ingest, synth
-from .cohort import MODEL_COLUMNS, ModelSpec, load_cohort, save_cohort, summarize_table_one
+from .cohort import MODEL_COLUMNS, load_cohort, save_cohort, summarize_table_one
 from .errors import ConfigError, DataFormatError, DegenerateStatsError, TriageError
 from .geh import compute_geh
 from .pipeline import ExperimentConfig, evaluate_model, split
@@ -243,7 +243,7 @@ def cmd_train_eval(cfg: RunConfig) -> int:
 
     reports, summary_rows = [], []
     for label in cfg.specs:
-        report = evaluate_model(ModelSpec(label), cohort, experiment, split_plan=plan)
+        report = evaluate_model(label, cohort, experiment, plan)
         reports.append(report)
         _write_json(reports_dir / f"report_{label}.json", report)
         _report_tables(report, reports_dir)

@@ -114,21 +114,6 @@ class PatientRecord:
 
 
 @dataclass(frozen=True)
-class ModelSpec:
-    """One of the four feature sets: S, R, G or their union SRG."""
-
-    label: str
-
-    def __post_init__(self):
-        if self.label not in MODEL_COLUMNS:
-            raise SchemaError(f"unknown model label {self.label!r}")
-
-    @property
-    def features(self) -> tuple[str, ...]:
-        return MODEL_COLUMNS[self.label]
-
-
-@dataclass(frozen=True)
 class FeatureMatrix:
     X: np.ndarray
     y: np.ndarray
@@ -241,9 +226,12 @@ def save_cohort(records, path):
             writer.writerow(row)
 
 
-def assemble_features(cohort, spec: ModelSpec) -> FeatureMatrix:
-    """Feature matrix for one model spec; patients missing any feature are dropped."""
-    columns = spec.features
+def assemble_features(cohort, label: str) -> FeatureMatrix:
+    """Feature matrix over MODEL_COLUMNS[label]; patients missing any feature are
+    dropped. An unknown label is a SchemaError, raised before any column is read."""
+    if label not in MODEL_COLUMNS:
+        raise SchemaError(f"unknown model label {label!r}")
+    columns = MODEL_COLUMNS[label]
     kept_rows, kept_y, kept_ids, dropped = [], [], [], []
     for record in cohort:
         values = [record.feature_value(c) for c in columns]
@@ -255,9 +243,9 @@ def assemble_features(cohort, spec: ModelSpec) -> FeatureMatrix:
         kept_ids.append(record.id)
     if dropped:
         log.info("model %s: dropped %d of %d patients with incomplete features",
-                 spec.label, len(dropped), len(cohort))
+                 label, len(dropped), len(cohort))
     if not kept_rows:
-        raise MissingFeature(f"no patient has complete features for model {spec.label}")
+        raise MissingFeature(f"no patient has complete features for model {label}")
     return FeatureMatrix(
         X=np.asarray(kept_rows, dtype=float),
         y=np.asarray(kept_y, dtype=int),

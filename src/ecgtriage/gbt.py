@@ -97,16 +97,6 @@ class Tree:
             stack.append((node.right, idx[~goes_left]))
         return out
 
-    def gain_by_feature(self, totals: dict[int, float]):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                continue
-            totals[node.feature] = totals.get(node.feature, 0.0) + node.gain
-            stack.append(node.left)
-            stack.append(node.right)
-
 
 @dataclass
 class Ensemble:
@@ -131,19 +121,6 @@ class Ensemble:
         """Probabilities, clipped into the open interval (0, 1)."""
         p = _sigmoid(self.margins(X))
         return np.clip(p, 1e-15, float(np.nextafter(1.0, 0.0)))
-
-
-@dataclass(frozen=True)
-class ImportanceEntry:
-    name: str
-    gain: float
-    percent: float
-
-
-@dataclass(frozen=True)
-class ImportanceTable:
-    entries: tuple[ImportanceEntry, ...]
-    no_splits: bool
 
 
 def _sigmoid(m: np.ndarray) -> np.ndarray:
@@ -280,20 +257,22 @@ def fit(X, y, config: TrainConfig, feature_names=None) -> Ensemble:
     return Booster(X, y, config, feature_names).run(config.num_rounds)
 
 
-def importance_gain(model: Ensemble) -> ImportanceTable:
-    """Total recorded split gain per feature, normalized to percentages."""
+def importance_gain(model: Ensemble) -> dict:
+    """The importance section of eval-report/1: per feature, in order, its total
+    split gain and that total's percent of all. Each tree adds its gains
+    depth-first, right child first. A split's gain is positive; with no split
+    in any tree, no_splits is true and features is empty."""
     totals: dict[int, float] = {}
     for tree in model.trees:
-        tree.gain_by_feature(totals)
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                totals[node.feature] = totals.get(node.feature, 0.0) + node.gain
+                stack += (node.left, node.right)
+    if not totals:
+        return {"no_splits": True, "features": []}
     grand = sum(totals.values())
-    if not totals or grand <= 0:
-        return ImportanceTable(entries=(), no_splits=True)
-    entries = tuple(
-        ImportanceEntry(
-            name=model.feature_names[j],
-            gain=totals.get(j, 0.0),
-            percent=100.0 * totals.get(j, 0.0) / grand,
-        )
-        for j in range(len(model.feature_names))
-    )
-    return ImportanceTable(entries=entries, no_splits=False)
+    return {"no_splits": False, "features": [
+        {"name": name, "gain": totals.get(j, 0.0), "percent": 100.0 * totals.get(j, 0.0) / grand}
+        for j, name in enumerate(model.feature_names)]}

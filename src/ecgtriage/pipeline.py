@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gbt
-from .cohort import FeatureMatrix, ModelSpec, _tie_grouped_counts, _two_u, assemble_features
+from .cohort import _tie_grouped_counts, _two_u, assemble_features
 from .ecg_ingest import round_half_up
 from .errors import (
     ConfigError,
@@ -27,6 +27,7 @@ from .errors import (
     TooFewPerClass,
     TooSmall,
     UndefinedStatistic,
+    WidthMismatch,
 )
 from .gbt import Booster, Ensemble, TrainConfig, importance_gain
 
@@ -141,12 +142,13 @@ def rebalance(labels, seed) -> np.ndarray:
 # reads U off the same counts.
 
 def _check_binary(labels, scores):
-    """Labels as 0/1 ints and scores as floats, aligned; a label other than 0 or 1
-    is a SchemaError and a NaN score, which has no rank, UndefinedStatistic."""
+    """Labels as 0/1 ints and scores as floats, aligned; unequal lengths are a
+    WidthMismatch, a label other than 0 or 1 a SchemaError and a NaN score,
+    which has no rank, UndefinedStatistic."""
     raw = np.asarray(labels)
     s = np.asarray(scores, dtype=float)
     if len(raw) != len(s):
-        raise ValueError("labels and scores must be aligned")
+        raise WidthMismatch(f"{len(raw)} labels but {len(s)} scores")
     if not ((raw == 0) | (raw == 1)).all():
         raise SchemaError(f"labels must be 0/1, got {np.unique(raw)}")
     if np.isnan(s).any():
@@ -216,7 +218,10 @@ def choose_threshold(labels, scores, min_sens: float = 0.90) -> ThresholdChoice:
     Cuts run from the most to the least conservative, so sensitivity never
     falls and specificity never rises: the first compliant cut has the fewest
     false positives, and the last cut with as many has the most true ones.
+    A min_sens outside [0, 1], NaN included, is a ConfigError.
     """
+    if not 0.0 <= min_sens <= 1.0:
+        raise ConfigError(f"min_sens must be in [0, 1], got {min_sens}")
     y, s = _check_binary(labels, scores)
     pos = int(y.sum())
     neg = len(y) - pos
@@ -347,7 +352,6 @@ class RepresentativeResult:
     ensemble: Ensemble
     runs: tuple[InstanceRun, ...]
     selected_index: int
-    selection_on: str  # "test" or "holdout"
 
 
 def run_instance(X_train, y_train, X_sel, y_sel, tc: TrainConfig, master_seed: int,
@@ -401,15 +405,14 @@ def train_representative(X_train, y_train, X_test, y_test, tc: TrainConfig,
         ensemble=best_model,
         runs=tuple(runs),
         selected_index=best_run.index,
-        selection_on="holdout" if holdout_selection else "test",
     )
 
 
 # --- full evaluation --------------------------------------------------------
 
-def evaluate_model(spec: ModelSpec, cohort, config: ExperimentConfig,
-                   split_plan: SplitPlan | None = None) -> dict:
-    """Full protocol for one feature set; bit-reproducible for a fixed config on one machine.
+def evaluate_model(label: str, cohort, config: ExperimentConfig, split_plan: SplitPlan) -> dict:
+    """Full protocol for one model label ("S", "R", "G" or "SRG") over split_plan;
+    bit-reproducible for a fixed config on one machine.
 
     Returns the eval-report/1 document, ready for json.dumps (tuples are its
     arrays): the model label;
@@ -419,9 +422,7 @@ def evaluate_model(spec: ModelSpec, cohort, config: ExperimentConfig,
     importance; train/test sizes and dropped ids; the master seed; the config
     hash; and the ROC and PR points.
     """
-    if split_plan is None:
-        split_plan = split(cohort, config.master_seed)
-    matrix = assemble_features(cohort, spec)
+    matrix = assemble_features(cohort, label)
     train_m = matrix.rows_for(split_plan.train_ids)
     test_m = matrix.rows_for(split_plan.test_ids)
     for part, name in ((train_m, "train"), (test_m, "test")):
@@ -440,11 +441,10 @@ def evaluate_model(spec: ModelSpec, cohort, config: ExperimentConfig,
     roc_points, auc = roc_auc(test_m.y, scores)
     pr_points, aucpr = pr_aucpr(test_m.y, scores)
     choice = choose_threshold(test_m.y, scores)
-    importance = importance_gain(rep.ensemble)
 
     return {
         "format": "eval-report/1",
-        "model": spec.label,
+        "model": label,
         "metrics": {
             "auc": auc,
             "aucpr": aucpr,
@@ -455,7 +455,7 @@ def evaluate_model(spec: ModelSpec, cohort, config: ExperimentConfig,
         "threshold": {"value": choice.threshold, "orientation": choice.orientation},
         "confusion": choice.confusion._asdict(),
         "selection": {
-            "on": rep.selection_on,
+            "on": "holdout" if config.holdout_selection else "test",
             "instance": rep.selected_index,
             "auc_log": [{"instance": r.index, "seed_key": r.seed_key, "auc": r.auc}
                         for r in rep.runs],
@@ -465,10 +465,7 @@ def evaluate_model(spec: ModelSpec, cohort, config: ExperimentConfig,
             "chosen_rounds": cv.chosen_rounds,
             "grid": [asdict(e) for e in cv.entries],
         },
-        "importance": {
-            "no_splits": importance.no_splits,
-            "features": [asdict(e) for e in importance.entries],
-        },
+        "importance": importance_gain(rep.ensemble),
         "data": {"n_train": len(train_m.ids), "n_test": len(test_m.ids),
                  "dropped_ids": matrix.dropped_ids},
         "seeds": {"master_seed": config.master_seed},

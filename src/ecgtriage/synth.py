@@ -237,13 +237,12 @@ class TraceWork:
         self.out = np.empty(n_cells * _MAX_CELL_WIDTH, dtype=np.uint8)
 
 
-def write_trace_cells(fh, cells, work: TraceWork | None = None):
+def write_trace_cells(fh, cells, work: TraceWork):
     """Write a 2-D float array as "%.3f" cells, "," between them and "\n" after each row.
 
-    work holds the arrays the arithmetic writes into; a caller writing many
-    traces of one size passes the same TraceWork to each."""
+    work, a TraceWork(cells.size), holds the arrays the arithmetic writes into;
+    a caller writing many traces of one size passes the same one to each."""
     n = cells.size
-    work = TraceWork(n) if work is None else work
     flat, y, rest, q = work.flat, work.y, work.rest, work.q
     below = work.keep[:n]  # scratch until the mask is built over it
     flat.reshape(cells.shape)[...] = cells

@@ -13,7 +13,6 @@ import pytest
 from ecgtriage import cli
 from ecgtriage.cohort import (
     GEH_COLUMNS,
-    ModelSpec,
     assemble_features,
     chi_square_2x2,
     load_cohort,
@@ -338,14 +337,14 @@ def test_criterion_07_boosted_tree_correctness(rng):
             losses.append(train_loss())
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
-        table = importance_gain(booster.ensemble)
-        assert abs(sum(e.percent for e in table.entries) - 100.0) <= 1e-6
+        features = importance_gain(booster.ensemble)["features"]
+        assert abs(sum(e["percent"] for e in features) - 100.0) <= 1e-6
 
     X = rng.normal(size=(150, 5))
     y = (X[:, 3] > 0).astype(int)
-    table = importance_gain(fit(X, y, TrainConfig(learning_rate=0.3, num_rounds=10,
-                                                  max_depth=3)))
-    share = next(e.percent for e in table.entries if e.name == "f3")
+    features = importance_gain(fit(X, y, TrainConfig(learning_rate=0.3, num_rounds=10,
+                                                     max_depth=3)))["features"]
+    share = next(e["percent"] for e in features if e["name"] == "f3")
     assert share >= 90.0
     report(f"7 PASS: 50 first trees equal exhaustive search; loss monotone; "
            f"gains sum to 100; informative feature holds {share:.1f}%")
@@ -385,8 +384,8 @@ def test_criterion_09_end_to_end_synthetic(cohort300):
                                n_instances=50, max_rounds=150, patience=15,
                                max_depth=4)
         plan = split(cohort, seed)
-        srg = evaluate_model(ModelSpec("SRG"), cohort, cfg, split_plan=plan)
-        r_only = evaluate_model(ModelSpec("R"), cohort, cfg, split_plan=plan)
+        srg = evaluate_model("SRG", cohort, cfg, split_plan=plan)
+        r_only = evaluate_model("R", cohort, cfg, split_plan=plan)
         wins += srg["metrics"]["auc"] > r_only["metrics"]["auc"]
         srg_aucs.append(srg["metrics"]["auc"])
 
@@ -442,7 +441,7 @@ def test_criterion_11_determinism(cohort300, tmp_path):
     # per-instance seed isolation: rerun one instance alone, match its log
     report_doc = json.loads((tmp_path / "run_a" / "reports" / "report_SRG.json").read_text())
     cohort = load_cohort(cohort300["features"])
-    matrix = assemble_features(cohort, ModelSpec("SRG"))
+    matrix = assemble_features(cohort, "SRG")
     plan = split(cohort, 5)
     train_m = matrix.rows_for(plan.train_ids)
     test_m = matrix.rows_for(plan.test_ids)

@@ -15,7 +15,6 @@ from ecgtriage.cohort import (
     RISK_COLUMNS,
     STANDARD_COLUMNS,
     FeatureMatrix,
-    ModelSpec,
     PatientRecord,
     assemble_features,
     chi_square_2x2,
@@ -158,14 +157,14 @@ class TestLoadCohort:
 class TestAssembleFeatures:
     def test_g_spec_has_table_order(self):
         cohort = [make_patient("p1"), make_patient("p2", "positive")]
-        m = assemble_features(cohort, ModelSpec("G"))
+        m = assemble_features(cohort, "G")
         assert m.columns == GEH_COLUMNS
         assert m.X.shape == (2, 9)
 
     def test_srg_toy_matrix(self):
         cohort = [make_patient("p1", sex="F", htn=True),
                   make_patient("p2", "positive", dm=True)]
-        m = assemble_features(cohort, ModelSpec("SRG"))
+        m = assemble_features(cohort, "SRG")
         assert m.X.shape == (2, 24)
         assert m.columns == STANDARD_COLUMNS + RISK_COLUMNS + GEH_COLUMNS
         sex_col = m.columns.index("sex_f")
@@ -176,29 +175,30 @@ class TestAssembleFeatures:
 
     def test_deterministic(self):
         cohort = [make_patient(f"p{i}", feature_base=float(i)) for i in range(8)]
-        a = assemble_features(cohort, ModelSpec("SRG"))
-        b = assemble_features(cohort, ModelSpec("SRG"))
+        a = assemble_features(cohort, "SRG")
+        b = assemble_features(cohort, "SRG")
         np.testing.assert_array_equal(a.X, b.X)
         assert a.ids == b.ids
 
     def test_missing_features_drop_patient(self):
         cohort = [make_patient("p1"), make_patient("p2", with_features=False),
                   make_patient("p3", "positive")]
-        m = assemble_features(cohort, ModelSpec("G"))
+        m = assemble_features(cohort, "G")
         assert m.ids == ("p1", "p3")
         assert m.dropped_ids == ("p2",)
         # risk-only spec keeps everyone
-        r = assemble_features(cohort, ModelSpec("R"))
+        r = assemble_features(cohort, "R")
         assert r.ids == ("p1", "p2", "p3")
 
     def test_all_dropped_raises(self):
         cohort = [make_patient("p1", with_features=False)]
         with pytest.raises(MissingFeature):
-            assemble_features(cohort, ModelSpec("S"))
+            assemble_features(cohort, "S")
 
     def test_unknown_label_raises(self):
+        cohort = [make_patient("p1"), make_patient("p2", "positive")]
         with pytest.raises(SchemaError, match="unknown model label 'X'"):
-            ModelSpec("X")
+            assemble_features(cohort, "X")
 
 
 class TestMannWhitney:

@@ -399,19 +399,18 @@ class TestImportance:
     def test_single_feature_gets_everything(self):
         X = np.column_stack([STEP_X, np.full(12, 5.0)])
         model = fit(X, STEP_Y, config(num_rounds=3))
-        table = importance_gain(model)
-        by_name = {e.name: e for e in table.entries}
-        assert by_name["f0"].percent == pytest.approx(100.0)
-        assert by_name["f1"].percent == 0.0
+        section = importance_gain(model)
+        assert not section["no_splits"]
+        by_name = {e["name"]: e for e in section["features"]}
+        assert by_name["f0"]["percent"] == pytest.approx(100.0)
+        assert by_name["f1"]["percent"] == 0.0
 
     def test_no_splits_marker(self, rng):
         # H = 6/4 < 2 * MIN_CHILD_HESSIAN: no cut is admitted
         X = rng.normal(size=(6, 2))
         y = np.r_[np.zeros(3), np.ones(3)].astype(int)
         model = fit(X, y, config())
-        table = importance_gain(model)
-        assert table.no_splits
-        assert table.entries == ()
+        assert importance_gain(model) == {"no_splits": True, "features": []}
 
     def test_percentages_match_hand_summed_gains(self, rng):
         X = rng.normal(size=(80, 2))
@@ -428,11 +427,12 @@ class TestImportance:
 
         for tree in model.trees:
             walk(tree.root)
-        table = importance_gain(model)
+        features = importance_gain(model)["features"]
         grand = totals[0] + totals[1]
-        assert sum(e.percent for e in table.entries) == pytest.approx(100.0, abs=1e-6)
-        for e in table.entries:
-            j = int(e.name[1])
-            assert e.gain == pytest.approx(totals[j], rel=1e-12)
-            assert e.percent == pytest.approx(100.0 * totals[j] / grand, rel=1e-12)
+        assert [e["name"] for e in features] == ["f0", "f1"]
+        assert sum(e["percent"] for e in features) == pytest.approx(100.0, abs=1e-6)
+        for j, e in enumerate(features):
+            assert list(e) == ["name", "gain", "percent"]
+            assert e["gain"] == pytest.approx(totals[j], rel=1e-12)
+            assert e["percent"] == pytest.approx(100.0 * totals[j] / grand, rel=1e-12)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -6,15 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecgtriage.cohort import GEH_COLUMNS, ModelSpec, PatientRecord, mann_whitney
+from ecgtriage.cohort import GEH_COLUMNS, PatientRecord, mann_whitney
 from ecgtriage.ecg_ingest import StandardEcgMeasures
 from ecgtriage.errors import (
+    ConfigError,
     NoPositives,
     SchemaError,
     SingleClass,
     TooFewPerClass,
     TooSmall,
     UndefinedStatistic,
+    WidthMismatch,
 )
 from ecgtriage.gbt import TrainConfig
 from ecgtriage import pipeline
@@ -308,6 +311,12 @@ class TestChooseThreshold:
         assert choice.orientation == "<="
         assert choice.sensitivity >= 0.9
 
+    @pytest.mark.parametrize("min_sens", [1.5, float("nan"), -0.1])
+    def test_floor_outside_unit_interval_is_refused(self, min_sens):
+        # argmax of an all-False mask once picked the first cut: 0.8 at sensitivity 2/3
+        with pytest.raises(ConfigError, match="min_sens must be in"):
+            choose_threshold([0, 1, 1, 0, 1], [0.1, 0.9, 0.4, 0.5, 0.8], min_sens=min_sens)
+
     def test_sensitivity_is_achievable_fraction(self, rng):
         for p_count in (5, 17, 23):
             y = np.r_[np.ones(p_count), np.zeros(30)].astype(int)
@@ -331,6 +340,11 @@ class TestBinaryInputs:
         # a NaN has no rank: sorted last, it once read as the lowest score
         with pytest.raises(UndefinedStatistic):
             metric([0, 1, 0, 1], [np.nan, 0.2, 0.1, 0.3])
+
+    @pytest.mark.parametrize("metric", [roc_auc, pr_aucpr, choose_threshold])
+    def test_unequal_lengths_are_a_width_mismatch(self, metric):
+        with pytest.raises(WidthMismatch, match="3 labels but 2 scores"):
+            metric([0, 1, 1], [0.2, 0.3])
 
 
 class TestF2:
@@ -372,7 +386,7 @@ class TestCvTune:
     def test_single_eta_selected(self):
         cohort = toy_cohort(40, 12, seed=5)
         from ecgtriage.cohort import assemble_features
-        m = assemble_features(cohort, ModelSpec("G"))
+        m = assemble_features(cohort, "G")
         result = cv_tune(m.X, m.y, FAST)
         assert result.chosen_eta == 0.3
         assert result.chosen_rounds >= 1
@@ -380,7 +394,7 @@ class TestCvTune:
     def test_selection_recomputable_from_logs(self):
         cohort = toy_cohort(60, 18, seed=6)
         from ecgtriage.cohort import assemble_features
-        m = assemble_features(cohort, ModelSpec("G"))
+        m = assemble_features(cohort, "G")
         cfg = ExperimentConfig(master_seed=4, eta_grid=(0.1, 0.3), k_folds=3,
                                max_rounds=30, patience=6, max_depth=3)
         result = cv_tune(m.X, m.y, cfg)
@@ -395,7 +409,7 @@ class TestCvTune:
     def test_too_few_per_class(self):
         cohort = toy_cohort(30, 2, seed=7)
         from ecgtriage.cohort import assemble_features
-        m = assemble_features(cohort, ModelSpec("G"))
+        m = assemble_features(cohort, "G")
         with pytest.raises(TooFewPerClass):
             cv_tune(m.X, m.y, FAST)
 
@@ -470,8 +484,11 @@ class TestTrainRepresentative:
         tc = TrainConfig(learning_rate=0.3, num_rounds=6, max_depth=3)
         rep = train_representative(X, y, Xt, yt, tc, n_instances=3, master_seed=5,
                                    holdout_selection=True)
-        assert rep.selection_on == "holdout"
         assert len(rep.runs) == 3
+        cohort = toy_cohort(60, 18, seed=12)
+        config = dataclasses.replace(FAST, holdout_selection=True)
+        report = evaluate_model("G", cohort, config, split(cohort, config.master_seed))
+        assert report["selection"]["on"] == "holdout"
 
     def test_holdout_draw(self, monkeypatch):
         # row i's one feature is i, so each part's rows can be read back
@@ -512,25 +529,35 @@ class TestEvaluateModel:
     def test_four_specs_share_split_and_sensitivity(self):
         cohort = toy_cohort(110, 30, seed=13, signal=1.5)
         plan = split(cohort, FAST.master_seed)
-        reports = [evaluate_model(ModelSpec(lbl), cohort, FAST, split_plan=plan)
+        reports = [evaluate_model(lbl, cohort, FAST, plan)
                    for lbl in ("S", "R", "G", "SRG")]
         assert len({r["data"]["n_test"] for r in reports}) == 1
         assert len({r["metrics"]["sensitivity"] for r in reports}) == 1
         assert all(r["metrics"]["sensitivity"] >= 0.9 for r in reports)
 
     def test_single_class_cohort_fails_before_training(self):
+        # split is the first step of train-eval, before any model is evaluated
         with pytest.raises(SingleClass):
-            evaluate_model(ModelSpec("G"), toy_cohort(30, 0), FAST)
+            split(toy_cohort(30, 0), FAST.master_seed)
+
+    def test_unknown_label_raises_before_tuning(self, monkeypatch):
+        def untouched(*args):
+            raise AssertionError("cv_tune ran")
+
+        monkeypatch.setattr(pipeline, "cv_tune", untouched)
+        cohort = toy_cohort(60, 18, seed=14)
+        with pytest.raises(SchemaError, match="unknown model label 'X'"):
+            evaluate_model("X", cohort, FAST, split(cohort, FAST.master_seed))
 
     def test_deterministic_report(self):
         cohort = toy_cohort(60, 18, seed=14)
-        a = evaluate_model(ModelSpec("G"), cohort, FAST)
-        b = evaluate_model(ModelSpec("G"), cohort, FAST)
+        a = evaluate_model("G", cohort, FAST, split(cohort, FAST.master_seed))
+        b = evaluate_model("G", cohort, FAST, split(cohort, FAST.master_seed))
         assert json.dumps(a) == json.dumps(b)
 
     def test_auc_mann_whitney_bridge(self):
         cohort = toy_cohort(60, 18, seed=15)
-        report = evaluate_model(ModelSpec("G"), cohort, FAST)
+        report = evaluate_model("G", cohort, FAST, split(cohort, FAST.master_seed))
         # reconstruct the test scores through the published log is indirect;
         # instead check the identity on freshly scored data
         rng = np.random.default_rng(0)
@@ -544,7 +571,7 @@ class TestEvaluateModel:
 
     def test_report_document_shape(self):
         cohort = toy_cohort(60, 18, seed=16)
-        report = evaluate_model(ModelSpec("SRG"), cohort, FAST)
+        report = evaluate_model("SRG", cohort, FAST, split(cohort, FAST.master_seed))
         doc = json.loads(json.dumps(report))
         assert doc["format"] == "eval-report/1"
         assert doc["model"] == "SRG"

@@ -114,8 +114,8 @@ class TestSynthGenerator:
         assert np.median(recovery) < 5.0
 
     def test_no_signal_gives_no_skill(self, tmp_path):
-        from ecgtriage.cohort import ModelSpec, load_cohort
-        from ecgtriage.pipeline import ExperimentConfig, evaluate_model
+        from ecgtriage.cohort import load_cohort
+        from ecgtriage.pipeline import ExperimentConfig, evaluate_model, split
 
         data = generate(SynthConfig(n_patients=80, seed=8, positive_fraction=0.3,
                                     qrst_angle_shift_deg=0.0, svg_scale=1.0,
@@ -129,7 +129,7 @@ class TestSynthGenerator:
         for seed in range(1, 5):
             ec = ExperimentConfig(master_seed=seed, eta_grid=(0.3,), k_folds=3,
                                   n_instances=3, max_rounds=25, patience=6, max_depth=3)
-            aucs.append(evaluate_model(ModelSpec("SRG"), cohort, ec)["metrics"]["auc"])
+            aucs.append(evaluate_model("SRG", cohort, ec, split(cohort, seed))["metrics"]["auc"])
         assert 0.25 <= float(np.mean(aucs)) <= 0.75
 
 
@@ -187,7 +187,7 @@ _PAST_LIMIT = st.one_of(
 
 def write_cells(cells):
     buf = io.StringIO()
-    synth.write_trace_cells(buf, cells)
+    synth.write_trace_cells(buf, cells, synth.TraceWork(cells.size))
     return buf.getvalue()
 
 
