@@ -229,11 +229,10 @@ def _best_split(values, gh, G, H):
     values holds the node's sorted column values, (F, n), and gh its (g, h)
     pairs in the same order. Cuts lie at value boundaries and leave at least
     MIN_CHILD_HESSIAN on both sides; of equal gains the lowest feature wins,
-    then the lowest threshold."""
+    then the lowest threshold. A cut across two columns has hr = H - hl ~ 0 < MIN_CHILD_HESSIAN."""
     n = values.shape[1]
     flat = values.ravel()
     edge = flat[:-1] < flat[1:]
-    edge[n - 1::n] = False  # no boundary from one column's last row to the next's first
     bounds = edge.nonzero()[0]
     if bounds.size == 0:
         return None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +29,7 @@ from .errors import (
     UndefinedStatistic,
     WidthMismatch,
 )
-from .gbt import Booster, Ensemble, TrainConfig, importance_gain
+from .gbt import Booster, TrainConfig, importance_gain
 
 STREAM_SPLIT = 1
 STREAM_CV = 2
@@ -92,8 +92,6 @@ def split(cohort, seed: int, ratio: float = 0.7) -> SplitPlan:
     labels = np.asarray([r.label for r in cohort])
     if len(np.unique(labels)) < 2:
         raise SingleClass("cohort contains a single outcome class")
-    if (labels == 0).sum() < 2 or (labels == 1).sum() < 2:
-        raise TooSmall("need at least two patients of each class")
     if not 0.0 < ratio < 1.0:
         raise TooSmall(f"split ratio {ratio} leaves an empty train or test part")
 
@@ -256,22 +254,6 @@ def f2(confusion: Confusion) -> float:
 
 # --- tuning -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CvEntry:
-    eta: float
-    fold_aucprs: tuple[float, ...]
-    fold_rounds: tuple[int, ...]
-    mean_aucpr: float
-    std_aucpr: float
-
-
-@dataclass(frozen=True)
-class CvResult:
-    entries: tuple[CvEntry, ...]
-    chosen_eta: float
-    chosen_rounds: int
-
-
 def _stratified_folds(y, k, rng):
     folds = [[] for _ in range(k)]
     for cls in (0, 1):
@@ -281,13 +263,16 @@ def _stratified_folds(y, k, rng):
     return [np.sort(np.asarray(f, dtype=int)) for f in folds]
 
 
-def cv_tune(X, y, config: ExperimentConfig) -> CvResult:
-    """Stratified k-fold search over the learning-rate grid.
+def cv_tune(X, y, config: ExperimentConfig) -> dict:
+    """Stratified k-fold search over the learning-rate grid; returns the tuning
+    section of eval-report/1: chosen_eta, chosen_rounds and the grid, one entry
+    {eta, fold_aucprs, fold_rounds, mean_aucpr, std_aucpr} per eta, smallest first.
 
     Each fold's training part is rebalanced, boosting runs with early
     stopping on the fold-validation average precision, and the grid entry
-    maximizing (mean - std) of the per-fold bests wins. The selected round
-    count is the rounded median of the per-fold best rounds.
+    maximizing (mean - std) of the per-fold bests wins; the smallest eta wins
+    a tie. The selected round count is the rounded median of that entry's
+    per-fold best rounds, at least 1.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -306,7 +291,7 @@ def cv_tune(X, y, config: ExperimentConfig) -> CvResult:
         # every fold holds at least one positive (k <= positives)
         rebalanced.append((X[pick], y[pick], X[val_rows], y[val_rows], int(y[val_rows].sum())))
 
-    entries = []
+    grid = []
     for eta in sorted(set(config.eta_grid)):
         tc = config.train_config(eta, config.max_rounds)
         fold_aucprs, fold_rounds = [], []
@@ -324,59 +309,47 @@ def cv_tune(X, y, config: ExperimentConfig) -> CvResult:
                     break
             fold_aucprs.append(best_aucpr)
             fold_rounds.append(best_round)
-        entries.append(CvEntry(
-            eta=eta,
-            fold_aucprs=tuple(fold_aucprs),
-            fold_rounds=tuple(fold_rounds),
-            mean_aucpr=float(np.mean(fold_aucprs)),
-            std_aucpr=float(np.std(fold_aucprs)),
-        ))
+        grid.append({"eta": eta, "fold_aucprs": fold_aucprs, "fold_rounds": fold_rounds,
+                     "mean_aucpr": float(np.mean(fold_aucprs)),
+                     "std_aucpr": float(np.std(fold_aucprs))})
 
     # max keeps the first of equal entries, so the smallest eta wins a tie
-    chosen = max(entries, key=lambda e: e.mean_aucpr - e.std_aucpr)
-    rounds = max(1, round_half_up(float(np.median(chosen.fold_rounds))))
-    return CvResult(entries=tuple(entries), chosen_eta=chosen.eta, chosen_rounds=rounds)
+    chosen = max(grid, key=lambda e: e["mean_aucpr"] - e["std_aucpr"])
+    return {"chosen_eta": chosen["eta"],
+            "chosen_rounds": max(1, round_half_up(float(np.median(chosen["fold_rounds"])))),
+            "grid": grid}
 
 
 # --- representative training ------------------------------------------------
 
-@dataclass(frozen=True)
-class InstanceRun:
-    index: int
-    seed_key: tuple[int, int, int]
-    auc: float
-
-
-@dataclass(frozen=True)
-class RepresentativeResult:
-    ensemble: Ensemble
-    runs: tuple[InstanceRun, ...]
-    selected_index: int
-
-
 def run_instance(X_train, y_train, X_sel, y_sel, tc: TrainConfig, master_seed: int,
                  index: int, feature_names=None):
-    """Train instance `index` on its own rebalanced sample; returns (model, InstanceRun).
+    """Train instance `index` on its own rebalanced sample; returns the model and
+    its entry in the selection log, {instance, seed_key, auc}.
 
-    The rebalance seed is SeedSequence((master_seed, STREAM_INSTANCE, index)),
-    so a single instance can be reproduced without running the other 49.
+    The rebalance seed is SeedSequence(seed_key), seed_key = (master_seed,
+    STREAM_INSTANCE, index), so one instance reproduces without the other 49.
     """
     key = (master_seed, STREAM_INSTANCE, index)
     pick = rebalance(y_train, np.random.SeedSequence(key))
     model = gbt.fit(np.asarray(X_train, dtype=float)[pick], np.asarray(y_train)[pick],
                     tc, feature_names)
     _, auc = roc_auc(y_sel, model.predict(X_sel))
-    return model, InstanceRun(index=index, seed_key=key, auc=auc)
+    return model, {"instance": index, "seed_key": key, "auc": auc}
 
 
 def train_representative(X_train, y_train, X_test, y_test, tc: TrainConfig,
                          n_instances: int, master_seed: int,
                          holdout_selection: bool = False,
-                         feature_names=None) -> RepresentativeResult:
+                         feature_names=None):
     """Train n instances on independently rebalanced samples and keep the one
     with the highest selection AUC; ties go to the lowest instance index. All
     AUCs are correctly rounded ratios over one denominator, 2 * pos * neg, so
     comparing them compares the exact U values.
+
+    Returns the kept model and the selection section of eval-report/1: on
+    ("test" or "holdout"), the kept instance, and auc_log, every instance's
+    run_instance entry in index order.
 
     Selection AUC is measured on the test set by default, which mirrors the
     experiment protocol but leaks test information into model choice; pass
@@ -395,17 +368,14 @@ def train_representative(X_train, y_train, X_test, y_test, tc: TrainConfig,
         sel_X, sel_y = np.asarray(X_test, dtype=float), np.asarray(y_test)
 
     # a running best holds one model at a time, not all n
-    best_model, best_run, runs = None, None, []
+    best_model, best, auc_log = None, None, []
     for i in range(1, n_instances + 1):
-        model, run = run_instance(fit_X, fit_y, sel_X, sel_y, tc, master_seed, i, feature_names)
-        runs.append(run)
-        if best_run is None or run.auc > best_run.auc:
-            best_model, best_run = model, run
-    return RepresentativeResult(
-        ensemble=best_model,
-        runs=tuple(runs),
-        selected_index=best_run.index,
-    )
+        model, entry = run_instance(fit_X, fit_y, sel_X, sel_y, tc, master_seed, i, feature_names)
+        auc_log.append(entry)
+        if best is None or entry["auc"] > best["auc"]:
+            best_model, best = model, entry
+    return best_model, {"on": "holdout" if holdout_selection else "test",
+                        "instance": best["instance"], "auc_log": auc_log}
 
 
 # --- full evaluation --------------------------------------------------------
@@ -415,10 +385,10 @@ def evaluate_model(label: str, cohort, config: ExperimentConfig, split_plan: Spl
     bit-reproducible for a fixed config on one machine.
 
     Returns the eval-report/1 document, ready for json.dumps (tuples are its
-    arrays): the model label;
-    test-set metrics (auc, aucpr, f2, sensitivity, specificity); the threshold
-    chosen at the sensitivity floor and its confusion counts; the selection
-    log of every trained instance; the tuning grid; the representative's gain
+    arrays): the model label; test-set metrics (auc, aucpr, f2, sensitivity,
+    specificity); the threshold chosen at the sensitivity floor and its
+    confusion counts; the selection and tuning sections just as
+    train_representative and cv_tune return them; the representative's gain
     importance; train/test sizes and dropped ids; the master seed; the config
     hash; and the ROC and PR points.
     """
@@ -429,15 +399,15 @@ def evaluate_model(label: str, cohort, config: ExperimentConfig, split_plan: Spl
         if len(np.unique(part.y)) < 2:
             raise SingleClass(f"{name} part lost a class after feature drops")
 
-    cv = cv_tune(train_m.X, train_m.y, config)
-    tc = config.train_config(cv.chosen_eta, cv.chosen_rounds)
-    rep = train_representative(
+    tuning = cv_tune(train_m.X, train_m.y, config)
+    tc = config.train_config(tuning["chosen_eta"], tuning["chosen_rounds"])
+    model, selection = train_representative(
         train_m.X, train_m.y, test_m.X, test_m.y, tc,
         n_instances=config.n_instances, master_seed=config.master_seed,
         holdout_selection=config.holdout_selection, feature_names=matrix.columns,
     )
 
-    scores = rep.ensemble.predict(test_m.X)
+    scores = model.predict(test_m.X)
     roc_points, auc = roc_auc(test_m.y, scores)
     pr_points, aucpr = pr_aucpr(test_m.y, scores)
     choice = choose_threshold(test_m.y, scores)
@@ -454,18 +424,9 @@ def evaluate_model(label: str, cohort, config: ExperimentConfig, split_plan: Spl
         },
         "threshold": {"value": choice.threshold, "orientation": choice.orientation},
         "confusion": choice.confusion._asdict(),
-        "selection": {
-            "on": "holdout" if config.holdout_selection else "test",
-            "instance": rep.selected_index,
-            "auc_log": [{"instance": r.index, "seed_key": r.seed_key, "auc": r.auc}
-                        for r in rep.runs],
-        },
-        "tuning": {
-            "chosen_eta": cv.chosen_eta,
-            "chosen_rounds": cv.chosen_rounds,
-            "grid": [asdict(e) for e in cv.entries],
-        },
-        "importance": importance_gain(rep.ensemble),
+        "selection": selection,
+        "tuning": tuning,
+        "importance": importance_gain(model),
         "data": {"n_train": len(train_m.ids), "n_test": len(test_m.ids),
                  "dropped_ids": matrix.dropped_ids},
         "seeds": {"master_seed": config.master_seed},

@@ -452,8 +452,8 @@ def test_criterion_11_determinism(cohort300, tmp_path):
     probe = report_doc["selection"]["auc_log"][3]
     _, rerun = run_instance(train_m.X, train_m.y, test_m.X, test_m.y, tc,
                             master_seed=5, index=probe["instance"])
-    assert rerun.auc == probe["auc"]
-    assert list(rerun.seed_key) == probe["seed_key"]
+    assert rerun["auc"] == probe["auc"]
+    assert list(rerun["seed_key"]) == probe["seed_key"]
     report(f"11 PASS: {len(names)} report files byte-identical across reruns; "
            f"instance {probe['instance']} reproduced in isolation "
-           f"(AUC {rerun.auc:.4f})")
+           f"(AUC {rerun['auc']:.4f})")

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 from fractions import Fraction
 
@@ -26,9 +27,7 @@ from ecgtriage.pipeline import (
     STREAM_HOLDOUT,
     STREAM_INSTANCE,
     Confusion,
-    CvResult,
     ExperimentConfig,
-    InstanceRun,
     _tie_grouped_counts,
     _two_u,
     choose_threshold,
@@ -109,6 +108,16 @@ class TestSplit:
     def test_single_class_rejected(self):
         with pytest.raises(SingleClass):
             split(toy_cohort(30, 0), seed=1)
+
+    def test_class_of_two_splits_one_and_one(self):
+        cohort = toy_cohort(30, 2)
+        plan = split(cohort, seed=1)
+        positives = {r.id for r in cohort if r.label == 1}
+        assert len(positives & set(plan.train_ids)) == len(positives & set(plan.test_ids)) == 1
+
+    def test_class_of_one_is_too_small(self):
+        with pytest.raises(TooSmall, match="class 1"):
+            split(toy_cohort(30, 1), seed=1)
 
 
 class TestRebalance:
@@ -284,7 +293,7 @@ class TestChooseThreshold:
         choice = choose_threshold(y, s)
         assert choice.sensitivity == 1.0 and choice.specificity == 1.0
 
-    @pytest.mark.parametrize("min_sens", [0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("min_sens", [0.0, 0.5, 0.9, 1.0])
     def test_matches_scan_oracle(self, rng, min_sens):
         cases = [(y, rng.integers(0, 8, size=20) / 7.0)
                  for y in rng.integers(0, 2, size=(60, 20)) if 0 < y.sum() < 20]
@@ -316,6 +325,11 @@ class TestChooseThreshold:
         # argmax of an all-False mask once picked the first cut: 0.8 at sensitivity 2/3
         with pytest.raises(ConfigError, match="min_sens must be in"):
             choose_threshold([0, 1, 1, 0, 1], [0.1, 0.9, 0.4, 0.5, 0.8], min_sens=min_sens)
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_single_class_is_refused(self, label):
+        with pytest.raises(SingleClass):
+            choose_threshold([label] * 4, [0.1, 0.2, 0.3, 0.4])
 
     def test_sensitivity_is_achievable_fraction(self, rng):
         for p_count in (5, 17, 23):
@@ -388,8 +402,8 @@ class TestCvTune:
         from ecgtriage.cohort import assemble_features
         m = assemble_features(cohort, "G")
         result = cv_tune(m.X, m.y, FAST)
-        assert result.chosen_eta == 0.3
-        assert result.chosen_rounds >= 1
+        assert result["chosen_eta"] == 0.3
+        assert result["chosen_rounds"] >= 1
 
     def test_selection_recomputable_from_logs(self):
         cohort = toy_cohort(60, 18, seed=6)
@@ -398,13 +412,35 @@ class TestCvTune:
         cfg = ExperimentConfig(master_seed=4, eta_grid=(0.1, 0.3), k_folds=3,
                                max_rounds=30, patience=6, max_depth=3)
         result = cv_tune(m.X, m.y, cfg)
-        best = max(result.entries, key=lambda e: (e.mean_aucpr - e.std_aucpr, -e.eta))
-        assert result.chosen_eta == best.eta
-        fold_rounds = sorted(best.fold_rounds)
-        assert result.chosen_rounds == max(1, int(np.floor(np.median(fold_rounds) + 0.5)))
-        for entry in result.entries:
-            assert entry.mean_aucpr == pytest.approx(float(np.mean(entry.fold_aucprs)))
-            assert entry.std_aucpr == pytest.approx(float(np.std(entry.fold_aucprs)))
+        assert list(result) == ["chosen_eta", "chosen_rounds", "grid"]
+        grid = result["grid"]
+        assert [e["eta"] for e in grid] == [0.1, 0.3]
+        best = max(grid, key=lambda e: (e["mean_aucpr"] - e["std_aucpr"], -e["eta"]))
+        assert result["chosen_eta"] == best["eta"]
+        fold_rounds = sorted(best["fold_rounds"])
+        assert result["chosen_rounds"] == max(1, int(np.floor(np.median(fold_rounds) + 0.5)))
+        for entry in grid:
+            assert list(entry) == ["eta", "fold_aucprs", "fold_rounds", "mean_aucpr", "std_aucpr"]
+            assert len(entry["fold_aucprs"]) == len(entry["fold_rounds"]) == cfg.k_folds
+            assert entry["mean_aucpr"] == pytest.approx(float(np.mean(entry["fold_aucprs"])))
+            assert entry["std_aucpr"] == pytest.approx(float(np.std(entry["fold_aucprs"])))
+
+    def test_exactly_k_folds_positives(self):
+        cohort = toy_cohort(30, 3, seed=7)
+        from ecgtriage.cohort import assemble_features
+        m = assemble_features(cohort, "G")
+        assert int(m.y.sum()) == FAST.k_folds
+        result = cv_tune(m.X, m.y, FAST)
+        assert len(result["grid"][0]["fold_rounds"]) == FAST.k_folds
+
+    def test_one_round_is_every_fold_best(self):
+        cohort = toy_cohort(40, 12, seed=5)
+        from ecgtriage.cohort import assemble_features
+        m = assemble_features(cohort, "G")
+        cfg = dataclasses.replace(FAST, eta_grid=(0.1, 0.3), max_rounds=1)
+        result = cv_tune(m.X, m.y, cfg)
+        assert all(e["fold_rounds"] == [1] * cfg.k_folds for e in result["grid"])
+        assert result["chosen_rounds"] == 1
 
     def test_too_few_per_class(self):
         cohort = toy_cohort(30, 2, seed=7)
@@ -426,26 +462,30 @@ class TestTrainRepresentative:
     def test_single_instance_returned(self):
         X, y, Xt, yt = self._data()
         tc = TrainConfig(learning_rate=0.3, num_rounds=5, max_depth=3)
-        rep = train_representative(X, y, Xt, yt, tc, n_instances=1, master_seed=1)
-        assert rep.selected_index == 1
-        assert len(rep.runs) == 1
+        _, selection = train_representative(X, y, Xt, yt, tc, n_instances=1, master_seed=1)
+        assert list(selection) == ["on", "instance", "auc_log"]
+        assert selection["on"] == "test" and selection["instance"] == 1
+        assert [list(e) for e in selection["auc_log"]] == [["instance", "seed_key", "auc"]]
+        assert selection["auc_log"][0]["seed_key"] == (1, STREAM_INSTANCE, 1)
 
     def test_ties_go_to_first_instance(self):
         # perfectly separable: every instance reaches AUC 1.0
         X = np.r_[np.zeros((30, 1)), np.ones((30, 1))]
         y = np.r_[np.zeros(30), np.ones(30)].astype(int)
         tc = TrainConfig(learning_rate=0.3, num_rounds=2, max_depth=2)
-        rep = train_representative(X, y, X, y, tc, n_instances=6, master_seed=2)
-        assert all(r.auc == 1.0 for r in rep.runs)
-        assert rep.selected_index == 1
+        _, selection = train_representative(X, y, X, y, tc, n_instances=6, master_seed=2)
+        assert all(e["auc"] == 1.0 for e in selection["auc_log"])
+        assert selection["instance"] == 1
 
     def test_selected_auc_is_max_of_log(self):
         X, y, Xt, yt = self._data(seed=9)
         tc = TrainConfig(learning_rate=0.3, num_rounds=8, max_depth=3)
-        rep = train_representative(X, y, Xt, yt, tc, n_instances=10, master_seed=3)
-        best = max(r.auc for r in rep.runs)
-        assert rep.runs[rep.selected_index - 1].auc == best
-        assert min(r.index for r in rep.runs if r.auc == best) == rep.selected_index
+        _, selection = train_representative(X, y, Xt, yt, tc, n_instances=10, master_seed=3)
+        log = selection["auc_log"]
+        assert [e["instance"] for e in log] == list(range(1, 11))
+        best = max(e["auc"] for e in log)
+        assert log[selection["instance"] - 1]["auc"] == best
+        assert min(e["instance"] for e in log if e["auc"] == best) == selection["instance"]
 
     def test_equal_u_ties_go_to_first_whatever_the_float_order(self, monkeypatch):
         # U = 13 of 24 pairs for both score vectors, but a trapezoid over their
@@ -458,33 +498,32 @@ class TestTrainRepresentative:
 
         def scored(index):
             s = scores[index]
-            return InstanceRun(index=index, seed_key=(0, STREAM_INSTANCE, index),
-                               auc=roc_auc(y, s)[1])
+            return {"instance": index, "seed_key": (0, STREAM_INSTANCE, index),
+                    "auc": roc_auc(y, s)[1]}
 
         first, second = scored(1), scored(2)
-        assert first.auc == second.auc == 13 / 24
+        assert first["auc"] == second["auc"] == 13 / 24
         monkeypatch.setattr(pipeline, "run_instance",
                             lambda *args: (f"model {args[6]}", scored(args[6])))
         tc = TrainConfig(learning_rate=0.3, num_rounds=1)
         X = np.zeros((len(y), 1))
-        rep = train_representative(X, y, X, y, tc, n_instances=2, master_seed=0)
-        assert rep.selected_index == 1 and rep.ensemble == "model 1"
+        model, selection = train_representative(X, y, X, y, tc, n_instances=2, master_seed=0)
+        assert selection["instance"] == 1 and model == "model 1"
 
     def test_instance_reproducible_in_isolation(self):
         X, y, Xt, yt = self._data(seed=10)
         tc = TrainConfig(learning_rate=0.3, num_rounds=8, max_depth=3)
-        rep = train_representative(X, y, Xt, yt, tc, n_instances=7, master_seed=11)
-        probe = rep.runs[4]
-        _, rerun = run_instance(X, y, Xt, yt, tc, master_seed=11, index=probe.index)
-        assert rerun.auc == probe.auc
-        assert rerun.seed_key == probe.seed_key
+        _, selection = train_representative(X, y, Xt, yt, tc, n_instances=7, master_seed=11)
+        probe = selection["auc_log"][4]
+        _, rerun = run_instance(X, y, Xt, yt, tc, master_seed=11, index=probe["instance"])
+        assert rerun == probe
 
     def test_holdout_selection_mode(self):
         X, y, Xt, yt = self._data(seed=12, n=120)
         tc = TrainConfig(learning_rate=0.3, num_rounds=6, max_depth=3)
-        rep = train_representative(X, y, Xt, yt, tc, n_instances=3, master_seed=5,
-                                   holdout_selection=True)
-        assert len(rep.runs) == 3
+        _, selection = train_representative(X, y, Xt, yt, tc, n_instances=3, master_seed=5,
+                                            holdout_selection=True)
+        assert selection["on"] == "holdout" and len(selection["auc_log"]) == 3
         cohort = toy_cohort(60, 18, seed=12)
         config = dataclasses.replace(FAST, holdout_selection=True)
         report = evaluate_model("G", cohort, config, split(cohort, config.master_seed))
@@ -500,9 +539,8 @@ class TestTrainRepresentative:
             parts["fit"], parts["hold"] = fit_X[:, 0].astype(int), sel_X[:, 0].astype(int)
             assert np.array_equal(fit_y, y[parts["fit"]])
             assert np.array_equal(sel_y, y[parts["hold"]])
-            run = InstanceRun(index=index, seed_key=(master_seed, STREAM_INSTANCE, index),
-                              auc=0.5)
-            return "model", run
+            return "model", {"instance": index, "seed_key": (master_seed, STREAM_INSTANCE, index),
+                             "auc": 0.5}
 
         monkeypatch.setattr(pipeline, "run_instance", record)
         tc = TrainConfig(learning_rate=0.3, num_rounds=1)
@@ -581,3 +619,15 @@ class TestEvaluateModel:
         assert doc["selection"]["on"] == "test"
         total = sum(doc["confusion"][k] for k in ("tp", "fp", "fn", "tn"))
         assert total == doc["data"]["n_test"]
+
+
+def test_protocol_defaults():
+    # the paper's protocol as one set: a change to any default is a change of protocol
+    defaults = (dataclasses.asdict(ExperimentConfig()),
+                inspect.signature(choose_threshold).parameters["min_sens"].default,
+                inspect.signature(split).parameters["ratio"].default)
+    assert defaults == (
+        {"master_seed": 0, "eta_grid": (0.01, 0.05, 0.1, 0.2, 0.3), "k_folds": 5,
+         "n_instances": 50, "holdout_selection": False, "max_rounds": 500, "patience": 20,
+         "max_depth": 6},
+        0.90, 0.7)
