@@ -169,11 +169,13 @@ class Booster:
             feature_names=tuple(feature_names),
         )
         self._margins = np.full(len(y), base)
+        self._scale = 2.0 ** (53 - len(y).bit_length())
 
     def step(self) -> Tree:
         p = _sigmoid(self._margins)
-        g = p - self.y
-        h = p * (1.0 - p)
+        scale = self._scale
+        g = np.rint((p - self.y) * scale) / scale
+        h = np.rint(p * (1.0 - p) * scale) / scale
         leaf_values = np.empty(len(self.y))
         tree = Tree(self._grow(np.arange(len(self.y)), self._order, g, h, 0, leaf_values))
         self.ensemble.trees.append(tree)
