@@ -198,30 +198,30 @@ class Booster:
         # nodes still to grow, with their rows and depth; keep, unless None,
         # selects a node's cells of its parent's (F, n) column orders and sorted
         # values: a stable partition keeps each column's (value, row index) order
-        stack = [(root, idx, depth, order, XT.take(order + self._offsets), None)]
+        stack = [(root, idx, depth, order, XT.take(order + self._offsets), None,
+                  float(g.take(idx).sum()), float(h.take(idx).sum()))]
         while stack:
-            node, rows, depth, order, values, keep = stack.pop()
-            G, H = float(g.take(rows).sum()), float(h.take(rows).sum())
+            node, rows, depth, order, values, keep, G, H = stack.pop()
             split = None
             # No cut can leave m = MIN_CHILD_HESSIAN on both sides of a node with
-            # H < 2m: such a cut has hl >= m > H/2 and fl(H - hl) >= m > 0, so
-            # H/2 < hl < H, H - hl is exact (Sterbenz) and H >= 2m. A node with
-            # one row or no feature has no cut either: the scan returns the same leaf.
+            # H < 2m, since H - hl is exact. A node with one row or no feature has
+            # no cut either: the scan returns the same leaf.
             if depth < self.config.max_depth and H >= 2 * MIN_CHILD_HESSIAN:
                 if keep is not None:
                     order = order.compress(keep).reshape(F, -1)
                     values = values.compress(keep).reshape(F, -1)
                 split = _best_split(values, gh.take(order), G, H)
             if split is None:
-                node.weight = -G / (H + L2_REG)
+                node.weight = (0.0 - G) / (H + L2_REG)  # +0.0 for either zero G
                 leaf_values[rows] = node.weight
                 continue
-            node.gain, node.feature, node.threshold = split
+            node.gain, node.feature, node.threshold, gl, hl = split
             node.left, node.right = TreeNode(), TreeNode()
             goes = XT[node.feature] < node.threshold
             goes_left, keep = goes.take(rows), goes.take(order).ravel()
-            stack.append((node.right, rows.compress(~goes_left), depth + 1, order, values, ~keep))
-            stack.append((node.left, rows.compress(goes_left), depth + 1, order, values, keep))
+            stack.append((node.right, rows.compress(~goes_left), depth + 1, order, values, ~keep,
+                          G - gl, H - hl))
+            stack.append((node.left, rows.compress(goes_left), depth + 1, order, values, keep, gl, hl))
         return root
 
 
@@ -250,7 +250,7 @@ def _best_split(values, gh, G, H):
     cut = int(bounds[best])
     lo, hi = flat.item(cut), flat.item(cut + 1)
     mid = (lo + hi) / 2.0  # rounds to lo between adjacent values, overflows near the limit
-    return gain, cut // n, mid if lo < mid < math.inf else hi
+    return gain, cut // n, mid if lo < mid < math.inf else hi, gl.item(best), hl.item(best)
 
 
 def fit(X, y, config: TrainConfig, feature_names=None) -> Ensemble:

@@ -353,7 +353,7 @@ class PerFeatureScanBooster(Booster):
         H = float(h[idx].sum())
 
         def leaf():
-            weight = -G / (H + 1.0)
+            weight = (0.0 - G) / (H + 1.0)  # a zero G of either sign weighs +0.0
             leaf_values[idx] = weight
             return TreeNode(weight=weight)
 

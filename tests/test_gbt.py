@@ -207,16 +207,18 @@ class TestSplitSearch:
     @given(data=st.data(), n=st.integers(8, 30), width=st.integers(1, 3),
            nudge=st.sampled_from([-1, 0, 1]))
     def test_hessian_skip_keeps_every_split(self, data, n, width, nudge):
-        # H at 2 * MIN_CHILD_HESSIAN or one ulp of 2 around it, with the cut of
-        # column j after sorted row k holding exactly 1 on each side before the
-        # nudge: the skip before the scan fires only where the scan finds no
-        # admitted cut, and the root comes out as the full per-feature scan grows it
+        # H at 2 * MIN_CHILD_HESSIAN or one grid step 2^-k around it, with the
+        # cut of column j after sorted row k holding exactly 1 on each side
+        # before the nudge: the skip before the scan fires only where the scan
+        # finds no admitted cut, and the root comes out as the full per-feature
+        # scan grows it. g and h lie on step()'s grid.
         X = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * width, max_size=n * width)),
                      dtype=float).reshape(n, width)
-        g = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+        unit = 2.0 ** -(53 - n.bit_length())
+        g = unit * np.array(data.draw(st.lists(st.integers(-int(1 / unit), int(1 / unit)),
+                                               min_size=n, max_size=n)))
         j, k = data.draw(st.integers(0, width - 1)), data.draw(st.integers(3, n - 5))
-        # h in sixty-fourths within [0, 1/4], 64 of them on each side of the
-        # cut, so every partial sum is exact
+        # h in sixty-fourths within [0, 1/4], 64 of them on each side of the cut
         q = data.draw(st.lists(st.integers(0, 16), min_size=n, max_size=n))
         sides = np.split(np.argsort(X[:, j], kind="stable"), [k + 1])
         for side in sides:
@@ -226,9 +228,8 @@ class TestSplitSearch:
                 q[i] += move
                 short -= move
         h = np.array(q) / 64.0
-        # one row moves H to the float next to 2 on the nudge's side, keeping
-        # h in [0, 1/4]; every partial sum stays exact
-        step = float(np.nextafter(2.0, nudge * math.inf)) - 2.0 if nudge else 0.0
+        # one row moves H one grid step to the nudge's side, keeping h in [0, 1/4]
+        step = nudge * unit
         first = sides[data.draw(st.integers(0, 1))]
         rows = [i for i in np.concatenate([first, *sides]) if 0.0 <= h[i] + step <= 0.25]
         assume(rows)
@@ -257,6 +258,17 @@ class TestSplitSearch:
         assert repr(root) == repr(expected)
         assert leaves.tolist() == [0.0, 0.0]
 
+    def test_child_of_negative_zero_gradients_is_a_positive_zero_leaf(self):
+        # the right child's rows all hold g = -0.0: its carried G - gl is +0.0,
+        # the sum of its rows -0.0; either way its leaf weighs +0.0
+        X, y = np.repeat([[0.0], [1.0]], 4, axis=0), np.repeat([1, 0], 4)
+        g, h = np.r_[np.full(4, -1.0), np.full(4, -0.0)], np.full(8, 0.25)
+        booster = Booster(X, y, config(max_depth=1))
+        root = booster._grow(np.arange(8), booster._order, g, h, 0, np.empty(8))
+        expected = PerFeatureScanBooster(X, y, config(max_depth=1))._grow(np.arange(8), None, g, h, 0, np.empty(8))
+        assert math.copysign(1.0, root.right.weight) == 1.0
+        assert repr(root) == repr(expected)
+
     @pytest.mark.parametrize("first", [0.0, 1.0], ids=["one_row_apart", "all_tied"])
     def test_node_without_an_admitted_cut_is_a_leaf(self, first):
         # H = 9/4 >= 2 * MIN_CHILD_HESSIAN, so the scan runs. Apart, the one cut
@@ -278,15 +290,17 @@ class TestSplitSearch:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), n=st.integers(2, 40), width=st.integers(1, 3), max_depth=st.integers(1, 3))
     def test_domain_extremes_equal_per_feature_scan(self, data, n, width, max_depth):
-        # g and h at the ends of step()'s domain, exact zeros and subnormals
-        # included: no operation overflows, divides by zero or makes a NaN, and
-        # the tree and its leaf values are the per-feature scan's bit for bit
+        # g and h at the ends of step()'s domain, the grid's 2^-k and signed
+        # zeros included: no operation overflows, divides by zero or makes a NaN,
+        # and the tree and its leaf values, built from carried node sums, are the
+        # per-feature scan's, which sums each node's rows, bit for bit
         X = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * width, max_size=n * width)),
                      dtype=float).reshape(n, width)
-        below_one = math.nextafter(1.0, 0.0)
-        g = np.array(data.draw(st.lists(st.sampled_from([-1.0, -below_one, -5e-324, -0.0, 0.0, 0.5, below_one, 1.0]),
+        unit = 2.0 ** -(53 - n.bit_length())
+        g = np.array(data.draw(st.lists(st.sampled_from([-1.0, unit - 1.0, -unit, -0.0, 0.0, unit, 0.5,
+                                                         1.0 - unit, 1.0]),
                                         min_size=n, max_size=n)))
-        h = np.array(data.draw(st.lists(st.sampled_from([0.0, 5e-324, 0.125, 0.25, 0.25]), min_size=n, max_size=n)))
+        h = np.array(data.draw(st.lists(st.sampled_from([0.0, unit, 0.125, 0.25, 0.25]), min_size=n, max_size=n)))
         y = np.arange(n) % 2
         cfg = config(max_depth=max_depth)
         leaves, expected_leaves = np.empty(n), np.empty(n)
