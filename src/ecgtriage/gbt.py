@@ -11,24 +11,31 @@ over the exact midpoints between sorted distinct feature values, or the higher
 value where the midpoint rounds to the lower one or overflows. Leaf weight is
 -G/(H + 1). The regularisation is XGBoost's default, fixed (Chen & Guestrin
 2016): lambda = L2_REG = 1, gamma = 0, and each child holds a hessian sum of at
-least MIN_CHILD_HESSIAN = 1. No denominator is then below 1 by more than
-rounding, and |GL|, |G| <= n, so every gain is finite. The prediction is
-sigmoid(base_score + lr * sum of tree outputs), with base_score the log-odds of
-the training prevalence.
+least MIN_CHILD_HESSIAN = 1. No denominator is then below 1, and |GL|, |G| <= N,
+so every gain is finite. The prediction is sigmoid(base_score + lr * sum of
+tree outputs), with base_score the log-odds of the training prevalence.
+
+A training row may stand for c >= 1 identical rows: its integer count c
+multiplies its g and h, and the prevalence is sum(c y) / sum(c), so a fit on
+distinct rows with counts is the fit on the rows repeated. Each round rounds g
+and h to the grid 2^-k, k = 53 - bit_length(N) with N = sum(c), before the
+counts multiply them. As |g| <= 1 and h <= 1/4, every partial sum is then a
+multiple of 2^-k of magnitude at most N < 2^(53-k), which float addition gives
+exactly in any order (the pre-rounding of Demmel & Nguyen 2013). So G, H, each
+gain and each leaf depend only on a node's set of rows, not on the order of
+the training rows, and a child takes its (G, H) from its parent's prefix sums
+with no rounding: (GL, HL) at the chosen cut, or (G - GL, H - HL). Only the
+root sums its rows.
 
 The matrix never changes while a booster trains, so each column is sorted
 once, stably (tied values keep row order, NaN last), when the booster is built;
 every tree starts from that order, the column block of exact greedy XGBoost
 (Chen & Guestrin 2016, section 4.1). A split hands each child its rows' order by
-a stable partition of the parent's, which is the order a stable sort of the
-child's rows would give. A node then scores all columns in one pass: cumulative
-sums of g and h along each column's order. Each round pairs them as one complex
-array g + i h, so a node gathers and sums once; complex addition adds the real
-parts and the imaginary parts separately, in the same left-to-right order, so
-GL and HL come out bit for bit as two real sums would give them. The hessian
-tests and the gains are evaluated at value boundaries only. Tied gains resolve
-to the lowest feature index and then the lowest threshold, so repeated fits
-come out identical.
+a stable partition of the parent's. A node then scores all columns in one pass:
+cumulative sums along each column's order of g + i h, one complex array whose
+parts add separately. The hessian tests and the gains are evaluated at value
+boundaries only. Tied gains resolve to the lowest feature index and then the
+lowest threshold.
 """
 
 from __future__ import annotations
@@ -135,13 +142,18 @@ def _sigmoid(m: np.ndarray) -> np.ndarray:
 class Booster:
     """Incremental trainer: one call to step() grows and applies one tree."""
 
-    def __init__(self, X, y, config: TrainConfig, feature_names=None):
+    def __init__(self, X, y, config: TrainConfig, feature_names=None, counts=None):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
+        counts = np.ones(len(y)) if counts is None else np.asarray(counts, dtype=float)
         if X.ndim != 2 or len(X) == 0:
             raise EmptyMatrix("training matrix is empty")
         if len(X) != len(y):
             raise WidthMismatch(f"{len(X)} rows but {len(y)} labels")
+        if counts.shape != y.shape:
+            raise WidthMismatch(f"{len(y)} rows but counts of shape {counts.shape}")
+        if not (np.isfinite(counts) & (counts >= 1.0) & (counts == np.floor(counts))).all():
+            raise SchemaError("counts must be finite integers >= 1")
         classes = np.unique(y)
         if not np.array_equal(classes, [0.0, 1.0]):
             if len(classes) == 1:
@@ -152,30 +164,25 @@ class Booster:
         if len(feature_names) != X.shape[1]:
             raise WidthMismatch("feature name manifest does not match matrix width")
 
-        self.X = X
-        self.y = y
-        self.config = config
+        self.X, self.y, self.config = X, y, config
         # feature-major copy and its stable per-column presort, both (F, n);
         # row i of column j sits at j * n + i of the flat copy
         self._XT = np.ascontiguousarray(X.T)
         self._order = np.argsort(self._XT, axis=1, kind="stable")
         self._offsets = np.arange(0, X.size, len(X))[:, None]
-        prevalence = float(y.mean())
+        self._counts = counts
+        total = int(counts.sum())
+        prevalence = float((counts * y).sum()) / total
         base = math.log(prevalence / (1.0 - prevalence))
-        self.ensemble = Ensemble(
-            base_score=base,
-            learning_rate=config.learning_rate,
-            trees=[],
-            feature_names=tuple(feature_names),
-        )
+        self.ensemble = Ensemble(base_score=base, learning_rate=config.learning_rate, trees=[],
+                                 feature_names=tuple(feature_names))
         self._margins = np.full(len(y), base)
-        self._scale = 2.0 ** (53 - len(y).bit_length())
+        self._scale = 2.0 ** (53 - total.bit_length())
 
     def step(self) -> Tree:
-        p = _sigmoid(self._margins)
-        scale = self._scale
-        g = np.rint((p - self.y) * scale) / scale
-        h = np.rint(p * (1.0 - p) * scale) / scale
+        p, s = _sigmoid(self._margins), self._scale  # s = 2^k
+        g = np.rint((p - self.y) * s) / s * self._counts
+        h = np.rint(p * (1.0 - p) * s) / s * self._counts
         leaf_values = np.empty(len(self.y))
         tree = Tree(self._grow(np.arange(len(self.y)), self._order, g, h, 0, leaf_values))
         self.ensemble.trees.append(tree)
@@ -189,8 +196,8 @@ class Booster:
 
     def _grow(self, idx, order, g, h, depth, leaf_values) -> TreeNode:
         """Grow the subtree of the rows idx (ascending); order is (F, len(idx)),
-        each column's rows in (value, row index) order. g lies in [-1, 1] and h
-        in [0, 1/4], as step() makes them."""
+        each column's rows in (value, row index) order. g and h are step()'s:
+        on its grid, within the counts times [-1, 1] and [0, 1/4]."""
         XT, F = self._XT, len(self._XT)
         gh = np.empty(len(g), complex)  # g + i h, set part by part: each keeps its bits
         gh.real, gh.imag = g, h
@@ -203,9 +210,8 @@ class Booster:
         while stack:
             node, rows, depth, order, values, keep, G, H = stack.pop()
             split = None
-            # No cut can leave m = MIN_CHILD_HESSIAN on both sides of a node with
-            # H < 2m, since H - hl is exact. A node with one row or no feature has
-            # no cut either: the scan returns the same leaf.
+            # With H < 2m no cut leaves m = MIN_CHILD_HESSIAN on both sides, as H - hl
+            # is exact. One row or no feature leaves no cut either; the scan finds none.
             if depth < self.config.max_depth and H >= 2 * MIN_CHILD_HESSIAN:
                 if keep is not None:
                     order = order.compress(keep).reshape(F, -1)
@@ -226,16 +232,16 @@ class Booster:
 
 
 def _best_split(values, gh, G, H):
-    """The first best split of a node as (gain, feature, threshold), or None.
+    """The first best split of a node as (gain, feature, threshold, gl, hl),
+    with gl and hl the prefix sums left of the cut, or None.
 
     values holds the node's sorted column values, (F, n), and gh its (g, h)
     pairs in the same order. Cuts lie at value boundaries and leave at least
     MIN_CHILD_HESSIAN on both sides; of equal gains the lowest feature wins,
-    then the lowest threshold. A cut across two columns has hr = H - hl ~ 0 < MIN_CHILD_HESSIAN."""
+    then the lowest threshold. A cut across two columns has hr = H - hl = 0."""
     n = values.shape[1]
     flat = values.ravel()
-    edge = flat[:-1] < flat[1:]
-    bounds = edge.nonzero()[0]
+    bounds = (flat[:-1] < flat[1:]).nonzero()[0]
     if bounds.size == 0:
         return None
     left = gh.cumsum(axis=1).take(bounds)
@@ -253,9 +259,9 @@ def _best_split(values, gh, G, H):
     return gain, cut // n, mid if lo < mid < math.inf else hi, gl.item(best), hl.item(best)
 
 
-def fit(X, y, config: TrainConfig, feature_names=None) -> Ensemble:
+def fit(X, y, config: TrainConfig, feature_names=None, counts=None) -> Ensemble:
     """Train a boosted ensemble for config.num_rounds rounds."""
-    return Booster(X, y, config, feature_names).run(config.num_rounds)
+    return Booster(X, y, config, feature_names, counts).run(config.num_rounds)
 
 
 def importance_gain(model: Ensemble) -> dict:

@@ -268,10 +268,10 @@ def cv_tune(X, y, config: ExperimentConfig) -> dict:
     section of eval-report/1: chosen_eta, chosen_rounds and the grid, one entry
     {eta, fold_aucprs, fold_rounds, mean_aucpr, std_aucpr} per eta, smallest first.
 
-    Each fold's training part is rebalanced, boosting runs with early
-    stopping on the fold-validation average precision, and the grid entry
-    maximizing (mean - std) of the per-fold bests wins; the smallest eta wins
-    a tie. The selected round count is the rounded median of that entry's
+    Each fold's training part is rebalanced and passed to the booster as its
+    distinct rows with their counts. Boosting runs with early stopping on the
+    fold-validation average precision, and the grid entry maximizing
+    (mean - std) of the per-fold bests wins; the smallest eta wins a tie. The selected round count is the rounded median of that entry's
     per-fold best rounds, at least 1.
     """
     X = np.asarray(X, dtype=float)
@@ -287,16 +287,16 @@ def cv_tune(X, y, config: ExperimentConfig) -> dict:
     for f, val_rows in enumerate(folds):
         train_rows = np.setdiff1d(all_rows, val_rows)
         seed = np.random.SeedSequence((config.master_seed, STREAM_CV, f + 1))
-        pick = train_rows[rebalance(y[train_rows], seed)]
+        pick, counts = np.unique(train_rows[rebalance(y[train_rows], seed)], return_counts=True)
         # every fold holds at least one positive (k <= positives)
-        rebalanced.append((X[pick], y[pick], X[val_rows], y[val_rows], int(y[val_rows].sum())))
+        rebalanced.append((X[pick], y[pick], counts, X[val_rows], y[val_rows], int(y[val_rows].sum())))
 
     grid = []
     for eta in sorted(set(config.eta_grid)):
         tc = config.train_config(eta, config.max_rounds)
         fold_aucprs, fold_rounds = [], []
-        for X_train, y_train, X_val, y_val, pos in rebalanced:
-            booster = Booster(X_train, y_train, tc)
+        for X_train, y_train, counts, X_val, y_val, pos in rebalanced:
+            booster = Booster(X_train, y_train, tc, counts=counts)
             margins_val = np.full(len(y_val), booster.ensemble.base_score)
             best_aucpr, best_round = -math.inf, 0
             for r in range(1, config.max_rounds + 1):
@@ -324,16 +324,17 @@ def cv_tune(X, y, config: ExperimentConfig) -> dict:
 
 def run_instance(X_train, y_train, X_sel, y_sel, tc: TrainConfig, master_seed: int,
                  index: int, feature_names=None):
-    """Train instance `index` on its own rebalanced sample; returns the model and
-    its entry in the selection log, {instance, seed_key, auc}.
+    """Train instance `index` on its own rebalanced sample, passed as its
+    distinct rows with their counts; returns the model and its entry in the
+    selection log, {instance, seed_key, auc}.
 
     The rebalance seed is SeedSequence(seed_key), seed_key = (master_seed,
     STREAM_INSTANCE, index), so one instance reproduces without the other 49.
     """
     key = (master_seed, STREAM_INSTANCE, index)
-    pick = rebalance(y_train, np.random.SeedSequence(key))
+    pick, counts = np.unique(rebalance(y_train, np.random.SeedSequence(key)), return_counts=True)
     model = gbt.fit(np.asarray(X_train, dtype=float)[pick], np.asarray(y_train)[pick],
-                    tc, feature_names)
+                    tc, feature_names, counts)
     _, auc = roc_auc(y_sel, model.predict(X_sel))
     return model, {"instance": index, "seed_key": key, "auc": auc}
 
@@ -382,7 +383,8 @@ def train_representative(X_train, y_train, X_test, y_test, tc: TrainConfig,
 
 def evaluate_model(label: str, cohort, config: ExperimentConfig, split_plan: SplitPlan) -> dict:
     """Full protocol for one model label ("S", "R", "G" or "SRG") over split_plan;
-    bit-reproducible for a fixed config on one machine.
+    bit-reproducible for a fixed config on one machine, and independent of
+    training-row order.
 
     Returns the eval-report/1 document, ready for json.dumps (tuples are its
     arrays): the model label; test-set metrics (auc, aucpr, f2, sensitivity,

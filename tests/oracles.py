@@ -342,8 +342,8 @@ class PerFeatureScanBooster(Booster):
     column orders, a membership mask, and one cumsum scan per feature, keeping
     a feature's best only when it strictly beats the lower features' best."""
 
-    def __init__(self, X, y, config, feature_names=None):
-        super().__init__(X, y, config, feature_names)
+    def __init__(self, X, y, config, feature_names=None, counts=None):
+        super().__init__(X, y, config, feature_names, counts)
         self._order = np.argsort(self.X, axis=0, kind="stable")
 
     def _grow(self, idx, order, g, h, depth, leaf_values):
