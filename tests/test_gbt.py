@@ -1,12 +1,14 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ecgtriage.errors import EmptyMatrix, SingleClass, WidthMismatch
+from ecgtriage import gbt
+from ecgtriage.errors import ConfigError, EmptyMatrix, SchemaError, SingleClass, WidthMismatch
 from ecgtriage.gbt import (
     Booster,
     Ensemble,
@@ -45,6 +47,13 @@ L2_REG, GAMMA, MIN_CHILD_HESSIAN = 1.0, 0.0, 1.0
 def config(**kw):
     """The protocol's configuration; a keyword TrainConfig lacks is a TypeError."""
     return TrainConfig(**{"learning_rate": 0.3, "num_rounds": 1, "max_depth": 6, **kw})
+
+
+@pytest.mark.parametrize("learning_rate", [0.0, -0.1, math.nextafter(1.0, 2.0), math.nan])
+def test_learning_rate_outside_zero_one_is_refused(learning_rate):
+    with pytest.raises(ConfigError, match="learning_rate must be in"):
+        config(learning_rate=learning_rate)
+    assert config(learning_rate=1.0).learning_rate == 1.0
 
 
 @pytest.mark.parametrize("name", ["min_child_hessian", "l2_reg", "gamma"])
@@ -359,6 +368,125 @@ class TestSplitSearch:
         assert all(tree.root.is_leaf for tree in model.trees)
 
 
+def training_sample(data, n, width, nan=True):
+    """n rows of small integers, NaN unless nan is False, and floats in [-4, 4],
+    so columns hold ties and distinct values; labels hold both classes."""
+    cells = st.one_of(st.sampled_from([0.0, 1.0, 2.0] + [math.nan] * nan), st.floats(-4.0, 4.0))
+    X = np.array(data.draw(st.lists(cells, min_size=n * width, max_size=n * width))).reshape(n, width)
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    y[:2] = [0, 1]
+    return X, y
+
+
+def trees_of(model):
+    return [repr(tree) for tree in model.trees]
+
+
+class TestExactSums:
+    """On step()'s grid every sum is exact: the fit depends on the set of rows only."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(8, 60), width=st.integers(1, 4),
+           max_depth=st.integers(1, 4), num_rounds=st.integers(1, 5))
+    def test_row_order_leaves_trees_and_predictions_unchanged(self, data, n, width, max_depth,
+                                                             num_rounds):
+        X, y = training_sample(data, n, width)
+        perm = np.array(data.draw(st.permutations(range(n))))
+        cfg = config(max_depth=max_depth, num_rounds=num_rounds)
+        drawn, permuted = fit(X, y, cfg), fit(X[perm], y[perm], cfg)
+        assert trees_of(drawn) == trees_of(permuted)
+        assert drawn.predict(X).tobytes() == permuted.predict(X).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(8, 60), width=st.integers(1, 3),
+           max_depth=st.integers(1, 4), num_rounds=st.integers(1, 5))
+    def test_duplicated_column_never_beats_the_lower_copy(self, data, n, width, max_depth,
+                                                          num_rounds):
+        # appended copies of a column, as drawn and mirrored (-x: the same cuts
+        # with the sides swapped, each gain summed in another order), tie with
+        # it at every cut and lose every tie: the trees are the ones without them
+        X, y = training_sample(data, n, width, nan=False)
+        j = data.draw(st.integers(0, width - 1))
+        cfg = config(max_depth=max_depth, num_rounds=num_rounds)
+        with_copies = fit(np.column_stack([X, X[:, j], -X[:, j]]), y, cfg)
+        assert trees_of(with_copies) == trees_of(fit(X, y, cfg))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(4, 40), width=st.integers(1, 4),
+           max_depth=st.integers(1, 4), num_rounds=st.integers(1, 5))
+    def test_counts_fit_equals_repeated_rows_fit(self, data, n, width, max_depth, num_rounds):
+        X, y = training_sample(data, n, width)
+        counts = np.array(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+        cfg = config(max_depth=max_depth, num_rounds=num_rounds)
+        weighted = fit(X, y, cfg, counts=counts)
+        repeated = fit(np.repeat(X, counts, axis=0), np.repeat(y, counts), cfg)
+        assert trees_of(weighted) == trees_of(repeated)
+        assert weighted.base_score.hex() == repeated.base_score.hex()
+        assert weighted.predict(X).tobytes() == repeated.predict(X).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(8, 60), width=st.integers(1, 4),
+           max_depth=st.integers(1, 4), num_rounds=st.integers(1, 4))
+    def test_carried_node_sums_are_the_exact_sums_of_node_rows(self, data, n, width, max_depth,
+                                                               num_rounds):
+        # each node searched for a split gets the (G, H) its parent handed down:
+        # equal to math.fsum over the rows the tree routes to it, and each leaf
+        # weighs -G/(H + 1) of those exact sums
+        X, y = training_sample(data, n, width)
+        counts = np.array(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+        cfg = config(max_depth=max_depth, num_rounds=num_rounds)
+        grown, scanned = [], []
+
+        class Recording(Booster):
+            def _grow(self, idx, order, g, h, depth, leaf_values):
+                grown.append((g, h))
+                return super()._grow(idx, order, g, h, depth, leaf_values)
+
+        def spy(values, gh, G, H):
+            scanned.append((G, H))
+            return best_split(values, gh, G, H)
+
+        def expected_scans(node, rows, depth, g, h):
+            G, H = math.fsum(g[rows]), math.fsum(h[rows])
+            if node.is_leaf:
+                assert node.weight == (0.0 - G) / (H + 1.0)
+            scans = [(G, H)] if depth < max_depth and H >= 2 * MIN_CHILD_HESSIAN else []
+            if not node.is_leaf:
+                goes_left = X[rows, node.feature] < node.threshold
+                scans += expected_scans(node.left, rows[goes_left], depth + 1, g, h)
+                scans += expected_scans(node.right, rows[~goes_left], depth + 1, g, h)
+            return scans
+
+        booster, best_split = Recording(X, y, cfg, counts=counts), gbt._best_split
+        with mock.patch.object(gbt, "_best_split", spy):
+            for _ in range(num_rounds):
+                scanned.clear()
+                tree = booster.step()
+                assert scanned == expected_scans(tree.root, np.arange(n), 0, *grown[-1])
+
+
+class TestCounts:
+    def test_count_length_mismatch_is_refused(self):
+        with pytest.raises(WidthMismatch, match="counts of shape"):
+            fit(STEP_X, STEP_Y, config(), counts=np.ones(len(STEP_Y) - 1))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, 1.5, math.nan, math.inf])
+    def test_count_not_a_finite_integer_of_at_least_one_is_refused(self, bad):
+        counts = np.ones(len(STEP_Y))
+        counts[3] = bad
+        with pytest.raises(SchemaError, match="counts must be finite integers >= 1"):
+            fit(STEP_X, STEP_Y, config(), counts=counts)
+
+    def test_no_counts_are_counts_of_one(self):
+        cfg = config(num_rounds=3)
+        assert trees_of(fit(STEP_X, STEP_Y, cfg)) == trees_of(fit(STEP_X, STEP_Y, cfg, counts=[1] * 12))
+
+    def test_base_score_is_the_counted_prevalence(self):
+        # 3 of 4 counted rows positive: log(3)
+        model = fit(np.zeros((2, 1)), [0, 1], config(), counts=[1, 3])
+        assert model.base_score == math.log(3.0)
+
+
 class TestPredict:
     def test_no_trees_is_constant_base(self):
         m = Ensemble(base_score=0.4, learning_rate=0.1, trees=[], feature_names=("a",))
@@ -381,6 +509,16 @@ class TestPredict:
         model = fit(X, y, config(learning_rate=1.0, num_rounds=60))
         p = model.predict(X)
         assert np.all(p > 0.0) and np.all(p < 1.0)
+
+    @pytest.mark.parametrize("margin, expected", [(-800.0, 1e-15), (800.0, math.nextafter(1.0, 0.0))])
+    def test_probabilities_clip_at_exact_bounds(self, margin, expected):
+        m = Ensemble(base_score=margin, learning_rate=0.1, trees=[], feature_names=("a",))
+        assert m.predict(np.zeros((2, 1))).tolist() == [expected, expected]
+
+    def test_flat_input_has_unknown_width(self):
+        m = Ensemble(base_score=0.0, learning_rate=0.1, trees=[], feature_names=("a", "b"))
+        with pytest.raises(WidthMismatch, match=r"^rows have \? features, model expects 2$"):
+            m.margins(np.zeros(2))
 
     def test_width_mismatch(self, rng):
         X = rng.normal(size=(20, 3))
