@@ -271,8 +271,9 @@ def cv_tune(X, y, config: ExperimentConfig) -> dict:
     Each fold's training part is rebalanced and passed to the booster as its
     distinct rows with their counts. Boosting runs with early stopping on the
     fold-validation average precision, and the grid entry maximizing
-    (mean - std) of the per-fold bests wins; the smallest eta wins a tie. The selected round count is the rounded median of that entry's
-    per-fold best rounds, at least 1.
+    (mean - std) of the per-fold bests wins; the smallest eta wins a tie. The
+    selected round count is the rounded median of that entry's per-fold best
+    rounds, at least 1.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
