@@ -28,14 +28,14 @@ with no rounding: (GL, HL) at the chosen cut, or (G - GL, H - HL). Only the
 root sums its rows.
 
 The matrix never changes while a booster trains, so each column is sorted
-once, stably (tied values keep row order, NaN last), when the booster is built;
-every tree starts from that order, the column block of exact greedy XGBoost
-(Chen & Guestrin 2016, section 4.1). A split hands each child its rows' order by
-a stable partition of the parent's. A node then scores all columns in one pass:
-cumulative sums along each column's order of g + i h, one complex array whose
-parts add separately. The hessian tests and the gains are evaluated at value
-boundaries only. Tied gains resolve to the lowest feature index and then the
-lowest threshold.
+once, stably (tied values keep row order, NaN last), and its sorted values are
+gathered once, when the booster is built; every tree's root starts from both,
+the column block of exact greedy XGBoost (Chen & Guestrin 2016, section 4.1). A
+split hands each child its rows' order by a stable partition of the parent's.
+A node then scores all columns in one pass: cumulative sums along each
+column's order of g + i h, one complex array whose parts add separately. The
+hessian tests and the gains are evaluated at value boundaries only. Tied gains
+resolve to the lowest feature index and then the lowest threshold.
 """
 
 from __future__ import annotations
@@ -165,11 +165,11 @@ class Booster:
             raise WidthMismatch("feature name manifest does not match matrix width")
 
         self.X, self.y, self.config = X, y, config
-        # feature-major copy and its stable per-column presort, both (F, n);
-        # row i of column j sits at j * n + i of the flat copy
+        # feature-major copy, its stable per-column presort and the sorted
+        # values, all (F, n), built once: every tree's root starts from them
         self._XT = np.ascontiguousarray(X.T)
         self._order = np.argsort(self._XT, axis=1, kind="stable")
-        self._offsets = np.arange(0, X.size, len(X))[:, None]
+        self._sorted = np.take_along_axis(self._XT, self._order, axis=1)
         self._counts = counts
         total = int(counts.sum())
         prevalence = float((counts * y).sum()) / total
@@ -184,7 +184,7 @@ class Booster:
         g = np.rint((p - self.y) * s) / s * self._counts
         h = np.rint(p * (1.0 - p) * s) / s * self._counts
         leaf_values = np.empty(len(self.y))
-        tree = Tree(self._grow(np.arange(len(self.y)), self._order, g, h, 0, leaf_values))
+        tree = Tree(self._grow(g, h, leaf_values))
         self.ensemble.trees.append(tree)
         self._margins = self._margins + self.config.learning_rate * leaf_values
         return tree
@@ -194,10 +194,9 @@ class Booster:
             self.step()
         return self.ensemble
 
-    def _grow(self, idx, order, g, h, depth, leaf_values) -> TreeNode:
-        """Grow the subtree of the rows idx (ascending); order is (F, len(idx)),
-        each column's rows in (value, row index) order. g and h are step()'s:
-        on its grid, within the counts times [-1, 1] and [0, 1/4]."""
+    def _grow(self, g, h, leaf_values) -> TreeNode:
+        """Grow one tree over all rows and write each row's leaf weight into
+        leaf_values; g and h lie on step()'s grid, so the root's sums are exact."""
         XT, F = self._XT, len(self._XT)
         gh = np.empty(len(g), complex)  # g + i h, set part by part: each keeps its bits
         gh.real, gh.imag = g, h
@@ -205,8 +204,8 @@ class Booster:
         # nodes still to grow, with their rows and depth; keep, unless None,
         # selects a node's cells of its parent's (F, n) column orders and sorted
         # values: a stable partition keeps each column's (value, row index) order
-        stack = [(root, idx, depth, order, XT.take(order + self._offsets), None,
-                  float(g.take(idx).sum()), float(h.take(idx).sum()))]
+        stack = [(root, np.arange(len(g)), 0, self._order, self._sorted, None,
+                  float(g.sum()), float(h.sum()))]
         while stack:
             node, rows, depth, order, values, keep, G, H = stack.pop()
             split = None

@@ -287,8 +287,8 @@ def cv_tune(X, y, config: ExperimentConfig) -> dict:
     rebalanced = []
     for f, val_rows in enumerate(folds):
         train_rows = np.setdiff1d(all_rows, val_rows)
-        seed = np.random.SeedSequence((config.master_seed, STREAM_CV, f + 1))
-        pick, counts = np.unique(train_rows[rebalance(y[train_rows], seed)], return_counts=True)
+        fold_rng = derived_rng(config.master_seed, STREAM_CV, f + 1)
+        pick, counts = np.unique(train_rows[rebalance(y[train_rows], fold_rng)], return_counts=True)
         # every fold holds at least one positive (k <= positives)
         rebalanced.append((X[pick], y[pick], counts, X[val_rows], y[val_rows], int(y[val_rows].sum())))
 
@@ -329,11 +329,11 @@ def run_instance(X_train, y_train, X_sel, y_sel, tc: TrainConfig, master_seed: i
     distinct rows with their counts; returns the model and its entry in the
     selection log, {instance, seed_key, auc}.
 
-    The rebalance seed is SeedSequence(seed_key), seed_key = (master_seed,
+    The rebalance draws from derived_rng(*seed_key), seed_key = (master_seed,
     STREAM_INSTANCE, index), so one instance reproduces without the other 49.
     """
     key = (master_seed, STREAM_INSTANCE, index)
-    pick, counts = np.unique(rebalance(y_train, np.random.SeedSequence(key)), return_counts=True)
+    pick, counts = np.unique(rebalance(y_train, derived_rng(*key)), return_counts=True)
     model = gbt.fit(np.asarray(X_train, dtype=float)[pick], np.asarray(y_train)[pick],
                     tc, feature_names, counts)
     _, auc = roc_auc(y_sel, model.predict(X_sel))

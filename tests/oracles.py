@@ -346,8 +346,10 @@ class PerFeatureScanBooster(Booster):
         super().__init__(X, y, config, feature_names, counts)
         self._order = np.argsort(self.X, axis=0, kind="stable")
 
-    def _grow(self, idx, order, g, h, depth, leaf_values):
-        # order is the package's presorted row order; the reference ignores it.
+    def _grow(self, g, h, leaf_values):
+        return self._grow_subtree(np.arange(len(g)), g, h, 0, leaf_values)
+
+    def _grow_subtree(self, idx, g, h, depth, leaf_values):
         # L2 penalty 1.0 and least child hessian 1.0, as the package fixes them
         G = float(g[idx].sum())
         H = float(h[idx].sum())
@@ -395,8 +397,8 @@ class PerFeatureScanBooster(Booster):
             feature=best_feature,
             threshold=best_threshold,
             gain=best_gain,
-            left=self._grow(idx[col < best_threshold], None, g, h, depth + 1, leaf_values),
-            right=self._grow(idx[~(col < best_threshold)], None, g, h, depth + 1, leaf_values),
+            left=self._grow_subtree(idx[col < best_threshold], g, h, depth + 1, leaf_values),
+            right=self._grow_subtree(idx[~(col < best_threshold)], g, h, depth + 1, leaf_values),
         )
 
 

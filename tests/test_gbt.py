@@ -249,9 +249,9 @@ class TestSplitSearch:
             assert not H < 2 * MIN_CHILD_HESSIAN
         y = np.arange(n) % 2
         booster = Booster(X, y, config(max_depth=1))
-        root = booster._grow(np.arange(n), booster._order, g, h, 0, np.empty(n))
+        root = booster._grow(g, h, np.empty(n))
         reference = PerFeatureScanBooster(X, y, config(max_depth=1))
-        expected = reference._grow(np.arange(n), None, g, h, 0, np.empty(n))
+        expected = reference._grow(g, h, np.empty(n))
         assert repr(root) == repr(expected)
 
     def test_zero_hessian_node_is_a_zero_leaf(self):
@@ -261,8 +261,8 @@ class TestSplitSearch:
         X, y, g, h = np.array([[0.0], [1.0]]), np.array([0, 1]), np.zeros(2), np.zeros(2)
         leaves = np.full(2, np.nan)
         booster = Booster(X, y, cfg)
-        root = booster._grow(np.arange(2), booster._order, g, h, 0, leaves)
-        expected = PerFeatureScanBooster(X, y, cfg)._grow(np.arange(2), None, g, h, 0, np.empty(2))
+        root = booster._grow(g, h, leaves)
+        expected = PerFeatureScanBooster(X, y, cfg)._grow(g, h, np.empty(2))
         assert root.is_leaf and root.weight == 0.0
         assert repr(root) == repr(expected)
         assert leaves.tolist() == [0.0, 0.0]
@@ -273,8 +273,8 @@ class TestSplitSearch:
         X, y = np.repeat([[0.0], [1.0]], 4, axis=0), np.repeat([1, 0], 4)
         g, h = np.r_[np.full(4, -1.0), np.full(4, -0.0)], np.full(8, 0.25)
         booster = Booster(X, y, config(max_depth=1))
-        root = booster._grow(np.arange(8), booster._order, g, h, 0, np.empty(8))
-        expected = PerFeatureScanBooster(X, y, config(max_depth=1))._grow(np.arange(8), None, g, h, 0, np.empty(8))
+        root = booster._grow(g, h, np.empty(8))
+        expected = PerFeatureScanBooster(X, y, config(max_depth=1))._grow(g, h, np.empty(8))
         assert math.copysign(1.0, root.right.weight) == 1.0
         assert repr(root) == repr(expected)
 
@@ -290,8 +290,8 @@ class TestSplitSearch:
         assert h.sum() >= 2 * MIN_CHILD_HESSIAN
         leaves = np.full(9, np.nan)
         booster = Booster(X, y, config())
-        root = booster._grow(np.arange(9), booster._order, g, h, 0, leaves)
-        expected = PerFeatureScanBooster(X, y, config())._grow(np.arange(9), None, g, h, 0, np.empty(9))
+        root = booster._grow(g, h, leaves)
+        expected = PerFeatureScanBooster(X, y, config())._grow(g, h, np.empty(9))
         assert root.is_leaf and root.weight == -1.25 / 3.25
         assert repr(root) == repr(expected)
         assert leaves.tolist() == [root.weight] * 9
@@ -315,9 +315,9 @@ class TestSplitSearch:
         leaves, expected_leaves = np.empty(n), np.empty(n)
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             booster = Booster(X, y, cfg)
-            root = booster._grow(np.arange(n), booster._order, g, h, 0, leaves)
+            root = booster._grow(g, h, leaves)
             reference = PerFeatureScanBooster(X, y, cfg)
-            expected = reference._grow(np.arange(n), None, g, h, 0, expected_leaves)
+            expected = reference._grow(g, h, expected_leaves)
         assert repr(root) == repr(expected)
         assert leaves.tobytes() == expected_leaves.tobytes()
 
@@ -438,9 +438,9 @@ class TestExactSums:
         grown, scanned = [], []
 
         class Recording(Booster):
-            def _grow(self, idx, order, g, h, depth, leaf_values):
+            def _grow(self, g, h, leaf_values):
                 grown.append((g, h))
-                return super()._grow(idx, order, g, h, depth, leaf_values)
+                return super()._grow(g, h, leaf_values)
 
         def spy(values, gh, G, H):
             scanned.append((G, H))
