@@ -3,9 +3,11 @@
 Subcommands: extract, table-one, train-eval, synth, version. Every command is
 deterministic given the same config and seed, and only writes under out_dir.
 
-Options come from a flat key=value file (blank lines and # comments ignored).
-The flags --seed and --out overwrite its keys master_seed and out_dir, and
---config names the file; fields_from_raw then parses all keys once. The keys
+Options come from a flat key=value file (blank lines and # comments ignored),
+whose lines end at LF, CR or CRLF only, as a trace's lines do. The flags --seed
+and --out overwrite its keys master_seed and out_dir, and --config names the
+file; fields_from_raw then parses and validates every key once, whichever
+command runs, so a bad synth_ value stops extract as it stops synth. The keys
 are the fields of RunConfig (ecg_dir, fiducial_dir, cohort_table, out_dir,
 specs), of its nested ExperimentConfig (master_seed, eta_grid, k_folds,
 n_instances, holdout_selection, max_rounds, patience, max_depth) and, prefixed
@@ -72,15 +74,17 @@ class RunConfig:
 
 
 def read_config_file(path) -> dict:
-    """Flat key=value text; blank lines and # comments ignored; a key given
-    twice is refused."""
+    """Flat key=value text; a line ends at LF, CR or CRLF; blank lines and #
+    comments ignored; a key given twice is refused."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict = {}
     first_line: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # read_text's universal newlines turn CRLF and CR into LF; str.splitlines
+    # would also end a line at U+2028, U+0085, VT, FF and others
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -125,8 +129,9 @@ def fields_from_raw(cls, raw: dict, prefix: str = ""):
     return cls(**kwargs)
 
 
-def load_config(args) -> tuple[RunConfig, dict]:
-    """The run config from --config and the flags, plus the raw keys."""
+def load_config(args) -> tuple[RunConfig, synth.SynthConfig]:
+    """The run and synth configs from --config and the flags; every key is
+    parsed and validated, whichever command runs."""
     known = {f.name for cls in (RunConfig, ExperimentConfig) for f in dataclasses.fields(cls)}
     known |= {SYNTH_PREFIX + f.name for f in dataclasses.fields(synth.SynthConfig)}
     known -= {"experiment", SYNTH_PREFIX + "seed"}  # nested config; synth seeds from master_seed
@@ -136,7 +141,9 @@ def load_config(args) -> tuple[RunConfig, dict]:
     for key in raw:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-    return fields_from_raw(RunConfig, raw), raw
+    cfg = fields_from_raw(RunConfig, raw)
+    return cfg, dataclasses.replace(fields_from_raw(synth.SynthConfig, raw, SYNTH_PREFIX),
+                                    seed=cfg.experiment.master_seed)
 
 
 def _require(path: Path, what: str) -> Path:
@@ -275,9 +282,7 @@ def cmd_train_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_synth(cfg: RunConfig, raw: dict) -> int:
-    sc = dataclasses.replace(fields_from_raw(synth.SynthConfig, raw, SYNTH_PREFIX),
-                             seed=cfg.experiment.master_seed)
+def cmd_synth(cfg: RunConfig, sc: synth.SynthConfig) -> int:
     _make_dir(cfg.out_dir)
     with _writing(cfg.out_dir):
         summary = synth.generate(sc, cfg.out_dir)
@@ -306,7 +311,7 @@ def main(argv=None) -> int:
         print(f"ecgtriage {__version__}")
         return 0
     try:
-        cfg, raw = load_config(args)
+        cfg, synth_cfg = load_config(args)
         if args.command == "extract":
             return cmd_extract(cfg)
         if args.command == "table-one":
@@ -314,7 +319,7 @@ def main(argv=None) -> int:
         if args.command == "train-eval":
             return cmd_train_eval(cfg)
         if args.command == "synth":
-            return cmd_synth(cfg, raw)
+            return cmd_synth(cfg, synth_cfg)
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return 2

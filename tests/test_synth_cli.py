@@ -406,6 +406,43 @@ class TestCliBasics:
         assert record.getMessage() == f"config error: {key}: cannot parse {value.strip()!r}"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["extract", "table-one", "train-eval"])
+    @pytest.mark.parametrize("key,value,message", [
+        ("synth_n_patients", "abc", "synth_n_patients: cannot parse 'abc'"),
+        ("synth_svg_scale", "-1", "svg_scale must be finite and positive"),
+    ])
+    def test_every_command_refuses_a_bad_synth_value(self, tmp_path, synth_cohort_dir, caplog,
+                                                     command, key, value, message):
+        # inputs that the command would run on: only the synth_ key is wrong
+        cfg = write_cfg(tmp_path / "c.cfg", ecg_dir=synth_cohort_dir / "data" / "ecg",
+                        fiducial_dir=synth_cohort_dir / "data" / "fiducials",
+                        cohort_table=synth_cohort_dir / "extract" / "features.csv",
+                        specs="SRG", n_instances=1, max_rounds=5, k_folds=2, **{key: value})
+        with caplog.at_level(logging.ERROR, logger="ecgtriage"):
+            assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        [record] = caplog.records
+        assert record.getMessage() == f"config error: {message}"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_only_lf_cr_and_crlf_end_a_config_line(self, tmp_path, separator):
+        # str.splitlines would end the line here and set master_seed to 9
+        path = tmp_path / "c.cfg"
+        path.write_text(f"cohort_table=data/cohort.csv{separator}master_seed=9\n", encoding="utf-8")
+        cfg, _ = load(["table-one", "--config", str(path)])
+        assert cfg.cohort_table == Path(f"data/cohort.csv{separator}master_seed=9")
+        assert cfg.experiment.master_seed == 0
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_config_files(self, tmp_path, end):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(end.join(["# a comment", "master_seed=9", "", "k_folds=3", ""]).encode())
+        cfg, _ = load(["table-one", "--config", str(path)])
+        assert (cfg.experiment.master_seed, cfg.experiment.k_folds) == (9, 3)
+        path.write_bytes(end.join(["master_seed=9", "", "master_seed=8", ""]).encode())
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:3: key 'master_seed' repeats line 1$"):
+            load(["table-one", "--config", str(path)])
+
 
 def load(argv):
     return cli.load_config(cli.build_parser().parse_args(argv))
@@ -431,11 +468,10 @@ class TestConfigPath:
         assert len(lines) == 19
         lines[lines.index("specs=SRG,G")] = "specs=srg, g"
         (tmp_path / "c.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        cfg, raw = load(["synth", "--config", str(tmp_path / "c.cfg")])
+        cfg, sc = load(["synth", "--config", str(tmp_path / "c.cfg")])
 
         assert cfg == cli.RunConfig(**run, experiment=ExperimentConfig(**experiment))
-        sc = cli.fields_from_raw(SynthConfig, raw, "synth_")
-        assert sc == SynthConfig(**synth)
+        assert sc == SynthConfig(**synth, seed=experiment["master_seed"])
         for obj in (cfg, cfg.experiment, sc):
             for f in dataclasses.fields(obj):
                 value = getattr(obj, f.name)
@@ -487,8 +523,8 @@ class TestConfigPath:
         assert record.getMessage() == f"config error: unknown config key {removed!r}"
 
     def test_defaults_without_config_file(self):
-        cfg, raw = load(["table-one"])
-        assert raw == {}
+        cfg, sc = load(["table-one"])
+        assert sc == SynthConfig()
         assert cfg == cli.RunConfig()
         assert cfg.specs == ("S", "R", "G", "SRG")
 
