@@ -25,7 +25,9 @@ exactly in any order (the pre-rounding of Demmel & Nguyen 2013). So G, H, each
 gain and each leaf depend only on a node's set of rows, not on the order of
 the training rows, and a child takes its (G, H) from its parent's prefix sums
 with no rounding: (GL, HL) at the chosen cut, or (G - GL, H - HL). Only the
-root sums its rows.
+root sums its rows. N must stay below 2^51, so that k >= 2 and the grid keeps
+the hessians up to 1/4 of a balanced row; a larger total is refused. The
+pipeline's totals are sample sizes, far below it.
 
 The matrix never changes while a booster trains, so each column is sorted
 once, stably (tied values keep row order, NaN last), and its sorted values are
@@ -154,6 +156,9 @@ class Booster:
             raise WidthMismatch(f"{len(y)} rows but counts of shape {counts.shape}")
         if not (np.isfinite(counts) & (counts >= 1.0) & (counts == np.floor(counts))).all():
             raise SchemaError("counts must be finite integers >= 1")
+        total = int(counts.sum())
+        if total >= 2 ** 51:
+            raise SchemaError(f"counts must sum below 2^51 for a grid of 1/4 or finer, got {total}")
         classes = np.unique(y)
         if not np.array_equal(classes, [0.0, 1.0]):
             if len(classes) == 1:
@@ -171,7 +176,6 @@ class Booster:
         self._order = np.argsort(self._XT, axis=1, kind="stable")
         self._sorted = np.take_along_axis(self._XT, self._order, axis=1)
         self._counts = counts
-        total = int(counts.sum())
         prevalence = float((counts * y).sum()) / total
         base = math.log(prevalence / (1.0 - prevalence))
         self.ensemble = Ensemble(base_score=base, learning_rate=config.learning_rate, trees=[],

@@ -477,6 +477,24 @@ class TestCounts:
         with pytest.raises(SchemaError, match="counts must be finite integers >= 1"):
             fit(STEP_X, STEP_Y, config(), counts=counts)
 
+    def test_count_total_below_2_to_the_51_trains(self):
+        # a total of 2^51 - 1 split 2^50 : 2^50 - 1, so p = 1/2: k = 2, and the
+        # grid of 1/4 keeps g = -+1/2 and h = 1/4, and the root splits the classes
+        counts = [2 ** 50 - 4] + [1] * 4 + [2 ** 50 - 5] + [1] * 4
+        X = np.arange(10.0)[:, None]
+        model = fit(X, [0] * 5 + [1] * 5, config(num_rounds=1, max_depth=1), counts=counts)
+        assert model.trees[0].root.threshold == 4.5
+        p = model.predict(X)
+        assert p[:5].max() < 0.5 < p[5:].min()
+
+    @pytest.mark.parametrize("counts", [[2 ** 51 - 9] + [1] * 9, [2 ** 60] + [1] * 9],
+                             ids=["2^51", "2^60"])
+    def test_count_total_of_2_to_the_51_or_more_is_refused(self, counts):
+        # from 2^51 the grid is coarser than 1/4 and rounds every hessian to 0;
+        # from 2^53 every gradient too, and each tree was one leaf of weight 0
+        with pytest.raises(SchemaError, match=r"^counts must sum below 2\^51"):
+            fit(np.arange(10.0)[:, None], [0] * 5 + [1] * 5, config(), counts=counts)
+
     def test_no_counts_are_counts_of_one(self):
         cfg = config(num_rounds=3)
         assert trees_of(fit(STEP_X, STEP_Y, cfg)) == trees_of(fit(STEP_X, STEP_Y, cfg, counts=[1] * 12))
