@@ -25,9 +25,9 @@ exactly in any order (the pre-rounding of Demmel & Nguyen 2013). So G, H, each
 gain and each leaf depend only on a node's set of rows, not on the order of
 the training rows, and a child takes its (G, H) from its parent's prefix sums
 with no rounding: (GL, HL) at the chosen cut, or (G - GL, H - HL). Only the
-root sums its rows. N must stay below 2^51, so that k >= 2 and the grid keeps
-the hessians up to 1/4 of a balanced row; a larger total is refused. The
-pipeline's totals are sample sizes, far below it.
+root sums its rows. N must stay below 2^51, so that k >= 2: a grid coarser
+than 1/4 rounds every hessian to 0. A larger total is refused; the pipeline's
+totals are sample sizes, far below it.
 
 The matrix never changes while a booster trains, so each column is sorted
 once, stably (tied values keep row order, NaN last), and its sorted values are
