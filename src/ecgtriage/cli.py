@@ -16,12 +16,12 @@ positive_fraction, noise_sd_mv, qrst_angle_shift_deg, svg_scale, risk_effect).
 The protocol's constants are the defaults of the functions that use them (the
 stratified 70/30 split, the 0.90 sensitivity floor and the beat window) or, for
 the tree regularisation at XGBoost's defaults, constants of gbt (L2_REG,
-MIN_CHILD_HESSIAN). A value takes its field's annotated type: int, float, str
-or Path from the text, bool from 1/true/yes or 0/false/no, a tuple from a
-comma-separated list. Each config class validates its own values. An int or
-float value follows the numeral rule of trace files and cohort tables
-(ecg_ingest.plain_float): ASCII only, no "_" between digits. A key given twice
-in the file is refused.
+MIN_CHILD_HESSIAN). A value takes its field's annotated type: int, float or
+str from the text, Path from non-empty text, bool from 1/true/yes or
+0/false/no, a tuple from a comma-separated list. Each config class validates
+its own values. An int or float value follows the numeral rule of trace files
+and cohort tables (ecg_ingest.plain_float): ASCII only, no "_" between digits.
+A key given twice in the file is refused.
 
 Exit codes: 0 success; 2 configuration error (unknown or repeated key, bad
 value, unreadable config file, missing input path, output directory that cannot
@@ -114,6 +114,8 @@ def fields_from_raw(cls, raw: dict, prefix: str = ""):
                     "0": False, "false": False, "no": False}[text.lower()]
         if hint in (int, float):
             ecg_ingest.plain_float(text)  # the package's one numeral rule
+        if hint is Path and not text:
+            raise ValueError("empty path")  # Path("") is the working directory
         return hint(text)
 
     kwargs = {}

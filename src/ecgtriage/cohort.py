@@ -442,8 +442,27 @@ def _format_p(p: float | None) -> str:
     return f"{p:.3f}"
 
 
+def _quartiles(values) -> tuple[float, float, float]:
+    """np.percentile(values, [25, 50, 75]) without loading numpy.ma: its
+    default linear method's float operations on a sorted copy s. At v = (n - 1) q
+    between a = s[i] and b = s[i + 1] (i = floor(v), g = v - i), a quartile is
+    b - (b - a)(1 - g) if g >= 1/2, else a + (b - a) g. Only where -0.0 and
+    +0.0 both occur may a zero quartile's sign differ: their order in
+    np.percentile's partition is unspecified."""
+    s = sorted(values)
+    if len(s) == 1:
+        return s[0], s[0], s[0]
+    out = []
+    for q in (0.25, 0.5, 0.75):
+        v = (len(s) - 1) * q
+        i = int(v)
+        g, a, b = v - i, s[i], s[i + 1]
+        out.append(b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g)
+    return tuple(out)
+
+
 def _median_iqr(values) -> str:
-    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    q1, med, q3 = _quartiles(values)
     return f"{med:.1f} [{q1:.1f}, {q3:.1f}]"
 
 

@@ -159,8 +159,8 @@ class Booster:
         total = int(counts.sum())
         if total >= 2 ** 51:
             raise SchemaError(f"counts must sum below 2^51 for a grid of 1/4 or finer, got {total}")
-        classes = np.unique(y)
-        if not np.array_equal(classes, [0.0, 1.0]):
+        classes = sorted(set(y.tolist()))
+        if classes != [0.0, 1.0]:
             if len(classes) == 1:
                 raise SingleClass(f"training labels contain only class {classes[0]:g}")
             raise SchemaError(f"labels must be 0/1, got {classes}")

@@ -2,15 +2,19 @@
 representative, and report sensitivity-constrained metrics.
 
 Randomness is controlled by one master seed. Every consumer derives its own
-stream with a counter-based key, SeedSequence((master_seed, stream, index)),
-so any single piece (a CV fold, a training instance) can be reproduced in
-isolation.
+stream from a counter-based key, derived_rng(master_seed, stream, index), so
+any single piece (a CV fold, a training instance) can be reproduced in
+isolation. A stream is the standard library's random.Random, which numpy
+already imports, and a draw reads only random(), whose sequence Python keeps
+for a given seed; numpy.random would load about 6 MB, OpenSSL included, for a
+few dozen permutations and bootstrap samples per model.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,14 +35,28 @@ from .errors import (
 )
 from .gbt import Booster, TrainConfig, importance_gain
 
+try:  # CPython's built-in SHA-256, which needs no OpenSSL: _sha2 from 3.12
+    from _sha2 import sha256
+except ImportError:
+    from _sha256 import sha256
+
 STREAM_SPLIT = 1
 STREAM_CV = 2
 STREAM_INSTANCE = 3
 STREAM_HOLDOUT = 4
 
 
-def derived_rng(master_seed: int, stream: int, index: int = 0) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((master_seed, stream, index)))
+def derived_rng(master_seed: int, stream: int, index: int = 0) -> random.Random:
+    """The stream of key (master_seed, stream, index): random.Random seeded
+    with the text "master_seed:stream:index". A str seed goes through SHA-512,
+    never hash(), so PYTHONHASHSEED cannot move it, and distinct keys give
+    independent streams (Salmon et al. 2011 key their streams the same way)."""
+    return random.Random(f"{master_seed}:{stream}:{index}")
+
+
+def _permuted(rows: np.ndarray, rng: random.Random) -> np.ndarray:
+    """rows in random order: the stable argsort of one random() key per row."""
+    return rows[np.argsort([rng.random() for _ in range(len(rows))], kind="stable")]
 
 
 @dataclass(frozen=True)
@@ -69,13 +87,11 @@ class ExperimentConfig:
                            max_depth=self.max_depth)
 
     def hash(self) -> str:
-        import hashlib  # loads OpenSSL (about 3.5 MB resident); only train-eval hashes
-
         text = json.dumps(
             {k: list(v) if isinstance(v, tuple) else v for k, v in sorted(vars(self).items())},
             sort_keys=True,
         )
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+        return sha256(text.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -90,7 +106,7 @@ def split(cohort, seed: int, ratio: float = 0.7) -> SplitPlan:
     within one patient of the cohort's.
     """
     labels = np.asarray([r.label for r in cohort])
-    if len(np.unique(labels)) < 2:
+    if len(set(labels.tolist())) < 2:
         raise SingleClass("cohort contains a single outcome class")
     if not 0.0 < ratio < 1.0:
         raise TooSmall(f"split ratio {ratio} leaves an empty train or test part")
@@ -110,7 +126,7 @@ def _stratified_draw(labels, size, seed: int, stream: int) -> np.ndarray:
         k = size(len(members))
         if not 0 < k < len(members):
             raise TooSmall(f"class {c} would have an empty train or test part")
-        drawn[rng.permutation(members)[:k]] = True
+        drawn[_permuted(members, rng)[:k]] = True
     return drawn
 
 
@@ -120,6 +136,11 @@ def rebalance(labels, seed) -> np.ndarray:
     With M = floor(total/2): the majority class is undersampled without
     replacement to M and the minority class is bootstrap-oversampled with
     replacement to M, so the output has exactly 2M rows.
+
+    seed is a random.Random, or an int that seeds one. Undersampling keeps the
+    first M of the permuted majority rows (_permuted); then each bootstrap
+    pick is minority row int(random() * n) of n, which is below n for every
+    n < 2^53.
     """
     y = np.asarray(labels)
     counts = [(y == 0).sum(), (y == 1).sum()]
@@ -127,11 +148,11 @@ def rebalance(labels, seed) -> np.ndarray:
         raise SingleClass("rebalance needs both classes")
     majority = 0 if counts[0] >= counts[1] else 1
     m = (counts[0] + counts[1]) // 2
-    rng = np.random.default_rng(seed)
-    maj_rows = np.flatnonzero(y == majority)
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    under = _permuted(np.flatnonzero(y == majority), rng)[:m]
     min_rows = np.flatnonzero(y == 1 - majority)
-    under = rng.choice(maj_rows, size=m, replace=False)
-    over = rng.choice(min_rows, size=m, replace=True)
+    n = len(min_rows)
+    over = min_rows[[int(rng.random() * n) for _ in range(m)]]
     return np.concatenate([under, over])
 
 
@@ -254,13 +275,14 @@ def f2(confusion: Confusion) -> float:
 
 # --- tuning -----------------------------------------------------------------
 
-def _stratified_folds(y, k, rng):
-    folds = [[] for _ in range(k)]
+def _stratified_folds(y, k, rng) -> np.ndarray:
+    """Each row's fold, 0 to k - 1: each class's permuted members are cut into
+    k consecutive chunks of np.array_split's sizes."""
+    fold_of = np.empty(len(y), dtype=int)
     for cls in (0, 1):
-        members = rng.permutation(np.flatnonzero(y == cls))
-        for f, chunk in enumerate(np.array_split(members, k)):
-            folds[f].extend(chunk.tolist())
-    return [np.sort(np.asarray(f, dtype=int)) for f in folds]
+        for f, chunk in enumerate(np.array_split(_permuted(np.flatnonzero(y == cls), rng), k)):
+            fold_of[chunk] = f
+    return fold_of
 
 
 def cv_tune(X, y, config: ExperimentConfig) -> dict:
@@ -281,12 +303,10 @@ def cv_tune(X, y, config: ExperimentConfig) -> dict:
     if (y == 1).sum() < k or (y == 0).sum() < k:
         raise TooFewPerClass(f"{k}-fold tuning needs at least {k} patients per class")
 
-    rng = derived_rng(config.master_seed, STREAM_CV)
-    folds = _stratified_folds(y, k, rng)
-    all_rows = np.arange(len(y))
+    fold_of = _stratified_folds(y, k, derived_rng(config.master_seed, STREAM_CV))
     rebalanced = []
-    for f, val_rows in enumerate(folds):
-        train_rows = np.setdiff1d(all_rows, val_rows)
+    for f in range(k):
+        train_rows, val_rows = np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)
         fold_rng = derived_rng(config.master_seed, STREAM_CV, f + 1)
         pick, counts = np.unique(train_rows[rebalance(y[train_rows], fold_rng)], return_counts=True)
         # every fold holds at least one positive (k <= positives)
@@ -316,8 +336,10 @@ def cv_tune(X, y, config: ExperimentConfig) -> dict:
 
     # max keeps the first of equal entries, so the smallest eta wins a tie
     chosen = max(grid, key=lambda e: e["mean_aucpr"] - e["std_aucpr"])
+    rounds = sorted(chosen["fold_rounds"])
+    median = (rounds[(k - 1) // 2] + rounds[k // 2]) / 2  # np.median's value, exactly
     return {"chosen_eta": chosen["eta"],
-            "chosen_rounds": max(1, round_half_up(float(np.median(chosen["fold_rounds"])))),
+            "chosen_rounds": max(1, round_half_up(median)),
             "grid": grid}
 
 
@@ -330,7 +352,9 @@ def run_instance(X_train, y_train, X_sel, y_sel, tc: TrainConfig, master_seed: i
     selection log, {instance, seed_key, auc}.
 
     The rebalance draws from derived_rng(*seed_key), seed_key = (master_seed,
-    STREAM_INSTANCE, index), so one instance reproduces without the other 49.
+    STREAM_INSTANCE, index), a stream of its own keyed by the instance's
+    number and not by its place in a shared sequence, so one instance
+    reproduces without the other 49, in any order or process.
     """
     key = (master_seed, STREAM_INSTANCE, index)
     pick, counts = np.unique(rebalance(y_train, derived_rng(*key)), return_counts=True)
@@ -399,7 +423,7 @@ def evaluate_model(label: str, cohort, config: ExperimentConfig, split_plan: Spl
     train_m = matrix.rows_for(split_plan.train_ids)
     test_m = matrix.rows_for(split_plan.test_ids)
     for part, name in ((train_m, "train"), (test_m, "test")):
-        if len(np.unique(part.y)) < 2:
+        if len(set(part.y.tolist())) < 2:
             raise SingleClass(f"{name} part lost a class after feature drops")
 
     tuning = cv_tune(train_m.X, train_m.y, config)

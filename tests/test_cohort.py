@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ecgtriage.cohort import (
@@ -26,7 +26,7 @@ from ecgtriage.cohort import (
     welch_t,
 )
 from ecgtriage import cohort as cohort_module
-from ecgtriage.cohort import _format_p, _t_two_sided
+from ecgtriage.cohort import _format_p, _quartiles, _t_two_sided
 from ecgtriage.ecg_ingest import StandardEcgMeasures
 from ecgtriage.errors import (
     DegenerateTable,
@@ -381,6 +381,19 @@ def test_percentile_worked_examples():
         np.percentile([1.0, 2.0, 3.0, 4.0], [25, 50, 75]), [1.75, 2.5, 3.25])
     np.testing.assert_allclose(
         np.percentile([10.0, 20.0, 30.0], [25, 50, 75]), [15.0, 20.0, 25.0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e300, -1e300, 1.7e308])),
+                min_size=1, max_size=40))
+def test_quartiles_are_np_percentile_bit_for_bit(values):
+    # -0.0 ties +0.0, so where both occur np.percentile's partition may put
+    # either at an interpolation point; no sorted copy can follow that order
+    assume(len({math.copysign(1.0, v) for v in values if v == 0.0}) < 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # b - a overflows near the float limit
+        expected = np.percentile(values, [25, 50, 75])
+    assert np.array(_quartiles(values)).tobytes() == expected.tobytes()
 
 
 class TestTableOne:

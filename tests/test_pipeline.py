@@ -1,7 +1,12 @@
 import dataclasses
 import inspect
 import json
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +165,37 @@ class TestRebalance:
     def test_single_class(self):
         with pytest.raises(SingleClass):
             rebalance(np.zeros(10), seed=0)
+
+
+class TestStreams:
+    def test_same_draws_under_any_hash_seed(self):
+        # a str seed goes through SHA-512, not hash(), which PYTHONHASHSEED moves
+        script = ("from ecgtriage.pipeline import derived_rng; "
+                  "print([derived_rng(7, 3, 11).random() for _ in range(4)])")
+        outputs = set()
+        for hash_seed in ("0", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=str(Path(pipeline.__file__).parents[1]))
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert outputs == {f"{[derived_rng(7, 3, 11).random() for _ in range(4)]}\n"}
+
+    def test_distinct_keys_give_distinct_permutations(self):
+        rows = np.arange(40)
+        perms = {tuple(pipeline._permuted(rows, derived_rng(seed, stream, index)).tolist())
+                 for seed in range(3) for stream in range(1, 5) for index in range(6)}
+        assert len(perms) == 3 * 4 * 6
+        assert all(sorted(p) == rows.tolist() for p in perms)
+
+    def test_bootstrap_pick_stays_below_n(self):
+        # the largest random() value, 1 - 2^-53, times n never rounds up to n
+        u = math.nextafter(1.0, 0.0)
+        assert u == 1 - 2 ** -53
+        n = np.arange(1, 10 ** 6 + 1)
+        assert ((u * n).astype(np.int64) < n).all()
+        assert all(int(u * k) == k - 1 for k in (1, 2, 3, 2 ** 20 + 1, 10 ** 6))
 
 
 class TestRocAuc:
@@ -550,8 +586,13 @@ class TestTrainRepresentative:
         assert [int((y[hold] == c).sum()) for c in (0, 1)] == [9, 1]
         assert np.all(np.diff(fit) > 0) and np.all(np.diff(hold) > 0)
         assert np.array_equal(np.sort(np.r_[fit, hold]), np.arange(49))
+        # each class in turn: its members ordered by one random() key each, first k kept
         rng = derived_rng(5, STREAM_HOLDOUT)
-        drawn = [rng.permutation(np.flatnonzero(y == c))[:k] for c, k in ((0, 9), (1, 1))]
+        drawn = []
+        for c, k in ((0, 9), (1, 1)):
+            members = np.flatnonzero(y == c)
+            keys = [rng.random() for _ in members]
+            drawn.append(members[np.argsort(keys, kind="stable")][:k])
         assert np.array_equal(hold, np.sort(np.concatenate(drawn)))
 
     def test_holdout_needs_two_of_each_class(self):

@@ -522,6 +522,30 @@ class TestConfigPath:
         [record] = caplog.records
         assert record.getMessage() == f"config error: unknown config key {removed!r}"
 
+    @pytest.mark.parametrize("command,key,flags", [
+        ("extract", "ecg_dir", []), ("extract", "fiducial_dir", []),
+        ("table-one", "cohort_table", []), ("table-one", "out_dir", []),
+        ("table-one", None, ["--out", ""]),
+    ])
+    def test_empty_path_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, caplog,
+                                                   synth_cohort_dir, command, key, flags):
+        # Path("") is the working directory: an empty cohort_table was read as
+        # one (exit 3), an empty out_dir got table_one.json (exit 0)
+        data = synth_cohort_dir / "data"
+        table = data / "cohort.csv" if command == "extract" else synth_cohort_dir / "extract" / "features.csv"
+        keys = {"ecg_dir": data / "ecg", "fiducial_dir": data / "fiducials",
+                "cohort_table": table, "out_dir": "out"}
+        if key is not None:
+            keys[key] = ""
+        cfg = write_cfg(tmp_path / "c.cfg", **keys)
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        with caplog.at_level(logging.ERROR, logger="ecgtriage"):
+            assert cli.main([command, "--config", cfg, *flags]) == 2
+        [record] = caplog.records
+        assert record.getMessage() == f"config error: {key or 'out_dir'}: cannot parse ''"
+        assert list((tmp_path / "cwd").iterdir()) == []
+
     def test_defaults_without_config_file(self):
         cfg, sc = load(["table-one"])
         assert sc == SynthConfig()
@@ -986,17 +1010,25 @@ class TestRuntimeDependencies:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
-    def test_extract_loads_no_openssl(self, tmp_path):
-        # synth runs here: np.random loads _hashlib through secrets
-        generate(SynthConfig(n_patients=10, seed=4), tmp_path / "d")
-        cfg = write_cfg(tmp_path / "c.cfg", ecg_dir=tmp_path / "d" / "ecg",
-                        fiducial_dir=tmp_path / "d" / "fiducials",
-                        cohort_table=tmp_path / "d" / "cohort.csv")
-        done = self.run_python(
-            "-c", "import sys; from ecgtriage import cli; "
-                  "print(cli.main(['extract', '--config', sys.argv[1], '--out', sys.argv[2]]), "
-                  "'_hashlib' in sys.modules)",
-            cfg, str(tmp_path / "o"), cwd=tmp_path)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0", "False"]
-        assert len(read_rows(tmp_path / "o" / "features.csv")) == 10
+    def test_commands_load_only_what_they_use(self, tmp_path):
+        # synth runs here, where pytest's plugins have loaded numpy.random
+        # already (and with it OpenSSL's _hashlib, through secrets); each
+        # command then runs in a fresh process
+        generate(SynthConfig(n_patients=30, seed=4), tmp_path / "d")
+        extract_cfg = write_cfg(tmp_path / "e.cfg", ecg_dir=tmp_path / "d" / "ecg",
+                                fiducial_dir=tmp_path / "d" / "fiducials",
+                                cohort_table=tmp_path / "d" / "cohort.csv")
+        train_cfg = write_cfg(tmp_path / "t.cfg", cohort_table=tmp_path / "e" / "features.csv",
+                              n_instances=2, k_folds=2, eta_grid=0.3, max_rounds=20)
+        heavy = ["numpy.random", "numpy.ma", "_hashlib"]
+        for command, cfg, out, unused in (("extract", extract_cfg, "e", ["_hashlib"]),
+                                          ("table-one", train_cfg, "o", heavy),
+                                          ("train-eval", train_cfg, "m", heavy)):
+            done = self.run_python(
+                "-c", "import sys; from ecgtriage import cli; "
+                      "print(cli.main(sys.argv[2:]), [m for m in sys.argv[1].split(',') if m in sys.modules])",
+                ",".join(unused), command, "--config", cfg, "--out", str(tmp_path / out), cwd=tmp_path)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.split() == ["0", "[]"], command
+        assert len(read_rows(tmp_path / "e" / "features.csv")) == 30
+        assert (tmp_path / "m" / "reports" / "summary.json").exists()
