@@ -78,6 +78,8 @@ class ExperimentConfig:
                                ("patience", self.patience >= 1, ">= 1")):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        if len(set(self.eta_grid)) != len(self.eta_grid):
+            raise ConfigError(f"eta_grid lists a value more than once: {self.eta_grid}")
         # the booster's own checks cover the grid, max_rounds and max_depth
         for eta in self.eta_grid:
             self.train_config(eta, self.max_rounds)
@@ -130,17 +132,16 @@ def _stratified_draw(labels, size, seed: int, stream: int) -> np.ndarray:
     return drawn
 
 
-def rebalance(labels, seed) -> np.ndarray:
+def rebalance(labels, rng: random.Random) -> np.ndarray:
     """Indices of a 1:1 rebalanced sample of the given rows.
 
     With M = floor(total/2): the majority class is undersampled without
     replacement to M and the minority class is bootstrap-oversampled with
     replacement to M, so the output has exactly 2M rows.
 
-    seed is a random.Random, or an int that seeds one. Undersampling keeps the
-    first M of the permuted majority rows (_permuted); then each bootstrap
-    pick is minority row int(random() * n) of n, which is below n for every
-    n < 2^53.
+    Undersampling keeps the first M of the majority rows as rng permutes them
+    (_permuted); then each bootstrap pick is minority row int(random() * n)
+    of n, which is below n for every n < 2^53.
     """
     y = np.asarray(labels)
     counts = [(y == 0).sum(), (y == 1).sum()]
@@ -148,7 +149,6 @@ def rebalance(labels, seed) -> np.ndarray:
         raise SingleClass("rebalance needs both classes")
     majority = 0 if counts[0] >= counts[1] else 1
     m = (counts[0] + counts[1]) // 2
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     under = _permuted(np.flatnonzero(y == majority), rng)[:m]
     min_rows = np.flatnonzero(y == 1 - majority)
     n = len(min_rows)
@@ -313,7 +313,7 @@ def cv_tune(X, y, config: ExperimentConfig) -> dict:
         rebalanced.append((X[pick], y[pick], counts, X[val_rows], y[val_rows], int(y[val_rows].sum())))
 
     grid = []
-    for eta in sorted(set(config.eta_grid)):
+    for eta in sorted(config.eta_grid):
         tc = config.train_config(eta, config.max_rounds)
         fold_aucprs, fold_rounds = [], []
         for X_train, y_train, counts, X_val, y_val, pos in rebalanced:

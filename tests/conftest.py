@@ -1,6 +1,14 @@
+import runpy
+import shutil
+import sys
+import warnings
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from ecgtriage import cli, ecg_ingest
 from ecgtriage.ecg_ingest import (
     Beat,
     EcgRecord,
@@ -8,6 +16,7 @@ from ecgtriage.ecg_ingest import (
     MedianBeat,
     Wave,
 )
+from ecgtriage.synth import SynthConfig, generate
 from ecgtriage.vcg import Vcg
 
 
@@ -69,24 +78,55 @@ def rng():
 @pytest.fixture(scope="session")
 def synth_cohort_dir(tmp_path_factory):
     """Small synthetic cohort with extracted features, shared across CLI tests."""
-    from ecgtriage import cli
-    from ecgtriage.synth import SynthConfig, generate
-
     root = tmp_path_factory.mktemp("synth_cohort")
     generate(SynthConfig(n_patients=40, seed=11, positive_fraction=0.3), root / "data")
-    rc = cli.main([
-        "extract", "--config", _write_cfg(root, root / "data"), "--out", str(root / "extract"),
-    ])
-    assert rc == 0
+    extract(root / "data", root / "extract")
     return root
 
 
-def _write_cfg(root, data_dir):
-    cfg = root / "run.cfg"
-    cfg.write_text(
-        f"ecg_dir={data_dir}/ecg\n"
-        f"fiducial_dir={data_dir}/fiducials\n"
-        f"cohort_table={data_dir}/cohort.csv\n",
-        encoding="utf-8",
-    )
-    return str(cfg)
+DEMO = Path(__file__).parents[1] / "scripts" / "run_synthetic_experiment.py"
+SEED1_COHORT = SynthConfig(n_patients=300, positive_fraction=51 / 274, seed=1)
+
+
+def run_demo(out):
+    """Run the demo into out (60 patients, 2 instances, warnings as errors); returns out."""
+    argv = [str(DEMO), "--out", str(out), "--n-patients", "60", "--n-instances", "2"]
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(sys, "argv", argv)
+        warnings.simplefilter("error")
+        assert runpy.run_path(str(DEMO))["main"]() == 0
+    return out
+
+
+def extract(data_dir, out):
+    """Extract a synth cohort into out, configured by the file out.cfg beside
+    it; returns the number of trace rows read one at a time by float()."""
+    cfg = out.parent / f"{out.name}.cfg"
+    cfg.write_text(f"ecg_dir={data_dir}/ecg\nfiducial_dir={data_dir}/fiducials\n"
+                   f"cohort_table={data_dir}/cohort.csv\n", encoding="utf-8")
+    read_row, rows = ecg_ingest._read_row, []  # not a Mock: ~10 us a call over 504k rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ecg_ingest, "_read_row", lambda *args: rows.append(args) or read_row(*args))
+        assert cli.main(["extract", "--config", str(cfg), "--out", str(out)]) == 0
+    return len(rows)
+
+
+@pytest.fixture(scope="session")
+def demo_dir(tmp_path_factory):
+    return run_demo(tmp_path_factory.mktemp("demo") / "demo")
+
+
+@pytest.fixture(scope="session")
+def seed1_cohort(tmp_path_factory):
+    """SEED1_COHORT in data/ and its faults.inject(..., 1) copy in faulted/, each
+    extracted; rows_read holds each extract's count of rows read by float()."""
+    import faults  # perfbench/ is on pytest's pythonpath, not on test_golden.py's as a script
+
+    root = tmp_path_factory.mktemp("seed1")
+    generate(SEED1_COHORT, root / "data")
+    shutil.copytree(root / "data", root / "faulted")
+    faults.inject(root / "faulted", 1)
+    rows_read = {"data": extract(root / "data", root / "features"),
+                 "faulted": extract(root / "faulted", root / "faulted-features")}
+    return SimpleNamespace(data=root / "data", faulted=root / "faulted", features=root / "features",
+                           faulted_features=root / "faulted-features", rows_read=rows_read)

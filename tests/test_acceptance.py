@@ -5,6 +5,7 @@ checklist. Tolerances are fixed here, not configurable.
 
 import json
 import math
+import random
 import time
 
 import numpy as np
@@ -36,7 +37,7 @@ from ecgtriage.pipeline import (
 from ecgtriage.synth import SynthConfig, generate
 from ecgtriage.vcg import KORS_INPUT_LEADS, KORS_MATRIX, kors_transform
 
-from conftest import median_beat_from, vcg_from
+from conftest import extract, median_beat_from, vcg_from
 from oracles import (
     average_precision_bruteforce,
     dense_grid_geh,
@@ -55,17 +56,8 @@ def cohort300(tmp_path_factory):
     """Synthetic 300-patient cohort at the 223:51 class ratio, extracted once."""
     root = tmp_path_factory.mktemp("acc300")
     t0 = time.monotonic()
-    generate(SynthConfig(n_patients=300, seed=42, positive_fraction=51 / 274),
-             root / "data")
-    (root / "run.cfg").write_text(
-        f"ecg_dir={root}/data/ecg\n"
-        f"fiducial_dir={root}/data/fiducials\n"
-        f"cohort_table={root}/data/cohort.csv\n",
-        encoding="utf-8",
-    )
-    rc = cli.main(["extract", "--config", str(root / "run.cfg"),
-                   "--out", str(root / "extract")])
-    assert rc == 0
+    generate(SynthConfig(n_patients=300, seed=42, positive_fraction=51 / 274), root / "data")
+    extract(root / "data", root / "extract")
     prep_seconds = time.monotonic() - t0
     return {"root": root, "features": root / "extract" / "features.csv",
             "prep_seconds": prep_seconds}
@@ -358,7 +350,7 @@ def test_criterion_08_rebalance_policy(rng):
         cases.append((max(n_maj, n_min), n_min))
     for n_maj, n_min in cases:
         y = np.r_[np.zeros(n_maj), np.ones(n_min)]
-        idx = rebalance(y, seed=int(rng.integers(0, 2**32)))
+        idx = rebalance(y, random.Random(int(rng.integers(0, 2**32))))
         m = (n_maj + n_min) // 2
         picked = y[idx]
         assert len(idx) == 2 * m

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from unittest import mock
 
 import numpy as np
@@ -204,7 +205,7 @@ class TestSplitSearch:
         ])[:, rng.permutation(24)]
         score = columns[:, :3].sum(axis=1) + rng.normal(size=n)
         labels = (score > np.quantile(score, 0.8)).astype(int)
-        rows = rebalance(labels, seed=3)
+        rows = rebalance(labels, random.Random(3))
         X, y = columns[rows], labels[rows]
         assert X.shape == (210, 24) and len(np.unique(rows)) < 210
         cfg = config(learning_rate=0.1, num_rounds=20, max_depth=4)

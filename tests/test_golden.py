@@ -9,16 +9,12 @@ why. To write it afresh from the current code:
 import ctypes
 import hashlib
 import json
-import runpy
-import sys
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
-import pytest
 
 GOLDEN = Path(__file__).with_name("golden.json")
-DEMO = Path(__file__).parents[1] / "scripts" / "run_synthetic_experiment.py"
 
 
 def environment() -> dict:
@@ -50,12 +46,9 @@ def tree_digest(root: Path, names) -> str:
 
 
 def demo_digests(out: Path) -> dict:
-    """SHA-256 of the demo's synth, extract, table-one and train-eval outputs, as
-    CI's demo step runs it; the traces and annotations share one digest."""
-    argv = [str(DEMO), "--out", str(out), "--n-patients", "60", "--n-instances", "2"]
-    with mock.patch.object(sys, "argv", argv), pytest.raises(SystemExit) as done:
-        runpy.run_path(str(DEMO), run_name="__main__")
-    assert done.value.code == 0
+    """SHA-256 of the synth, extract, table-one and train-eval outputs of the
+    demo run into out (conftest.run_demo); the traces and annotations share
+    one digest."""
     files = [out / "data" / "cohort.csv", out / "data" / "truth.csv",
              out / "features" / "features.csv", out / "features" / "extract_log.txt",
              out / "tables" / "table_one.json", *sorted((out / "models" / "reports").iterdir())]
@@ -65,9 +58,9 @@ def demo_digests(out: Path) -> dict:
                for f in files}}
 
 
-def test_demo_outputs_match_golden_digests(tmp_path):
+def test_demo_outputs_match_golden_digests(demo_dir):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    digests = demo_digests(tmp_path / "demo")
+    digests = demo_digests(demo_dir)
     differ = sorted(name for name in golden["digests"].keys() | digests.keys()
                     if golden["digests"].get(name) != digests.get(name))
     assert not differ, (
@@ -83,6 +76,8 @@ def test_environment_falls_back_to_the_build_blas():
 if __name__ == "__main__":
     import tempfile
 
+    from conftest import run_demo
+
     with tempfile.TemporaryDirectory() as tmp:
-        doc = {"environment": environment(), "digests": demo_digests(Path(tmp) / "demo")}
+        doc = {"environment": environment(), "digests": demo_digests(run_demo(Path(tmp) / "demo"))}
     GOLDEN.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

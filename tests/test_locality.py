@@ -19,6 +19,8 @@ from ecgtriage import cli
 from ecgtriage.cohort import GEH_COLUMNS, STANDARD_COLUMNS
 from ecgtriage.synth import SynthConfig, generate
 
+from conftest import extract as extract_clean
+
 TOKENS = (b"nan", b"inf", b"\xff", b"\r", b"\x00", b",", b"\n")
 PATIENT_CASES = 100
 TABLE_CASES = 40
@@ -49,11 +51,8 @@ def by_id(path, sep):
 def cohort(tmp_path_factory):
     root = tmp_path_factory.mktemp("locality")
     generate(SynthConfig(n_patients=12, seed=5, positive_fraction=0.3), root / "data")
-    cfg = root / "run.cfg"
-    cfg.write_text(f"ecg_dir={root / 'data' / 'ecg'}\nfiducial_dir={root / 'data' / 'fiducials'}\n"
-                   f"cohort_table={root / 'data' / 'cohort.csv'}\n", encoding="utf-8")
-    assert cli.main(["extract", "--config", str(cfg), "--out", str(root / "clean")]) == 0
-    return root, cfg
+    extract_clean(root / "data", root / "clean")
+    return root, root / "clean.cfg"
 
 
 def extract(cfg, out):

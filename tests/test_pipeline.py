@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -128,7 +129,7 @@ class TestSplit:
 class TestRebalance:
     def test_100_20_to_60_60(self):
         y = np.r_[np.zeros(100), np.ones(20)]
-        idx = rebalance(y, seed=1)
+        idx = rebalance(y, random.Random(1))
         picked = y[idx]
         assert len(idx) == 120
         assert (picked == 0).sum() == 60 and (picked == 1).sum() == 60
@@ -137,12 +138,12 @@ class TestRebalance:
 
     def test_already_balanced_keeps_sizes(self):
         y = np.r_[np.zeros(25), np.ones(25)]
-        idx = rebalance(y, seed=2)
+        idx = rebalance(y, random.Random(2))
         assert (y[idx] == 0).sum() == 25 and (y[idx] == 1).sum() == 25
 
     def test_five_to_one(self):
         y = np.r_[np.zeros(5), np.ones(1)]
-        idx = rebalance(y, seed=3)
+        idx = rebalance(y, random.Random(3))
         picked = y[idx]
         assert (picked == 0).sum() == 3 and (picked == 1).sum() == 3
         assert np.all(idx[picked == 1] == 5)
@@ -154,7 +155,7 @@ class TestRebalance:
         if n_maj < n_min:
             n_maj = n_min
         y = np.r_[np.zeros(n_maj), np.ones(n_min)]
-        idx = rebalance(y, seed=seed)
+        idx = rebalance(y, random.Random(seed))
         m = (n_maj + n_min) // 2
         picked = y[idx]
         assert len(idx) == 2 * m
@@ -164,7 +165,7 @@ class TestRebalance:
 
     def test_single_class(self):
         with pytest.raises(SingleClass):
-            rebalance(np.zeros(10), seed=0)
+            rebalance(np.zeros(10), random.Random(0))
 
 
 class TestStreams:

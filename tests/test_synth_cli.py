@@ -329,7 +329,7 @@ class TestCliBasics:
         "eta_grid=", "specs=", "specs=X", "eta_grid=2.0", "eta_grid=0.1,abc",
         "k_folds=0", "k_folds=1", "k_folds=2.5", "max_rounds=0", "max_depth=0", "master_seed=-1",
         "n_instances=0", "patience=0", "holdout_selection=maybe", "beat_aggregation=mode",
-        "beat_aggregation=mean", "synth_seed=3", "experiment=1", "specs=s,S,r",
+        "beat_aggregation=mean", "synth_seed=3", "experiment=1", "specs=s,S,r", "eta_grid=0.1,0.1",
     ])
     def test_bad_value_exits_2(self, tmp_path, synth_cohort_dir, caplog, line):
         cfg = tmp_path / "c.cfg"
