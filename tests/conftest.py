@@ -1,7 +1,7 @@
-import runpy
+import os
 import shutil
+import subprocess
 import sys
-import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -84,17 +84,24 @@ def synth_cohort_dir(tmp_path_factory):
     return root
 
 
-DEMO = Path(__file__).parents[1] / "scripts" / "run_synthetic_experiment.py"
+ROOT = Path(__file__).parents[1]
+DEMO = ROOT / "scripts" / "run_synthetic_experiment.py"
 SEED1_COHORT = SynthConfig(n_patients=300, positive_fraction=51 / 274, seed=1)
 
 
+def run_python(args, **env):
+    """Run python with args in a fresh process, src/ and perfbench/ on its
+    path and env added to its environment; asserts that it exits 0."""
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    done = subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path, **env),
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+
+
 def run_demo(out):
-    """Run the demo into out (60 patients, 2 instances, warnings as errors); returns out."""
-    argv = [str(DEMO), "--out", str(out), "--n-patients", "60", "--n-instances", "2"]
-    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-        mp.setattr(sys, "argv", argv)
-        warnings.simplefilter("error")
-        assert runpy.run_path(str(DEMO))["main"]() == 0
+    """Run the demo into out (60 patients, 2 instances) in a fresh process with
+    every warning an error, import-time ones included; returns out."""
+    run_python(["-W", "error", str(DEMO), "--out", str(out), "--n-patients", "60", "--n-instances", "2"])
     return out
 
 
@@ -105,8 +112,8 @@ def extract(data_dir, out):
     cfg.write_text(f"ecg_dir={data_dir}/ecg\nfiducial_dir={data_dir}/fiducials\n"
                    f"cohort_table={data_dir}/cohort.csv\n", encoding="utf-8")
     read_row, rows = ecg_ingest._read_row, []  # not a Mock: ~10 us a call over 504k rows
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ecg_ingest, "_read_row", lambda *args: rows.append(args) or read_row(*args))
+    with pytest.MonkeyPatch.context() as mp:  # rows keeps None per call, not the call's line
+        mp.setattr(ecg_ingest, "_read_row", lambda *args: rows.append(None) or read_row(*args))
         assert cli.main(["extract", "--config", str(cfg), "--out", str(out)]) == 0
     return len(rows)
 

@@ -4,12 +4,8 @@ their own arithmetic; perfbench's fault probe and tracer see the package."""
 
 import json
 import math
-import os
 import shutil
 import statistics
-import subprocess
-import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,7 +15,7 @@ from ecgtriage import cli, cohort, ecg_ingest, gbt, pipeline, synth
 
 import faults
 import oracles
-from conftest import SEED1_COHORT, extract
+from conftest import SEED1_COHORT, extract, run_python
 
 
 def assert_same_bytes(a, b, names=None):
@@ -88,10 +84,14 @@ def test_table_one_matches_scipy_rank_sum(demo_dir, tmp_path, monkeypatch):
 
 
 def test_holdout_selection_is_deterministic(demo_dir, tmp_path):
+    # each run in its own process under its own hash seed: a draw keyed on
+    # hash(), set order or id() differs between them
     cfg = tmp_path / "holdout.cfg"
     cfg.write_text((demo_dir / "run.cfg").read_text() + "holdout_selection=true\n")
-    for run in ("a", "b"):
-        assert cli.main(["train-eval", "--config", str(cfg), "--out", str(tmp_path / run)]) == 0
+    main = "import sys; from ecgtriage import cli; sys.exit(cli.main(sys.argv[1:]))"
+    for run, hash_seed in (("a", "0"), ("b", "4242")):
+        run_python(["-c", main, "train-eval", "--config", str(cfg), "--out", str(tmp_path / run)],
+                   PYTHONHASHSEED=hash_seed)
     assert '"on": "holdout"' in (tmp_path / "a" / "reports" / "report_SRG.json").read_text()
     assert_same_bytes(tmp_path / "a" / "reports", tmp_path / "b" / "reports")
 
@@ -120,14 +120,9 @@ def test_fault_probe_logs_each_kind_as_expected(tmp_path):
 
 def test_traced_names_resolve():
     # in a child process: install rebinds package attributes for the rest of the process
-    script = ("import time, tracer; "
-              "tracer.install_node_counter({'trees': 0, 'nodes': 0, 'split_scans': 0}); "
-              "tracer.install(tracer.Recorder(time.perf_counter))")
-    root = Path(__file__).parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
+    run_python(["-c", "import time, tracer; "
+                "tracer.install_node_counter({'trees': 0, 'nodes': 0, 'split_scans': 0}); "
+                "tracer.install(tracer.Recorder(time.perf_counter))"])
 
 
 def test_synth_writer_matches_savetxt(seed1_cohort, tmp_path, monkeypatch):
