@@ -2,6 +2,12 @@
 
 Subcommands: extract, table-one, train-eval, synth, version. Every command is
 deterministic given the same config and seed, and only writes under out_dir.
+synth writes its patients on every CPU the process may use, in worker
+processes started by fork (spawn would import numpy again in each); each
+patient draws from its own stream, so its bytes do not depend on the worker
+count. Python 3.12 and later warn (DeprecationWarning) on that fork when the
+process runs other threads. The other commands run in one process and load no
+pool modules.
 
 Options come from a flat key=value file (blank lines and # comments ignored),
 whose lines end at LF, CR or CRLF only, as a trace's lines do. The flags --seed

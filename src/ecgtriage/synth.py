@@ -23,16 +23,28 @@ bump, the sum is +0.0 and writes as 0.000, not -0.000.
 Each trace file is a header line, the lead names, then one row per sample of
 12 cells in microvolts, each written as "%.3f", joined by "," and ended by
 "\n": the same bytes np.savetxt writes with those settings. write_trace_cells
-builds that text with array arithmetic in TraceWork arrays, which generate
-allocates once per cohort and reuses for every trace. A trace with a
+builds that text with array arithmetic in TraceWork arrays, which each block
+of patients allocates once and reuses for every trace. A trace with a
 non-finite cell, or with any |cell| >= 2**31 / 1000 uV, is written by
 np.savetxt itself.
+
+generate writes its patients on every CPU the process may use
+(os.sched_getaffinity): contiguous blocks of patient indices go to a pool of
+that many worker processes, or, with one CPU, are written in this process.
+Each patient draws from its own stream, SeedSequence((seed, 1, index)), and
+the parent writes cohort.csv and truth.csv from the blocks' rows in index
+order, so the bytes do not depend on the worker count. The workers start by
+fork: spawn would start a fresh interpreter that imports numpy again in every
+worker. Python 3.12 and later warn (DeprecationWarning) when a process that
+runs other threads forks.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,6 +80,9 @@ SAMPLING_RATE_HZ, DURATION_S = 240.0, 7.0
 _LEAD_IN_MS, _MIN_RR_MS, _MAX_RR_MS, _TAIL_MS = 400.0, 600.0, 1200.0, 520.0
 # far above any desk-scale cohort: each patient writes a 0.15 MB trace
 MAX_N_PATIENTS = 100_000
+# blocks of patients per worker: a CPU that others slow down takes fewer of
+# them, and a failed block leaves those not started unwritten
+_BLOCKS_PER_WORKER = 4
 
 # per-patient beat template: each wave's (amplitude mV, width ms) is scaled by
 # exp(N(0, jitter)) with the jitter of its kind; the QRS-T angle (deg) and the
@@ -108,6 +123,10 @@ class SynthConfig:
             raise ConfigError(f"n_patients must be in [10, {MAX_N_PATIENTS}], got {self.n_patients}")
         if not 0.0 < self.positive_fraction < 1.0:
             raise ConfigError("positive_fraction must be in (0, 1)")
+        n_pos = round_half_up(self.n_patients * self.positive_fraction)
+        if not 0 < n_pos < self.n_patients:
+            raise ConfigError(f"positive_fraction {self.positive_fraction!r} of {self.n_patients} "
+                              f"patients gives {n_pos} positive: each class needs one patient")
         if not 0.0 <= self.noise_sd_mv < math.inf:
             raise ConfigError("noise_sd_mv must be finite and non-negative")
         if not 0.0 <= self.qrst_angle_shift_deg < math.inf:
@@ -286,28 +305,22 @@ def write_trace_cells(fh, cells, work: TraceWork):
     fh.write(str(out, "ascii"))
 
 
-def generate(cfg: SynthConfig, out_dir) -> dict:
-    """Write ECG traces, annotation files, the base cohort table and a ground
-    truth table under out_dir; returns summary counts and paths."""
-    out = Path(out_dir)
-    ecg_dir = out / "ecg"
-    fid_dir = out / "fiducials"
-    ecg_dir.mkdir(parents=True, exist_ok=True)
-    fid_dir.mkdir(parents=True, exist_ok=True)
+def usable_cpus() -> int:
+    """CPUs this process may run on: the worker count of generate."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
-    n_pos = round_half_up(cfg.n_patients * cfg.positive_fraction)
-    flags = np.zeros(cfg.n_patients, dtype=bool)
-    flags[:n_pos] = True
-    np.random.default_rng(np.random.SeedSequence((cfg.seed, 0))).shuffle(flags)
 
+def _write_patients(cfg: SynthConfig, out: Path, flags: np.ndarray, indices: range) -> list:
+    """Write the trace and annotation file of each patient in indices; returns
+    their (PatientRecord, truth row) pairs in index order."""
     fs = SAMPLING_RATE_HZ
     n_samples = round(DURATION_S * fs)
     lead_matrix = synth_matrix()
     work = TraceWork(n_samples * len(LEAD_NAMES))
     t_axis_ms = np.arange(n_samples) * 1000.0 / fs
-    records, truth_rows = [], []
+    rows = []
 
-    for i in range(cfg.n_patients):
+    for i in indices:
         pid = f"p{i + 1:04d}"
         positive = bool(flags[i])
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1, i)))
@@ -329,7 +342,7 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
         if cfg.noise_sd_mv > 0:
             traces = traces + rng.normal(0.0, cfg.noise_sd_mv, size=traces.shape)
 
-        with open(ecg_dir / f"{pid}.csv", "w", encoding="utf-8", newline="\n") as fh:
+        with open(out / "ecg" / f"{pid}.csv", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"sample_rate_hz={fs:g} gain_uv_per_unit=1.0\n")
             fh.write(",".join(LEAD_NAMES) + "\n")
             write_trace_cells(fh, traces.T * 1000.0, work)
@@ -346,20 +359,52 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
                 "t": {"onset": center + marks["t_on"], "peak": center + marks["t_peak"],
                       "offset": center + marks["t_off"]},
             })
-        (fid_dir / f"{pid}.json").write_text(
+        (out / "fiducials" / f"{pid}.json").write_text(
             json.dumps({"beats": beats}, indent=1) + "\n", encoding="utf-8")
 
         sex, age, bmi, risk = _draw_covariates(cfg, rng, positive)
-        records.append(PatientRecord(
-            id=pid, sex=sex, age_years=round(age, 1), bmi=round(bmi, 1),
-            outcome="positive" if positive else "negative", **risk,
-        ))
-        truth_rows.append((pid, "positive" if positive else "negative", angle, scale))
+        outcome = "positive" if positive else "negative"
+        rows.append((PatientRecord(id=pid, sex=sex, age_years=round(age, 1), bmi=round(bmi, 1),
+                                   outcome=outcome, **risk),
+                     (pid, outcome, angle, scale)))
+    return rows
 
-    save_cohort(records, out / "cohort.csv")
+
+def generate(cfg: SynthConfig, out_dir) -> dict:
+    """Write ECG traces, annotation files, the base cohort table and a ground
+    truth table under out_dir; returns summary counts and paths."""
+    out = Path(out_dir)
+    ecg_dir = out / "ecg"
+    fid_dir = out / "fiducials"
+    ecg_dir.mkdir(parents=True, exist_ok=True)
+    fid_dir.mkdir(parents=True, exist_ok=True)
+
+    n_pos = round_half_up(cfg.n_patients * cfg.positive_fraction)
+    flags = np.zeros(cfg.n_patients, dtype=bool)
+    flags[:n_pos] = True
+    np.random.default_rng(np.random.SeedSequence((cfg.seed, 0))).shuffle(flags)
+
+    workers = min(usable_cpus(), cfg.n_patients)
+    n_blocks = workers * _BLOCKS_PER_WORKER
+    blocks = [range(cfg.n_patients * k // n_blocks, cfg.n_patients * (k + 1) // n_blocks)
+              for k in range(n_blocks)]
+    write = functools.partial(_write_patients, cfg, out, flags)
+    if workers == 1:
+        parts = list(map(write, blocks))
+    else:
+        # imported here: loading them adds ~1.9 MB to any command's peak memory
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        # leaving the block joins every worker; a failed block cancels those not started
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+            parts = list(pool.map(write, blocks))
+    rows = [row for part in parts for row in part]
+
+    save_cohort([record for record, _ in rows], out / "cohort.csv")
     with open(out / "truth.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("id,outcome,qrst_angle_deg,amp_scale\n")
-        for pid, outcome, angle, scale in truth_rows:
+        for _, (pid, outcome, angle, scale) in rows:
             fh.write(f"{pid},{outcome},{angle!r},{scale!r}\n")
 
     return {

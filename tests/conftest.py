@@ -98,6 +98,31 @@ def run_python(args, **env):
     assert done.returncode == 0, done.stderr
 
 
+def counted(fn, log):
+    """fn, appending one line to the file log per call: the line count sees
+    the calls of every process, synth's pool workers included."""
+    def call(*args):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write("call\n")
+        return fn(*args)
+    return call
+
+
+def call_count(log) -> int:
+    return len(log.read_text(encoding="utf-8").splitlines()) if log.exists() else 0
+
+
+def assert_same_bytes(a, b, names=None):
+    """Each of names holds the same bytes under a and b; with no names, as
+    diff -r: the same paths under both, and every file the same bytes."""
+    if names is None:
+        names = sorted(p.relative_to(a) for p in a.rglob("*"))
+        assert names == sorted(p.relative_to(b) for p in b.rglob("*"))
+    for name in names:
+        if (a / name).is_file():
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 def run_demo(out):
     """Run the demo into out (60 patients, 2 instances) in a fresh process with
     every warning an error, import-time ones included; returns out."""

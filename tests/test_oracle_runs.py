@@ -15,18 +15,7 @@ from ecgtriage import cli, cohort, ecg_ingest, gbt, pipeline, synth
 
 import faults
 import oracles
-from conftest import SEED1_COHORT, extract, run_python
-
-
-def assert_same_bytes(a, b, names=None):
-    """Each of names holds the same bytes under a and b; with no names, as
-    diff -r: the same paths under both, and every file the same bytes."""
-    if names is None:
-        names = sorted(p.relative_to(a) for p in a.rglob("*"))
-        assert names == sorted(p.relative_to(b) for p in b.rglob("*"))
-    for name in names:
-        if (a / name).is_file():
-            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+from conftest import SEED1_COHORT, assert_same_bytes, call_count, counted, extract, run_python
 
 
 def test_demo_reports_check_themselves(demo_dir):
@@ -126,11 +115,11 @@ def test_traced_names_resolve():
 
 
 def test_synth_writer_matches_savetxt(seed1_cohort, tmp_path, monkeypatch):
-    savetxt = mock.Mock(side_effect=lambda fh, cells, work: fh.write(oracles.savetxt_text(cells)))
+    savetxt = counted(lambda fh, cells, work: fh.write(oracles.savetxt_text(cells)), tmp_path / "calls")
     monkeypatch.setattr(synth, "write_trace_cells", savetxt)
-    synth.generate(SEED1_COHORT, tmp_path)
-    assert savetxt.call_count == 300  # one per trace: the substitute ran
-    assert_same_bytes(seed1_cohort.data, tmp_path)
+    synth.generate(SEED1_COHORT, tmp_path / "oracle")
+    assert call_count(tmp_path / "calls") == 300  # one per trace: the substitute ran
+    assert_same_bytes(seed1_cohort.data, tmp_path / "oracle")
 
 
 def test_trace_kernel_matches_row_reader(seed1_cohort, tmp_path, monkeypatch):

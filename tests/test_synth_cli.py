@@ -5,8 +5,10 @@ import io
 import json
 import logging
 import math
+import multiprocessing
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -26,6 +28,7 @@ from ecgtriage.pipeline import ExperimentConfig
 from ecgtriage.synth import SynthConfig, generate, synth_matrix
 from ecgtriage.vcg import KORS_MATRIX
 
+from conftest import assert_same_bytes, call_count, counted
 from oracles import dense_grid_geh, gaussian_loop_vcg, per_beat_vcg, savetxt_text
 
 
@@ -139,19 +142,18 @@ class TestBeatSum:
     def test_generate_matches_per_beat_loop(self, tmp_path, monkeypatch, rr_ms):
         if rr_ms is not None:
             monkeypatch.setitem(synth.BEAT_TEMPLATE, "rr_ms", (rr_ms, synth.BEAT_TEMPLATE["rr_ms"][1]))
-        sums, patient_vcg = [], synth._patient_vcg
+        patient_vcg = synth._patient_vcg
 
-        def recorded(shape, t_axis_ms, centers):
+        def checked(shape, t_axis_ms, centers):
+            # in whichever process writes the patient; a failure ends generate
             v = patient_vcg(shape, t_axis_ms, centers)
-            sums.append((shape, t_axis_ms, centers, v))
-            return v
-
-        monkeypatch.setattr(synth, "_patient_vcg", recorded)
-        generate(SynthConfig(n_patients=20, seed=6, positive_fraction=0.3), tmp_path)
-        assert len(sums) == 20
-        for shape, t_axis_ms, centers, v in sums:
             # tobytes: a -0.0 where the loop gives +0.0 counts as a difference
             assert v.tobytes() == per_beat_vcg(shape.bumps, t_axis_ms, centers).tobytes()
+            return v
+
+        monkeypatch.setattr(synth, "_patient_vcg", counted(checked, tmp_path / "calls"))
+        generate(SynthConfig(n_patients=20, seed=6, positive_fraction=0.3), tmp_path / "s")
+        assert call_count(tmp_path / "calls") == 20
 
     def test_underflowed_s_bump_sums_to_positive_zero(self):
         # away from its center a narrow S bump's exp underflows and each of its
@@ -246,19 +248,42 @@ class TestTraceWriter:
     def test_cohort_bytes_match_savetxt(self, tmp_path, monkeypatch, keys):
         cfg = SynthConfig(n_patients=12, seed=9, **keys)
         generate(cfg, tmp_path / "shipped")
-        calls = []
-
-        def savetxt_cells(fh, cells, work):
-            calls.append(1)
-            fh.write(savetxt_text(cells))
-
+        savetxt_cells = counted(lambda fh, cells, work: fh.write(savetxt_text(cells)), tmp_path / "calls")
         monkeypatch.setattr(synth, "write_trace_cells", savetxt_cells)
         generate(cfg, tmp_path / "oracle")
-        assert len(calls) == 12  # one per trace: the substitute ran
+        assert call_count(tmp_path / "calls") == 12  # one per trace: the substitute ran
         files = sorted(p.relative_to(tmp_path / "oracle") for p in (tmp_path / "oracle").rglob("*.*"))
         assert len(files) == 2 * 12 + 2
         for rel in files:
             assert (tmp_path / "shipped" / rel).read_bytes() == (tmp_path / "oracle" / rel).read_bytes()
+
+
+class TestWorkers:
+    def test_bytes_do_not_depend_on_worker_count(self, tmp_path, monkeypatch):
+        cfg = SynthConfig(n_patients=40, seed=11, positive_fraction=0.3)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(synth, "usable_cpus", lambda n=workers: n)
+            generate(cfg, tmp_path / str(workers))
+        for workers in (2, 3):
+            assert_same_bytes(tmp_path / "1", tmp_path / str(workers))
+        assert multiprocessing.active_children() == []
+
+    def test_blocked_trace_path_exits_2_under_any_worker_count(self, tmp_path, monkeypatch, caplog):
+        cfg = write_cfg(tmp_path / "c.cfg", synth_n_patients=40, synth_positive_fraction=0.3)
+        out = tmp_path / "s"
+        messages = []
+        for workers in (1, 2):
+            monkeypatch.setattr(synth, "usable_cpus", lambda n=workers: n)
+            shutil.rmtree(out, ignore_errors=True)
+            (out / "ecg" / "p0007.csv").mkdir(parents=True)
+            caplog.clear()
+            with caplog.at_level(logging.ERROR, logger="ecgtriage"):
+                assert cli.main(["synth", "--config", cfg, "--out", str(out), "--seed", "11"]) == 2
+            messages += [r.getMessage() for r in caplog.records]
+            assert multiprocessing.active_children() == []
+        assert len(messages) == 2 and messages[0] == messages[1]
+        assert messages[0].startswith(f"config error: cannot write output {out}: ")
+        assert str(out / "ecg" / "p0007.csv") in messages[0]
 
 
 def write_cfg(path, **keys):
@@ -953,8 +978,9 @@ class TestSynthCommand:
         "synth_qrst_angle_shift_deg=-60", "synth_svg_scale=0", "synth_svg_scale=-1",
         "synth_noise_sd_mv=-0.1", "synth_qrst_angle_shift_deg=inf", "synth_svg_scale=inf",
         "synth_risk_effect=-inf",
-        # the class ratio is open at both ends
+        # the class ratio is open at both ends, also once rounded to whole patients
         "synth_positive_fraction=0", "synth_positive_fraction=1", "synth_positive_fraction=nan",
+        "synth_positive_fraction=0.04", "synth_positive_fraction=0.96",
         # one patient past either end of the cohort-size range
         "synth_n_patients=9", "synth_n_patients=100001",
         # a cohort too large to build: refused before anything is allocated
@@ -1020,8 +1046,9 @@ class TestRuntimeDependencies:
                                 cohort_table=tmp_path / "d" / "cohort.csv")
         train_cfg = write_cfg(tmp_path / "t.cfg", cohort_table=tmp_path / "e" / "features.csv",
                               n_instances=2, k_folds=2, eta_grid=0.3, max_rounds=20)
-        heavy = ["numpy.random", "numpy.ma", "_hashlib"]
-        for command, cfg, out, unused in (("extract", extract_cfg, "e", ["_hashlib"]),
+        pool = ["multiprocessing", "concurrent.futures.process"]  # synth's alone
+        heavy = ["numpy.random", "numpy.ma", "_hashlib", *pool]
+        for command, cfg, out, unused in (("extract", extract_cfg, "e", ["_hashlib", *pool]),
                                           ("table-one", train_cfg, "o", heavy),
                                           ("train-eval", train_cfg, "m", heavy)):
             done = self.run_python(
