@@ -163,10 +163,12 @@ class FiducialSet:
 class MedianBeat:
     """Per-sample consolidation of the annotated beats, aligned on the QRS peak.
 
-    `leads` is a (12, n) float array over the beat window; row k is lead
-    LEAD_NAMES[k]. `fiducials` holds the consolidated landmarks as window
-    indices: their order within and between waves is checked by Wave and Beat,
-    and construction checks that the baseline and every landmark lie in [0, n).
+    `leads` is a (k, n) float array over the beat window: the twelve leads in
+    LEAD_NAMES order after median_beat and baseline_correct, and the orthogonal
+    leads x, y and z after kors_transform. `fiducials` holds the consolidated
+    landmarks as window indices: their order within and between waves is
+    checked by Wave and Beat, and construction checks that the baseline and
+    every landmark lie in [0, n).
     """
 
     leads: np.ndarray
@@ -494,10 +496,10 @@ def median_beat(
                 f"beat window around sample {beat.qrs.peak} leaves the record"
             )
 
-    # (12, width, beats): the beats of one window sample lie contiguous, for the sort
+    # (12, width, beats) in C order: each window sample's beats lie contiguous, for the sort
     peaks = np.asarray([beat.qrs.peak for beat in beats])
     at = (peaks - pre) + np.arange(width)[:, None]
-    leads = _sorted_median(record.leads[:, at])
+    leads = _sorted_median(record.leads.take(at.ravel(), axis=1).reshape(len(record.leads), width, -1))
 
     # P is consolidated only when every beat carries one; mixed annotation
     # means the wave was not reliably identifiable, so it is treated as absent.

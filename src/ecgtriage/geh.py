@@ -1,4 +1,4 @@
-"""Global electrical heterogeneity measures computed from the vectorcardiogram.
+"""Global electrical heterogeneity measures computed from the X/Y/Z median beat.
 
 Nine outputs: peak and area QRS-T angles, peak and area gradient-vector azimuth
 and elevation, peak gradient magnitude (mV), QT vector-magnitude integral and
@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .ecg_ingest import MedianBeat
 from .errors import EmptyWindow, ZeroVector
-from .vcg import Vcg
 
 
 @dataclass(frozen=True)
@@ -60,28 +60,28 @@ class GehMeasures:
     degenerate: tuple[str, ...] = ()
 
 
-def _window(vcg: Vcg, onset: int, offset: int) -> np.ndarray:
+def _window(beat: MedianBeat, onset: int, offset: int) -> np.ndarray:
     """The (3, m) samples of the inclusive window [onset, offset]."""
-    if onset > offset or onset < 0 or offset >= vcg.n_samples:
-        raise EmptyWindow(f"window [{onset}, {offset}] invalid for {vcg.n_samples} samples")
-    return vcg.xyz[:, onset:offset + 1]
+    if onset > offset or onset < 0 or offset >= beat.n_samples:
+        raise EmptyWindow(f"window [{onset}, {offset}] invalid for {beat.n_samples} samples")
+    return beat.leads[:, onset:offset + 1]
 
 
-def peak_vector(vcg: Vcg, onset: int, offset: int) -> SpatialVector:
+def peak_vector(beat: MedianBeat, onset: int, offset: int) -> SpatialVector:
     """Vector at the window sample with the largest instantaneous magnitude.
 
     Ties go to the earliest sample.
     """
-    w = _window(vcg, onset, offset)
+    w = _window(beat, onset, offset)
     x, y, z = w
     i = int(np.argmax(x ** 2 + y ** 2 + z ** 2))
     return SpatialVector(*map(float, w[:, i]), kind="peak")
 
 
-def area_vector(vcg: Vcg, onset: int, offset: int) -> SpatialVector:
+def area_vector(beat: MedianBeat, onset: int, offset: int) -> SpatialVector:
     """Componentwise trapezoidal integral over the window, in mV*ms."""
-    w = _window(vcg, onset, offset)
-    return SpatialVector(*map(float, np.trapezoid(w, dx=1000.0 / vcg.sampling_rate_hz, axis=1)),
+    w = _window(beat, onset, offset)
+    return SpatialVector(*map(float, np.trapezoid(w, dx=1000.0 / beat.sampling_rate_hz, axis=1)),
                          kind="area")
 
 
@@ -130,14 +130,14 @@ def azimuth_elevation(v: SpatialVector) -> Direction:
     return Direction(azimuth, elevation, False)
 
 
-def vector_magnitude_integral(vcg: Vcg, onset: int, offset: int) -> float:
+def vector_magnitude_integral(beat: MedianBeat, onset: int, offset: int) -> float:
     """Trapezoidal integral of sqrt(x^2+y^2+z^2) over the window, in mV*ms."""
-    x, y, z = _window(vcg, onset, offset)
-    return float(np.trapezoid(np.sqrt(x ** 2 + y ** 2 + z ** 2), dx=1000.0 / vcg.sampling_rate_hz))
+    x, y, z = _window(beat, onset, offset)
+    return float(np.trapezoid(np.sqrt(x ** 2 + y ** 2 + z ** 2), dx=1000.0 / beat.sampling_rate_hz))
 
 
-def compute_geh(vcg: Vcg) -> GehMeasures:
-    """All nine heterogeneity measures of one vectorcardiogram.
+def compute_geh(beat: MedianBeat) -> GehMeasures:
+    """All nine heterogeneity measures of one X/Y/Z beat (kors_transform).
 
     Windows: depolarization [QRS.onset, QRS.offset]; repolarization
     [QRS.offset, T.offset] (onset at the J point); QT [QRS.onset, T.offset].
@@ -146,13 +146,13 @@ def compute_geh(vcg: Vcg) -> GehMeasures:
     Beat guarantees both waves and their order and MedianBeat that they lie
     in the window; _window refuses any other window (EmptyWindow).
     """
-    f = vcg.fiducials
+    f = beat.fiducials
 
-    qrs_peak = peak_vector(vcg, f.qrs.onset, f.qrs.offset)
-    t_peak = peak_vector(vcg, f.qrs.offset, f.t.offset)
-    qrs_area = area_vector(vcg, f.qrs.onset, f.qrs.offset)
-    t_area = area_vector(vcg, f.qrs.offset, f.t.offset)
-    svg_area = area_vector(vcg, f.qrs.onset, f.t.offset)
+    qrs_peak = peak_vector(beat, f.qrs.onset, f.qrs.offset)
+    t_peak = peak_vector(beat, f.qrs.offset, f.t.offset)
+    qrs_area = area_vector(beat, f.qrs.onset, f.qrs.offset)
+    t_area = area_vector(beat, f.qrs.offset, f.t.offset)
+    svg_area = area_vector(beat, f.qrs.onset, f.t.offset)
     svg_peak = qrs_peak + t_peak
 
     degenerate: list[str] = []
@@ -180,7 +180,7 @@ def compute_geh(vcg: Vcg) -> GehMeasures:
         peak_svg_elevation_deg=peak_dir.elevation_deg,
         area_svg_elevation_deg=area_dir.elevation_deg,
         peak_svg_mv=svg_peak.magnitude,
-        vm_qti_mvms=vector_magnitude_integral(vcg, f.qrs.onset, f.t.offset),
+        vm_qti_mvms=vector_magnitude_integral(beat, f.qrs.onset, f.t.offset),
         svg_mvms=svg_area.magnitude,
         degenerate=tuple(degenerate),
     )

@@ -9,11 +9,11 @@ constants and are never recomputed at runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .ecg_ingest import LEAD_NAMES, Beat, MedianBeat
+from .ecg_ingest import LEAD_NAMES, MedianBeat
 
 KORS_INPUT_LEADS = ("I", "II", "V1", "V2", "V3", "V4", "V5", "V6")
 # the rows of a (12, n) lead array that the matrix reads, in KORS_INPUT_LEADS order
@@ -27,20 +27,6 @@ KORS_MATRIX = np.array([
 ])
 
 
-@dataclass(frozen=True)
-class Vcg:
-    """Vectorcardiogram in mV: `xyz` is a (3, n) array whose rows are the
-    orthogonal leads x, y and z."""
-
-    xyz: np.ndarray
-    sampling_rate_hz: float
-    fiducials: Beat
-
-    @property
-    def n_samples(self) -> int:
-        return self.xyz.shape[1]
-
-
 def baseline_correct(beat: MedianBeat) -> MedianBeat:
     """Subtract each lead's amplitude at the consolidated baseline sample.
 
@@ -51,12 +37,12 @@ def baseline_correct(beat: MedianBeat) -> MedianBeat:
     return replace(beat, leads=beat.leads - beat.leads[:, beat.fiducials.baseline, None])
 
 
-def kors_transform(beat: MedianBeat) -> Vcg:
-    """Apply the fixed 3x8 regression matrix to leads I, II, V1..V6.
+def kors_transform(beat: MedianBeat) -> MedianBeat:
+    """Apply the fixed 3x8 regression matrix to leads I, II, V1..V6: the
+    beat's rows become the orthogonal leads x, y and z.
 
     The derived limb leads (III, aVR, aVL, aVF) are linear combinations of I
-    and II and are ignored. Landmarks are carried over unchanged.
+    and II and are ignored. Landmarks, sampling rate and rr_ms carry over.
     """
-    return Vcg(xyz=KORS_MATRIX @ beat.leads[_KORS_ROWS], sampling_rate_hz=beat.sampling_rate_hz,
-               fiducials=beat.fiducials)
+    return replace(beat, leads=KORS_MATRIX @ beat.leads[_KORS_ROWS])
 

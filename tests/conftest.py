@@ -17,7 +17,6 @@ from ecgtriage.ecg_ingest import (
     Wave,
 )
 from ecgtriage.synth import SynthConfig, generate
-from ecgtriage.vcg import Vcg
 
 
 def record_from_matrix(matrix, fs=240.0):
@@ -54,7 +53,7 @@ def median_beat_from(leads_window, fiducials=None, fs=240.0, rr_ms=900.0):
 
 
 def vcg_from(xyz, fs=240.0, fiducials=None):
-    """Vcg from a (3, n) array (or three rows) of x, y, z values in mV."""
+    """X/Y/Z MedianBeat from a (3, n) array (or three rows) of x, y, z values in mV."""
     xyz = np.array(xyz, dtype=float)
     if fiducials is None:
         n = xyz.shape[1]
@@ -63,7 +62,7 @@ def vcg_from(xyz, fs=240.0, fiducials=None):
             qrs=Wave(0, n // 3, n // 2),
             t=Wave(n // 2, 2 * n // 3, n - 1),
         )
-    return Vcg(xyz=xyz, sampling_rate_hz=fs, fiducials=fiducials)
+    return median_beat_from(xyz, fiducials=fiducials, fs=fs)
 
 
 def random_vcg(rng, n=120, fs=240.0):

@@ -70,9 +70,9 @@ def test_criterion_01_kors_transform(rng):
         ma = rng.normal(size=(12, 30))
         mb = rng.normal(size=(12, 30))
         a, b = rng.uniform(-5, 5, size=2)
-        lhs = kors_transform(median_beat_from(a * ma + b * mb)).xyz
-        rhs = (a * kors_transform(median_beat_from(ma)).xyz
-               + b * kors_transform(median_beat_from(mb)).xyz)
+        lhs = kors_transform(median_beat_from(a * ma + b * mb)).leads
+        rhs = (a * kors_transform(median_beat_from(ma)).leads
+               + b * kors_transform(median_beat_from(mb)).leads)
         scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-30)
         max_rel = max(max_rel, float(np.abs(lhs - rhs).max() / scale))
     assert max_rel <= 1e-12
@@ -82,7 +82,7 @@ def test_criterion_01_kors_transform(rng):
         from ecgtriage.ecg_ingest import LEAD_NAMES
         matrix[LEAD_NAMES.index(lead)] = 1.0
         vcg = kors_transform(median_beat_from(matrix))
-        assert np.all(vcg.xyz == KORS_MATRIX[:, col, None])
+        assert np.all(vcg.leads == KORS_MATRIX[:, col, None])
 
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
@@ -120,7 +120,7 @@ def test_criterion_02_geh_geometry(rng):
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
-        gr = compute_geh(vcg_from(q @ base.xyz, fiducials=base.fiducials))
+        gr = compute_geh(vcg_from(q @ base.leads, fiducials=base.fiducials))
         for name in ("peak_qrst_angle_deg", "area_qrst_angle_deg",
                      "svg_mvms", "peak_svg_mv", "vm_qti_mvms"):
             a, b = getattr(g, name), getattr(gr, name)

@@ -31,27 +31,27 @@ class TestPeakVector:
     def test_single_sample_window(self, rng):
         v = random_vcg(rng, n=30)
         p = peak_vector(v, 7, 7)
-        assert (p.x, p.y, p.z) == tuple(v.xyz[:, 7])
+        assert (p.x, p.y, p.z) == tuple(v.leads[:, 7])
 
     def test_monotone_magnitude_peaks_at_offset(self):
         t = np.linspace(0, 1, 50)
         v = vcg_from([t, 2 * t, -t])
         p = peak_vector(v, 5, 40)
-        assert (p.x, p.y, p.z) == tuple(v.xyz[:, 40])
+        assert (p.x, p.y, p.z) == tuple(v.leads[:, 40])
 
     def test_matches_bruteforce_scan(self, rng):
         for _ in range(20):
             v = random_vcg(rng, n=80)
             p = peak_vector(v, 10, 59)
-            i = peak_scan(*v.xyz, 10, 59)
-            assert (p.x, p.y, p.z) == tuple(v.xyz[:, i])
+            i = peak_scan(*v.leads, 10, 59)
+            assert (p.x, p.y, p.z) == tuple(v.leads[:, i])
 
     def test_tie_breaks_to_earliest(self):
         x = np.zeros(20)
         x[5] = x[9] = 2.0
         v = vcg_from([x, np.zeros(20), np.zeros(20)])
         assert peak_vector(v, 0, 19).x == 2.0
-        assert peak_scan(*v.xyz, 0, 19) == 5
+        assert peak_scan(*v.leads, 0, 19) == 5
 
     def test_empty_window(self, rng):
         v = random_vcg(rng, n=20)
@@ -81,9 +81,9 @@ class TestAreaVector:
         v = random_vcg(rng, n=90)
         a = area_vector(v, 12, 77)
         dt = 1000.0 / v.sampling_rate_hz
-        assert a.x == pytest.approx(trapezoid_ref(v.xyz[0, 12:78], dt), rel=1e-12)
-        assert a.y == pytest.approx(trapezoid_ref(v.xyz[1, 12:78], dt), rel=1e-12)
-        assert a.z == pytest.approx(trapezoid_ref(v.xyz[2, 12:78], dt), rel=1e-12)
+        assert a.x == pytest.approx(trapezoid_ref(v.leads[0, 12:78], dt), rel=1e-12)
+        assert a.y == pytest.approx(trapezoid_ref(v.leads[1, 12:78], dt), rel=1e-12)
+        assert a.z == pytest.approx(trapezoid_ref(v.leads[2, 12:78], dt), rel=1e-12)
 
     def test_matches_high_resolution_interpolant(self, rng):
         # trapezoid is exact for the piecewise-linear interpolant, so a 100x
@@ -93,7 +93,7 @@ class TestAreaVector:
         dt = 1000.0 / v.sampling_rate_hz
         coarse_t = np.arange(5, 50) * dt
         fine_t = np.linspace(coarse_t[0], coarse_t[-1], 100 * (len(coarse_t) - 1) + 1)
-        fine_x = np.interp(fine_t, coarse_t, v.xyz[0, 5:50])
+        fine_x = np.interp(fine_t, coarse_t, v.leads[0, 5:50])
         dense = trapezoid_ref(fine_x, fine_t[1] - fine_t[0])
         assert a.x == pytest.approx(dense, rel=1e-9)
 
@@ -210,7 +210,7 @@ class TestComputeGeh:
     def test_amplitude_scaling(self, rng):
         v = random_vcg(rng, n=100)
         a = 3.7
-        scaled = vcg_from(a * v.xyz, fiducials=v.fiducials)
+        scaled = vcg_from(a * v.leads, fiducials=v.fiducials)
         g, gs = compute_geh(v), compute_geh(scaled)
         assert gs.peak_svg_mv == pytest.approx(a * g.peak_svg_mv, rel=1e-12)
         assert gs.svg_mvms == pytest.approx(a * g.svg_mvms, rel=1e-12)
@@ -226,7 +226,7 @@ class TestComputeGeh:
             q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             if np.linalg.det(q) < 0:
                 q[:, 0] = -q[:, 0]
-            gr = compute_geh(vcg_from(q @ v.xyz, fiducials=v.fiducials))
+            gr = compute_geh(vcg_from(q @ v.leads, fiducials=v.fiducials))
             assert gr.peak_qrst_angle_deg == pytest.approx(g.peak_qrst_angle_deg, rel=1e-6, abs=1e-6)
             assert gr.area_qrst_angle_deg == pytest.approx(g.area_qrst_angle_deg, rel=1e-6, abs=1e-6)
             assert gr.svg_mvms == pytest.approx(g.svg_mvms, rel=1e-6)
@@ -244,7 +244,7 @@ class TestComputeGeh:
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
-        gr = compute_geh(vcg_from(q @ v.xyz, fiducials=v.fiducials))
+        gr = compute_geh(vcg_from(q @ v.leads, fiducials=v.fiducials))
         expected = q @ unit_from(g.area_svg_azimuth_deg, g.area_svg_elevation_deg)
         got = unit_from(gr.area_svg_azimuth_deg, gr.area_svg_elevation_deg)
         np.testing.assert_allclose(got, expected, atol=1e-9)
@@ -295,7 +295,7 @@ class TestComputeGeh:
 def test_vector_magnitude_integral_matches_loop(rng):
     v = random_vcg(rng, n=60)
     dt = 1000.0 / v.sampling_rate_hz
-    x, y, z = v.xyz
+    x, y, z = v.leads
     mags = [math.sqrt(x[i] ** 2 + y[i] ** 2 + z[i] ** 2) for i in range(10, 50)]
     assert vector_magnitude_integral(v, 10, 49) == pytest.approx(
         trapezoid_ref(mags, dt), rel=1e-12)

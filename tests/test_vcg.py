@@ -50,13 +50,13 @@ class TestKorsMatrix:
 class TestKorsTransform:
     def test_zero_beat_maps_to_zero(self):
         vcg = kors_transform(median_beat_from(np.zeros((12, 30))))
-        assert np.all(vcg.xyz == 0)
+        assert np.all(vcg.leads == 0)
 
     @pytest.mark.parametrize("lead", KORS_INPUT_LEADS)
     def test_unit_impulse_recovers_column(self, lead):
         vcg = kors_transform(impulse_beat(lead))
         col = KORS_INPUT_LEADS.index(lead)
-        assert np.all(vcg.xyz == KORS_MATRIX[:, col, None])
+        assert np.all(vcg.leads == KORS_MATRIX[:, col, None])
 
     def test_derived_limb_leads_are_ignored(self, rng):
         matrix = rng.normal(size=(12, 50))
@@ -65,8 +65,8 @@ class TestKorsTransform:
             altered[LEAD_NAMES.index(name)] = rng.normal(size=50)
         a = kors_transform(median_beat_from(matrix))
         b = kors_transform(median_beat_from(altered))
-        np.testing.assert_array_equal(a.xyz[0], b.xyz[0])
-        np.testing.assert_array_equal(a.xyz[2], b.xyz[2])
+        np.testing.assert_array_equal(a.leads[0], b.leads[0])
+        np.testing.assert_array_equal(a.leads[2], b.leads[2])
 
     @settings(max_examples=40, deadline=None)
     @given(a=st.floats(-20, 20), b=st.floats(-20, 20), seed=st.integers(0, 2**31))
@@ -77,8 +77,8 @@ class TestKorsTransform:
         vb = kors_transform(median_beat_from(mb))
         vc = kors_transform(median_beat_from(a * ma + b * mb))
         for axis in range(3):
-            lhs = vc.xyz[axis]
-            rhs = a * va.xyz[axis] + b * vb.xyz[axis]
+            lhs = vc.leads[axis]
+            rhs = a * va.leads[axis] + b * vb.leads[axis]
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_time_shift_equivariance(self, rng):
@@ -86,14 +86,15 @@ class TestKorsTransform:
         shifted = np.roll(matrix, 7, axis=1)
         a = kors_transform(median_beat_from(matrix))
         b = kors_transform(median_beat_from(shifted))
-        np.testing.assert_allclose(np.roll(a.xyz[0], 7), b.xyz[0], rtol=1e-12)
-        np.testing.assert_allclose(np.roll(a.xyz[1], 7), b.xyz[1], rtol=1e-12)
+        np.testing.assert_allclose(np.roll(a.leads[0], 7), b.leads[0], rtol=1e-12)
+        np.testing.assert_allclose(np.roll(a.leads[1], 7), b.leads[1], rtol=1e-12)
 
     def test_fiducials_and_length_preserved(self, rng):
         beat = median_beat_from(rng.normal(size=(12, 44)))
         vcg = kors_transform(beat)
         assert vcg.n_samples == 44
         assert vcg.fiducials is beat.fiducials
+        assert (vcg.sampling_rate_hz, vcg.rr_ms) == (beat.sampling_rate_hz, beat.rr_ms)
 
 
 class TestBaselineCorrect:
