@@ -512,8 +512,6 @@ TABLE_ONE_VARIABLES = (
 
 
 def _categorical_p(neg, pos) -> float | None:
-    if not neg or not pos:
-        return None
     table = np.array([
         [sum(1 for v in neg if v == 1.0), sum(1 for v in neg if v == 0.0)],
         [sum(1 for v in pos if v == 1.0), sum(1 for v in pos if v == 0.0)],

@@ -16,7 +16,6 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -212,25 +211,13 @@ def pr_aucpr(labels, scores):
     return points, aucpr
 
 
-class Confusion(NamedTuple):
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-
-@dataclass(frozen=True)
-class ThresholdChoice:
-    threshold: float
-    orientation: str  # ">=" predicts positive at or above, "<=" at or below
-    sensitivity: float
-    specificity: float
-    confusion: Confusion
-
-
-def choose_threshold(labels, scores, min_sens: float = 0.90) -> ThresholdChoice:
+def choose_threshold(labels, scores, min_sens: float = 0.90) -> tuple[dict, dict, dict]:
     """Most specific threshold whose sensitivity is at least min_sens; ties on
     specificity go to the higher sensitivity.
+
+    Returns three eval-report/1 sections: threshold {value, orientation}, where
+    ">=" predicts positive at or above value and "<=" at or below it; the rates
+    {sensitivity, specificity}, tp / pos and tn / neg; and confusion {tp, fp, fn, tn}.
 
     Scores are a floor (">=") when AUC >= 0.5 and a ceiling otherwise, decided
     in integers: AUC >= 0.5 iff 2U >= pos * neg.
@@ -254,20 +241,18 @@ def choose_threshold(labels, scores, min_sens: float = 0.90) -> ThresholdChoice:
 
     first = int(np.argmax(tp / pos >= min_sens))
     k = int(np.searchsorted(fp, fp[first], "right")) - 1
-    threshold, tp_k, fp_k = float(thresholds[k]), int(tp[k]), int(fp[k])
-    confusion = Confusion(tp=tp_k, fp=fp_k, fn=pos - tp_k, tn=neg - fp_k)
-    return ThresholdChoice(
-        threshold=threshold,
-        orientation=orientation,
-        sensitivity=tp_k / pos,
-        specificity=(neg - fp_k) / neg,
-        confusion=confusion,
+    tp_k, fp_k = int(tp[k]), int(fp[k])
+    return (
+        {"value": float(thresholds[k]), "orientation": orientation},
+        {"sensitivity": tp_k / pos, "specificity": (neg - fp_k) / neg},
+        {"tp": tp_k, "fp": fp_k, "fn": pos - tp_k, "tn": neg - fp_k},
     )
 
 
-def f2(confusion: Confusion) -> float:
-    """Recall-weighted F-measure (beta = 2): 5tp / (5tp + 4fn + fp), correctly rounded."""
-    tp, fp, fn, _ = confusion
+def f2(confusion: dict) -> float:
+    """Recall-weighted F-measure (beta = 2) of confusion counts {tp, fp, fn, tn}:
+    5tp / (5tp + 4fn + fp), correctly rounded."""
+    tp, fp, fn = confusion["tp"], confusion["fp"], confusion["fn"]
     if tp + fn == 0:
         raise NoPositives("F2 needs at least one actual positive")
     return 5 * tp / (5 * tp + 4 * fn + fp)
@@ -412,9 +397,10 @@ def evaluate_model(label: str, cohort, config: ExperimentConfig, split_plan: Spl
     training-row order.
 
     Returns the eval-report/1 document, ready for json.dumps (tuples are its
-    arrays): the model label; test-set metrics (auc, aucpr, f2, sensitivity,
-    specificity); the threshold chosen at the sensitivity floor and its
-    confusion counts; the selection and tuning sections just as
+    arrays): the model label; test-set metrics (auc, aucpr, f2 of the
+    confusion counts, and the sensitivity and specificity rates); the
+    threshold, rates and confusion sections just as choose_threshold returns
+    them at the sensitivity floor; the selection and tuning sections just as
     train_representative and cv_tune return them; the representative's gain
     importance; train/test sizes and dropped ids; the master seed; the config
     hash; and the ROC and PR points.
@@ -437,20 +423,14 @@ def evaluate_model(label: str, cohort, config: ExperimentConfig, split_plan: Spl
     scores = model.predict(test_m.X)
     roc_points, auc = roc_auc(test_m.y, scores)
     pr_points, aucpr = pr_aucpr(test_m.y, scores)
-    choice = choose_threshold(test_m.y, scores)
+    threshold, rates, confusion = choose_threshold(test_m.y, scores)
 
     return {
         "format": "eval-report/1",
         "model": label,
-        "metrics": {
-            "auc": auc,
-            "aucpr": aucpr,
-            "f2": f2(choice.confusion),
-            "sensitivity": choice.sensitivity,
-            "specificity": choice.specificity,
-        },
-        "threshold": {"value": choice.threshold, "orientation": choice.orientation},
-        "confusion": choice.confusion._asdict(),
+        "metrics": {"auc": auc, "aucpr": aucpr, "f2": f2(confusion), **rates},
+        "threshold": threshold,
+        "confusion": confusion,
         "selection": selection,
         "tuning": tuning,
         "importance": importance_gain(model),

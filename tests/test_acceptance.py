@@ -23,7 +23,6 @@ from ecgtriage.ecg_ingest import Beat, Wave, round_half_up
 from ecgtriage.gbt import Booster, TrainConfig, fit, importance_gain
 from ecgtriage.geh import compute_geh, spatial_angle, SpatialVector
 from ecgtriage.pipeline import (
-    Confusion,
     ExperimentConfig,
     choose_threshold,
     evaluate_model,
@@ -247,9 +246,9 @@ def test_criterion_05_threshold_rule(rng):
         for _ in range(3):
             y = np.r_[np.ones(p_count), np.zeros(50)].astype(int)
             s = rng.integers(0, 12, size=len(y)).astype(float) / 11.0
-            choice = choose_threshold(y, s, min_sens=0.90)
-            k = choice.confusion.tp
-            assert choice.sensitivity == k / p_count
+            _, rates, confusion = choose_threshold(y, s, min_sens=0.90)
+            k = confusion["tp"]
+            assert rates["sensitivity"] == k / p_count
             assert k >= math.ceil(0.9 * p_count)
 
     # 17 positives: the minimal compliant sensitivity is 16/17 = 94.12%
@@ -257,9 +256,9 @@ def test_criterion_05_threshold_rule(rng):
     pos[0] = 0.05
     neg = np.linspace(0.1, 0.55, 60)
     y = np.r_[np.ones(17), np.zeros(60)].astype(int)
-    choice = choose_threshold(y, np.r_[pos, neg], min_sens=0.90)
-    assert choice.sensitivity == 16 / 17
-    assert f"{100 * choice.sensitivity:.2f}" == "94.12"
+    _, rates, _ = choose_threshold(y, np.r_[pos, neg], min_sens=0.90)
+    assert rates["sensitivity"] == 16 / 17
+    assert f"{100 * rates['sensitivity']:.2f}" == "94.12"
     report("5 PASS: sensitivity floor reached as k/P for P in 5..40; "
            "P=17 gives 16/17 = 94.12%")
 
@@ -272,10 +271,10 @@ def test_criterion_06_f2_identities(rng):
         precision = tp / (tp + fp)
         recall = tp / (tp + fn)
         expected = 5 * precision * recall / (4 * precision + recall)
-        got = f2(Confusion(tp=tp, fp=fp, fn=fn, tn=tn))
+        got = f2(dict(tp=tp, fp=fp, fn=fn, tn=tn))
         worst = max(worst, abs(got - expected))
         assert abs(got - expected) <= 1e-12
-    workbook = f2(Confusion(tp=16, fp=45, fn=1, tn=20))
+    workbook = f2(dict(tp=16, fp=45, fn=1, tn=20))
     assert abs(workbook - 0.6202) <= 1e-4
     report(f"6 PASS: F2 formula on 1000 confusions (max dev {worst:.1e}); "
            f"worked example {workbook:.4f}")

@@ -112,6 +112,18 @@ class TestLoadCohort:
         assert str(info.value) == "sex must be F or M, got 'X' (row 1)"
         assert (info.value.row, info.value.column) == (1, None)
 
+    # a record's own check names the row; an id or a required cell names its column too
+    @pytest.mark.parametrize("cells, message", [
+        ({"bmi": "0"}, "bmi must be positive, got 0.0 (row 1)"),
+        ({"id": ""}, "empty id (row 1, column id)"),
+        ({"age_years": ""}, "required cell is empty (row 1, column age_years)"),
+    ])
+    def test_bad_cell_names_row(self, tmp_path, cells, message):
+        self.write_one_row(tmp_path / "c.csv", **cells)
+        with pytest.raises(SchemaError) as info:
+            load_cohort(tmp_path / "c.csv")
+        assert str(info.value) == message
+
     # an id names trace files and keys a line of extract_log.txt
     @pytest.mark.parametrize("pid", ["p0001\tok\tforged\np9999", "../p0001", "a/b", "a\\b",
                                      ".", "..", "p\x00", "p\x7f", "p\x85",
@@ -299,6 +311,12 @@ class TestChiSquare:
     def test_degenerate(self):
         with pytest.raises(DegenerateTable):
             chi_square_2x2([[0, 0], [1, 2]])
+
+
+@pytest.mark.parametrize("test", [chi_square_2x2, fisher_exact_2x2])
+def test_table_that_is_not_2x2_is_degenerate(test):
+    with pytest.raises(DegenerateTable, match="need a 2x2 table"):
+        test([[1, 2], [3, 4], [5, 6]])
 
 
 class TestFisherWelch:

@@ -87,6 +87,11 @@ class TestParseEcg:
         with pytest.raises(LengthMismatch):
             EcgRecord(leads=np.zeros(shape), sampling_rate_hz=240.0)
 
+    def test_low_sampling_rate_record_rejected(self):
+        # parse_ecg refuses such a header first; a record built directly is checked too
+        with pytest.raises(BadHeader, match="below"):
+            EcgRecord(leads=np.zeros((12, 10)), sampling_rate_hz=50.0)
+
     # a second line names the columns only when it holds a lead name: a first
     # sample with an empty cell, or a line of other names, is a bad row 0
     @pytest.mark.parametrize("second", ["1,,1,1,1,1,1,1,1,1,1,1", ",".join(f"c{k}" for k in range(12))])
@@ -253,6 +258,7 @@ class TestParseEcg:
     @pytest.mark.parametrize("header, names, error", [
         ("sample_rate_hz=240", ",".join(LEAD_NAMES), BadHeader),
         (HEAD.strip(), ",".join(LEAD_NAMES[:-1]) + ",V7", MissingLead),
+        (HEAD.strip(), ",".join(LEAD_NAMES) + ",V7", BadHeader),  # the 12 leads and a 13th name
     ])
     def test_head_is_checked_before_rows(self, tmp_path, header, names, error):
         rows = [",".join(["1.000"] * 12)] * 1000 + [",".join(["1.000"] * 11)]
@@ -351,6 +357,21 @@ class TestParseFiducials:
                 "t": {"onset": 130, "peak": 155, "offset": 180}}
         (tmp_path / "f.json").write_text(json.dumps({"beats": [beat] * 3}))
         with pytest.raises(SchemaError):
+            parse_fiducials(tmp_path / "f.json")
+
+    @pytest.mark.parametrize("first, message", [
+        ({"p": {"onset": 40, "peak": 50, "offset": 91}}, "P wave overlaps QRS"),
+        ({"qrs": {"onset": 90, "peak": 100, "offset": 131}}, "QRS overlaps T wave"),
+        ([70, 90, 130], "beat 0 is not an object"),
+    ])
+    def test_malformed_first_beat_rejected(self, tmp_path, first, message):
+        beats = [{"baseline": c - 30, "p": None,
+                  "qrs": {"onset": c - 10, "peak": c, "offset": c + 12},
+                  "t": {"onset": c + 30, "peak": c + 55, "offset": c + 80}}
+                 for c in (100, 300, 500)]
+        beats[0] = {**beats[0], **first} if isinstance(first, dict) else first
+        (tmp_path / "f.json").write_text(json.dumps({"beats": beats}))
+        with pytest.raises(SchemaError, match=message):
             parse_fiducials(tmp_path / "f.json")
 
     @pytest.mark.parametrize("bad", [20.9, 20.0, True, "20"])

@@ -105,6 +105,15 @@ class TestFit:
         with pytest.raises(EmptyMatrix):
             fit(np.zeros((0, 2)), np.zeros(0), config())
 
+    @pytest.mark.parametrize("y, names, error, message", [
+        ([0] * 4 + [1] * 3, None, WidthMismatch, "8 rows but 7 labels"),
+        ([0] * 4 + [2] * 4, None, SchemaError, "labels must be 0/1"),
+        ([0] * 4 + [1] * 4, ("a", "b"), WidthMismatch, "feature name manifest"),
+    ])
+    def test_malformed_training_input_is_refused(self, y, names, error, message):
+        with pytest.raises(error, match=message):
+            fit(np.arange(8.0)[:, None], np.array(y), config(), feature_names=names)
+
     def test_gain_formula_on_toy_node(self):
         # single feature, 12 rows; evaluate the documented gain expression by hand
         X = np.arange(1.0, 13.0)[:, None]

@@ -299,3 +299,8 @@ def test_vector_magnitude_integral_matches_loop(rng):
     mags = [math.sqrt(x[i] ** 2 + y[i] ** 2 + z[i] ** 2) for i in range(10, 50)]
     assert vector_magnitude_integral(v, 10, 49) == pytest.approx(
         trapezoid_ref(mags, dt), rel=1e-12)
+
+
+def test_adding_vectors_of_different_kinds_is_refused():
+    with pytest.raises(ValueError, match="different kinds"):
+        vec(1, 2, 3, "peak") + vec(1, 2, 3, "area")

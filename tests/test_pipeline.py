@@ -32,7 +32,6 @@ from ecgtriage.geh import GehMeasures
 from ecgtriage.pipeline import (
     STREAM_HOLDOUT,
     STREAM_INSTANCE,
-    Confusion,
     ExperimentConfig,
     _tie_grouped_counts,
     _two_u,
@@ -319,16 +318,16 @@ class TestChooseThreshold:
         neg_scores = np.linspace(0.1, 0.55, 60)
         y = np.r_[np.ones(17), np.zeros(60)].astype(int)
         s = np.r_[pos_scores, neg_scores]
-        choice = choose_threshold(y, s, min_sens=0.90)
-        assert choice.sensitivity == pytest.approx(16 / 17)
-        assert f"{100 * choice.sensitivity:.2f}" == "94.12"
-        assert choice.confusion.tp == 16 and choice.confusion.fn == 1
+        _, rates, confusion = choose_threshold(y, s, min_sens=0.90)
+        assert rates["sensitivity"] == pytest.approx(16 / 17)
+        assert f"{100 * rates['sensitivity']:.2f}" == "94.12"
+        assert confusion["tp"] == 16 and confusion["fn"] == 1
 
     def test_perfect_separation(self):
         y = [0] * 5 + [1] * 5
         s = [0.1, 0.2, 0.3, 0.35, 0.4, 0.6, 0.7, 0.8, 0.9, 1.0]
-        choice = choose_threshold(y, s)
-        assert choice.sensitivity == 1.0 and choice.specificity == 1.0
+        _, rates, _ = choose_threshold(y, s)
+        assert rates["sensitivity"] == 1.0 and rates["specificity"] == 1.0
 
     @pytest.mark.parametrize("min_sens", [0.0, 0.5, 0.9, 1.0])
     def test_matches_scan_oracle(self, rng, min_sens):
@@ -338,24 +337,24 @@ class TestChooseThreshold:
         # the orientation, which is decided on 2U in integers
         cases.append((np.array([1, 1, 1, 0, 0]), np.array([1, 0, 2, 2, 0]) / 3))
         for y, s in cases:
-            choice = choose_threshold(y, s, min_sens=min_sens)
-            assert (choice.threshold, choice.orientation, choice.sensitivity,
-                    choice.specificity) == threshold_scan(y.tolist(), s.tolist(), min_sens)
+            threshold, rates, _ = choose_threshold(y, s, min_sens=min_sens)
+            assert (threshold["value"], threshold["orientation"], rates["sensitivity"],
+                    rates["specificity"]) == threshold_scan(y.tolist(), s.tolist(), min_sens)
 
     def test_confusion_reproduces_rates(self, rng):
         y = rng.integers(0, 2, size=40)
         y[:2] = [0, 1]
         s = rng.normal(size=40)
-        c = choose_threshold(y, s)
-        assert c.sensitivity == c.confusion.tp / (c.confusion.tp + c.confusion.fn)
-        assert c.specificity == c.confusion.tn / (c.confusion.tn + c.confusion.fp)
+        _, rates, c = choose_threshold(y, s)
+        assert rates["sensitivity"] == c["tp"] / (c["tp"] + c["fn"])
+        assert rates["specificity"] == c["tn"] / (c["tn"] + c["fp"])
 
     def test_inverted_scores_flip_orientation(self):
         y = [0] * 10 + [1] * 10
         s = [float(10 + i) for i in range(10)] + [float(i) for i in range(10)]
-        choice = choose_threshold(y, s)
-        assert choice.orientation == "<="
-        assert choice.sensitivity >= 0.9
+        threshold, rates, _ = choose_threshold(y, s)
+        assert threshold["orientation"] == "<="
+        assert rates["sensitivity"] >= 0.9
 
     @pytest.mark.parametrize("min_sens", [1.5, float("nan"), -0.1])
     def test_floor_outside_unit_interval_is_refused(self, min_sens):
@@ -372,9 +371,9 @@ class TestChooseThreshold:
         for p_count in (5, 17, 23):
             y = np.r_[np.ones(p_count), np.zeros(30)].astype(int)
             s = rng.normal(size=len(y))
-            c = choose_threshold(y, s, min_sens=0.9)
-            k = round(c.sensitivity * p_count)
-            assert k / p_count == pytest.approx(c.sensitivity)
+            _, rates, _ = choose_threshold(y, s, min_sens=0.9)
+            k = round(rates["sensitivity"] * p_count)
+            assert k / p_count == pytest.approx(rates["sensitivity"])
             assert k >= np.ceil(0.9 * p_count)
 
 
@@ -400,20 +399,20 @@ class TestBinaryInputs:
 
 class TestF2:
     def test_perfect(self):
-        assert f2(Confusion(tp=10, fp=0, fn=0, tn=10)) == 1.0
+        assert f2(dict(tp=10, fp=0, fn=0, tn=10)) == 1.0
 
     def test_half_precision_full_recall(self):
-        assert f2(Confusion(tp=10, fp=10, fn=0, tn=0)) == pytest.approx(2.5 / 3.0)
+        assert f2(dict(tp=10, fp=10, fn=0, tn=0)) == pytest.approx(2.5 / 3.0)
 
     def test_worked_example(self):
-        assert f2(Confusion(tp=16, fp=45, fn=1, tn=20)) == pytest.approx(0.6202, abs=1e-4)
+        assert f2(dict(tp=16, fp=45, fn=1, tn=20)) == pytest.approx(0.6202, abs=1e-4)
 
     def test_zero_tp(self):
-        assert f2(Confusion(tp=0, fp=3, fn=5, tn=2)) == 0.0
+        assert f2(dict(tp=0, fp=3, fn=5, tn=2)) == 0.0
 
     def test_no_positives(self):
         with pytest.raises(NoPositives):
-            f2(Confusion(tp=0, fp=1, fn=0, tn=1))
+            f2(dict(tp=0, fp=1, fn=0, tn=1))
 
     @settings(max_examples=60, deadline=None)
     @given(tp=st.integers(1, 50), fp=st.integers(0, 50),
@@ -422,7 +421,7 @@ class TestF2:
         precision = tp / (tp + fp)
         recall = tp / (tp + fn)
         expected = 5 * precision * recall / (4 * precision + recall)
-        assert f2(Confusion(tp, fp, fn, tn)) == pytest.approx(expected, rel=1e-12)
+        assert f2(dict(tp=tp, fp=fp, fn=fn, tn=tn)) == pytest.approx(expected, rel=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(tp=st.integers(0, 500), fp=st.integers(0, 500),
@@ -430,7 +429,7 @@ class TestF2:
     def test_correctly_rounded_ratio(self, tp, fp, fn, tn):
         if tp + fn == 0:
             return
-        assert f2(Confusion(tp, fp, fn, tn)) == float(Fraction(5 * tp, 5 * tp + 4 * fn + fp))
+        assert f2(dict(tp=tp, fp=fp, fn=fn, tn=tn)) == float(Fraction(5 * tp, 5 * tp + 4 * fn + fp))
 
 
 class TestCvTune:
@@ -628,6 +627,13 @@ class TestEvaluateModel:
         cohort = toy_cohort(60, 18, seed=14)
         with pytest.raises(SchemaError, match="unknown model label 'X'"):
             evaluate_model("X", cohort, FAST, split(cohort, FAST.master_seed))
+
+    def test_spec_that_drops_every_positive_is_refused(self):
+        cohort = toy_cohort(60, 18, seed=14)
+        plan = split(cohort, FAST.master_seed)
+        cohort = [dataclasses.replace(r, geh=None) if r.label else r for r in cohort]
+        with pytest.raises(SingleClass, match="train part lost a class after feature drops"):
+            evaluate_model("G", cohort, FAST, plan)
 
     def test_deterministic_report(self):
         cohort = toy_cohort(60, 18, seed=14)
