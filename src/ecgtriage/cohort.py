@@ -27,7 +27,6 @@ import re
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -257,11 +256,6 @@ def assemble_features(cohort, label: str) -> FeatureMatrix:
 
 # --- hypothesis tests -------------------------------------------------------
 
-class MannWhitneyResult(NamedTuple):
-    u: float
-    p: float
-
-
 def _tie_grouped_counts(y, s):
     """Cumulative TP/FP at each distinct score, descending; ties grouped."""
     order = np.argsort(-s, kind="stable")
@@ -280,8 +274,9 @@ def _two_u(tp, fp) -> int:
     return int((np.diff(fp, prepend=0) * (tp + np.r_[0, tp[:-1]])).sum())
 
 
-def mann_whitney(group_a, group_b) -> MannWhitneyResult:
-    """Rank-sum test. U counts pairs where a beats b, ties worth one half.
+def mann_whitney(group_a, group_b) -> tuple[float, float]:
+    """Rank-sum test: (U, two-sided p). U counts pairs where a beats b, ties
+    worth one half.
 
     Two-sided p: exact enumeration of group assignments when the pooled size
     is at most 16, otherwise the normal approximation with tie correction
@@ -316,14 +311,14 @@ def mann_whitney(group_a, group_b) -> MannWhitneyResult:
             total += 1
             if abs(two_u_perm - n1 * n2) >= observed_dev:
                 extreme += 1
-        return MannWhitneyResult(u, extreme / total)
+        return u, extreme / total
 
     tie_term = float(np.sum(ties ** 3 - ties))
     variance = (n1 * n2 / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
     if variance <= 0:
-        return MannWhitneyResult(u, 1.0)
+        return u, 1.0
     z = (u - n1 * n2 / 2.0) / math.sqrt(variance)
-    return MannWhitneyResult(u, math.erfc(abs(z) / math.sqrt(2.0)))
+    return u, math.erfc(abs(z) / math.sqrt(2.0))
 
 
 def chi_square_2x2(table) -> tuple[float, float]:
@@ -476,38 +471,32 @@ def _mean_sd(values) -> str:
         return f"{np.ldexp(w.mean(), e):.1f} ({sd:.1f})"
 
 
-class _Variable(NamedTuple):
-    name: str
-    section: str
-    column: str
-    kind: str  # a key of _KINDS
-
-
+# one row per variable: (name, section, column, kind); kind is a key of _KINDS
 TABLE_ONE_VARIABLES = (
-    _Variable("Sex = F", "Demographics", "sex_f", "categorical"),
-    _Variable("Age, y", "Demographics", "age_years", "median_iqr"),
-    _Variable("BMI, kg/m2", "Demographics", "bmi", "median_iqr"),
-    _Variable("Previous cardiac surgery", "Risk factors", "prev_cs", "categorical"),
-    _Variable("Previous MI", "Risk factors", "prev_mi", "categorical"),
-    _Variable("Previous PCI", "Risk factors", "prev_pci", "categorical"),
-    _Variable("Previous stroke", "Risk factors", "prev_stroke", "categorical"),
-    _Variable("Hypertension", "Risk factors", "htn", "categorical"),
-    _Variable("Diabetes", "Risk factors", "dm", "categorical"),
-    _Variable("P-wave interval, ms", "Standard ECG parameters", "p_dur_ms", "median_iqr"),
-    _Variable("PR segment interval, ms", "Standard ECG parameters", "pr_ms", "median_iqr"),
-    _Variable("QRS interval, ms", "Standard ECG parameters", "qrs_ms", "median_iqr"),
-    _Variable("QT interval, ms", "Standard ECG parameters", "qt_ms", "median_iqr"),
-    _Variable("Corrected QTi, ms", "Standard ECG parameters", "qtc_ms", "mean_sd"),
-    _Variable("RR interval, ms", "Standard ECG parameters", "rr_ms", "median_iqr"),
-    _Variable("Peak QRST angle, deg", "GEH parameters", "peak_qrst_angle_deg", "median_iqr"),
-    _Variable("Area QRST angle, deg", "GEH parameters", "area_qrst_angle_deg", "median_iqr"),
-    _Variable("Peak SVG azimuth, deg", "GEH parameters", "peak_svg_azimuth_deg", "median_iqr"),
-    _Variable("Area SVG azimuth, deg", "GEH parameters", "area_svg_azimuth_deg", "median_iqr"),
-    _Variable("Peak SVG elevation, deg", "GEH parameters", "peak_svg_elevation_deg", "median_iqr"),
-    _Variable("Area SVG elevation, deg", "GEH parameters", "area_svg_elevation_deg", "median_iqr"),
-    _Variable("Peak SVG, mV", "GEH parameters", "peak_svg_mv", "median_iqr"),
-    _Variable("VmQTI, mV*ms", "GEH parameters", "vm_qti_mvms", "median_iqr"),
-    _Variable("SVG, mV*ms", "GEH parameters", "svg_mvms", "median_iqr"),
+    ("Sex = F", "Demographics", "sex_f", "categorical"),
+    ("Age, y", "Demographics", "age_years", "median_iqr"),
+    ("BMI, kg/m2", "Demographics", "bmi", "median_iqr"),
+    ("Previous cardiac surgery", "Risk factors", "prev_cs", "categorical"),
+    ("Previous MI", "Risk factors", "prev_mi", "categorical"),
+    ("Previous PCI", "Risk factors", "prev_pci", "categorical"),
+    ("Previous stroke", "Risk factors", "prev_stroke", "categorical"),
+    ("Hypertension", "Risk factors", "htn", "categorical"),
+    ("Diabetes", "Risk factors", "dm", "categorical"),
+    ("P-wave interval, ms", "Standard ECG parameters", "p_dur_ms", "median_iqr"),
+    ("PR segment interval, ms", "Standard ECG parameters", "pr_ms", "median_iqr"),
+    ("QRS interval, ms", "Standard ECG parameters", "qrs_ms", "median_iqr"),
+    ("QT interval, ms", "Standard ECG parameters", "qt_ms", "median_iqr"),
+    ("Corrected QTi, ms", "Standard ECG parameters", "qtc_ms", "mean_sd"),
+    ("RR interval, ms", "Standard ECG parameters", "rr_ms", "median_iqr"),
+    ("Peak QRST angle, deg", "GEH parameters", "peak_qrst_angle_deg", "median_iqr"),
+    ("Area QRST angle, deg", "GEH parameters", "area_qrst_angle_deg", "median_iqr"),
+    ("Peak SVG azimuth, deg", "GEH parameters", "peak_svg_azimuth_deg", "median_iqr"),
+    ("Area SVG azimuth, deg", "GEH parameters", "area_svg_azimuth_deg", "median_iqr"),
+    ("Peak SVG elevation, deg", "GEH parameters", "peak_svg_elevation_deg", "median_iqr"),
+    ("Area SVG elevation, deg", "GEH parameters", "area_svg_elevation_deg", "median_iqr"),
+    ("Peak SVG, mV", "GEH parameters", "peak_svg_mv", "median_iqr"),
+    ("VmQTI, mV*ms", "GEH parameters", "vm_qti_mvms", "median_iqr"),
+    ("SVG, mV*ms", "GEH parameters", "svg_mvms", "median_iqr"),
 )
 
 
@@ -543,7 +532,7 @@ def _welch_p(neg, pos) -> float | None:
 # mann_whitney up when it is called, so a substitute set on the module is used
 _KINDS = {
     "categorical": (_share, _categorical_p),
-    "median_iqr": (_median_iqr, lambda neg, pos: mann_whitney(neg, pos).p),
+    "median_iqr": (_median_iqr, lambda neg, pos: mann_whitney(neg, pos)[1]),
     "mean_sd": (_mean_sd, _welch_p),
 }
 
@@ -560,12 +549,12 @@ def summarize_table_one(cohort) -> dict:
               "positive": [r for r in cohort if r.label == 1]}
     rows = [{"variable": "N", "section": "", **{key: str(len(g)) for key, g in groups.items()},
              "p_value": ""}]
-    for var in TABLE_ONE_VARIABLES:
-        summary, test = _KINDS[var.kind]
-        values = {key: [v for v in (r.feature_value(var.column) for r in g) if v is not None]
+    for name, section, column, kind in TABLE_ONE_VARIABLES:
+        summary, test = _KINDS[kind]
+        values = {key: [v for v in (r.feature_value(column) for r in g) if v is not None]
                   for key, g in groups.items()}
         neg, pos = values["negative"], values["positive"]
-        rows.append({"variable": var.name, "section": var.section,
+        rows.append({"variable": name, "section": section,
                      **{key: summary(v) if v else "NA" for key, v in values.items()},
                      "p_value": _format_p(test(neg, pos) if neg and pos else None)})
 

@@ -27,7 +27,7 @@ one. The check only picks the lines: one kernel call then reads every body.
 
 Annotation file format: JSON document with an array ``beats``; each beat carries
 an integer ``baseline`` sample plus ``p``/``qrs``/``t`` objects with integer
-``onset``/``peak``/``offset`` (``p`` may be null).
+``onset``/``peak``/``offset`` (``p`` may be null or left out).
 """
 
 from __future__ import annotations

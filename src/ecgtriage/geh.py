@@ -4,6 +4,9 @@ Nine outputs: peak and area QRS-T angles, peak and area gradient-vector azimuth
 and elevation, peak gradient magnitude (mV), QT vector-magnitude integral and
 gradient-area magnitude (both mV*ms).
 
+A vector is an (x, y, z) tuple of Python floats: in mV for a peak vector (one
+sample of the beat), in mV*ms for an area vector (an integral over a window).
+
 Axis convention: x points left, y points inferior, z points posterior. Azimuth
 is measured in the transverse x-z plane from +x toward +z, atan2(z, x);
 elevation is measured down from the +y axis.
@@ -13,37 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .ecg_ingest import MedianBeat
 from .errors import EmptyWindow, ZeroVector
-
-
-@dataclass(frozen=True)
-class SpatialVector:
-    """A 3-vector in mV (kind='peak') or mV*ms (kind='area')."""
-
-    x: float
-    y: float
-    z: float
-    kind: str
-
-    @property
-    def magnitude(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
-    def __add__(self, other: "SpatialVector") -> "SpatialVector":
-        if self.kind != other.kind:
-            raise ValueError("cannot add vectors of different kinds")
-        return SpatialVector(self.x + other.x, self.y + other.y, self.z + other.z, self.kind)
-
-
-class Direction(NamedTuple):
-    azimuth_deg: float
-    elevation_deg: float
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -67,7 +44,13 @@ def _window(beat: MedianBeat, onset: int, offset: int) -> np.ndarray:
     return beat.leads[:, onset:offset + 1]
 
 
-def peak_vector(beat: MedianBeat, onset: int, offset: int) -> SpatialVector:
+def magnitude(v) -> float:
+    """Euclidean length of v, summed in the order x, y, z."""
+    x, y, z = v
+    return math.sqrt(x * x + y * y + z * z)
+
+
+def peak_vector(beat: MedianBeat, onset: int, offset: int) -> tuple[float, float, float]:
     """Vector at the window sample with the largest instantaneous magnitude.
 
     Ties go to the earliest sample.
@@ -75,26 +58,27 @@ def peak_vector(beat: MedianBeat, onset: int, offset: int) -> SpatialVector:
     w = _window(beat, onset, offset)
     x, y, z = w
     i = int(np.argmax(x ** 2 + y ** 2 + z ** 2))
-    return SpatialVector(*map(float, w[:, i]), kind="peak")
+    return tuple(w[:, i].tolist())
 
 
-def area_vector(beat: MedianBeat, onset: int, offset: int) -> SpatialVector:
+def area_vector(beat: MedianBeat, onset: int, offset: int) -> tuple[float, float, float]:
     """Componentwise trapezoidal integral over the window, in mV*ms."""
     w = _window(beat, onset, offset)
-    return SpatialVector(*map(float, np.trapezoid(w, dx=1000.0 / beat.sampling_rate_hz, axis=1)),
-                         kind="area")
+    return tuple(np.trapezoid(w, dx=1000.0 / beat.sampling_rate_hz, axis=1).tolist())
 
 
-def _power_of_two_scaled(v: SpatialVector, which: str) -> tuple[float, float, float]:
+def _power_of_two_scaled(v, which: str) -> tuple[float, float, float]:
     """The components of v times the power of two that brings the largest into [0.5, 1)."""
-    if not (v.x or v.y or v.z):
+    x, y, z = v
+    if not (x or y or z):
         raise ZeroVector(which)
-    e = math.frexp(max(abs(v.x), abs(v.y), abs(v.z)))[1]
-    return math.ldexp(v.x, -e), math.ldexp(v.y, -e), math.ldexp(v.z, -e)
+    e = math.frexp(max(abs(x), abs(y), abs(z)))[1]
+    return math.ldexp(x, -e), math.ldexp(y, -e), math.ldexp(z, -e)
 
 
-def spatial_angle(u: SpatialVector, v: SpatialVector) -> float:
-    """Angle between two spatial vectors in degrees, range [0, 180].
+def spatial_angle(u, v, which: str = "spatial angle") -> float:
+    """Angle between two spatial vectors in degrees, range [0, 180]; a zero
+    vector raises ZeroVector(which).
 
     Taken as atan2(|u x v|, u . v): acos of the normalised dot product loses
     about 1e-6 degrees next to 0 and 180, where rounding moves the cosine by
@@ -103,8 +87,8 @@ def spatial_angle(u: SpatialVector, v: SpatialVector) -> float:
     components, so that vectors shorter than ~1e-154 or longer than ~1e154,
     whose products leave the float range, keep their angle.
     """
-    ux, uy, uz = _power_of_two_scaled(u, "first vector")
-    vx, vy, vz = _power_of_two_scaled(v, "second vector")
+    ux, uy, uz = _power_of_two_scaled(u, which)
+    vx, vy, vz = _power_of_two_scaled(v, which)
     cx = uy * vz - uz * vy
     cy = uz * vx - ux * vz
     cz = ux * vy - uy * vx
@@ -112,22 +96,25 @@ def spatial_angle(u: SpatialVector, v: SpatialVector) -> float:
     return math.degrees(math.atan2(math.hypot(cx, cy, cz), dot))
 
 
-def azimuth_elevation(v: SpatialVector) -> Direction:
-    """Direction angles: azimuth in (-180, 180], elevation in [0, 180].
+def azimuth_elevation(v, which: str = "direction") -> tuple[float, float, bool]:
+    """(azimuth, elevation, degenerate): azimuth in (-180, 180], elevation in
+    [0, 180], both in degrees; a zero vector raises ZeroVector(which).
 
     On the elevation axis itself the azimuth is undefined; it is reported as
     0.0 with the degenerate flag set instead of raising, so one pathological
     beat cannot abort a cohort run.
     """
-    if v.magnitude == 0.0:
-        raise ZeroVector("direction of zero vector")
-    elevation = math.degrees(math.acos(max(-1.0, min(1.0, v.y / v.magnitude))))
-    if v.x == 0.0 and v.z == 0.0:
-        return Direction(0.0, elevation, True)
-    azimuth = math.degrees(math.atan2(v.z, v.x))
+    x, y, z = v
+    m = magnitude(v)
+    if m == 0.0:
+        raise ZeroVector(which)
+    elevation = math.degrees(math.acos(max(-1.0, min(1.0, y / m))))
+    if x == 0.0 and z == 0.0:
+        return 0.0, elevation, True
+    azimuth = math.degrees(math.atan2(z, x))
     if azimuth <= -180.0:
         azimuth += 360.0
-    return Direction(azimuth, elevation, False)
+    return azimuth, elevation, False
 
 
 def vector_magnitude_integral(beat: MedianBeat, onset: int, offset: int) -> float:
@@ -153,34 +140,24 @@ def compute_geh(beat: MedianBeat) -> GehMeasures:
     qrs_area = area_vector(beat, f.qrs.onset, f.qrs.offset)
     t_area = area_vector(beat, f.qrs.offset, f.t.offset)
     svg_area = area_vector(beat, f.qrs.onset, f.t.offset)
-    svg_peak = qrs_peak + t_peak
+    svg_peak = (qrs_peak[0] + t_peak[0], qrs_peak[1] + t_peak[1], qrs_peak[2] + t_peak[2])
 
-    degenerate: list[str] = []
-
-    def named(which, fn, *args):
-        try:
-            return fn(*args)
-        except ZeroVector:
-            raise ZeroVector(which) from None
-
-    peak_angle = named("peak QRS-T angle", spatial_angle, qrs_peak, t_peak)
-    area_angle = named("area QRS-T angle", spatial_angle, qrs_area, t_area)
-    peak_dir = named("peak gradient direction", azimuth_elevation, svg_peak)
-    area_dir = named("area gradient direction", azimuth_elevation, svg_area)
-    if peak_dir.degenerate:
-        degenerate.append("peak_svg_azimuth_deg")
-    if area_dir.degenerate:
-        degenerate.append("area_svg_azimuth_deg")
+    # both angles before either direction: the first zero vector names the error
+    peak_angle = spatial_angle(qrs_peak, t_peak, "peak QRS-T angle")
+    area_angle = spatial_angle(qrs_area, t_area, "area QRS-T angle")
+    peak_azimuth, peak_elevation, peak_pole = azimuth_elevation(svg_peak, "peak gradient direction")
+    area_azimuth, area_elevation, area_pole = azimuth_elevation(svg_area, "area gradient direction")
 
     return GehMeasures(
         peak_qrst_angle_deg=peak_angle,
         area_qrst_angle_deg=area_angle,
-        peak_svg_azimuth_deg=peak_dir.azimuth_deg,
-        area_svg_azimuth_deg=area_dir.azimuth_deg,
-        peak_svg_elevation_deg=peak_dir.elevation_deg,
-        area_svg_elevation_deg=area_dir.elevation_deg,
-        peak_svg_mv=svg_peak.magnitude,
+        peak_svg_azimuth_deg=peak_azimuth,
+        area_svg_azimuth_deg=area_azimuth,
+        peak_svg_elevation_deg=peak_elevation,
+        area_svg_elevation_deg=area_elevation,
+        peak_svg_mv=magnitude(svg_peak),
         vm_qti_mvms=vector_magnitude_integral(beat, f.qrs.onset, f.t.offset),
-        svg_mvms=svg_area.magnitude,
-        degenerate=tuple(degenerate),
+        svg_mvms=magnitude(svg_area),
+        degenerate=tuple(name for name, pole in (("peak_svg_azimuth_deg", peak_pole),
+                                                 ("area_svg_azimuth_deg", area_pole)) if pole),
     )

@@ -95,16 +95,10 @@ class ExperimentConfig:
         return sha256(text.encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    train_ids: tuple[str, ...]
-    test_ids: tuple[str, ...]
-
-
-def split(cohort, seed: int, ratio: float = 0.7) -> SplitPlan:
-    """Random train/test split of patient ids, always stratified by outcome:
-    each class is split at the ratio, so the class ratio of each part stays
-    within one patient of the cohort's.
+def split(cohort, seed: int, ratio: float = 0.7) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Random train/test split of patient ids, (train_ids, test_ids) in cohort
+    order, always stratified by outcome: each class is split at the ratio, so
+    the class ratio of each part stays within one patient of the cohort's.
     """
     labels = np.asarray([r.label for r in cohort])
     if len(set(labels.tolist())) < 2:
@@ -113,8 +107,8 @@ def split(cohort, seed: int, ratio: float = 0.7) -> SplitPlan:
         raise TooSmall(f"split ratio {ratio} leaves an empty train or test part")
 
     train = _stratified_draw(labels, lambda n: round_half_up(ratio * n), seed, STREAM_SPLIT)
-    return SplitPlan(train_ids=tuple(r.id for r, t in zip(cohort, train) if t),
-                     test_ids=tuple(r.id for r, t in zip(cohort, train) if not t))
+    return (tuple(r.id for r, t in zip(cohort, train) if t),
+            tuple(r.id for r, t in zip(cohort, train) if not t))
 
 
 def _stratified_draw(labels, size, seed: int, stream: int) -> np.ndarray:
@@ -391,8 +385,9 @@ def train_representative(X_train, y_train, X_test, y_test, tc: TrainConfig,
 
 # --- full evaluation --------------------------------------------------------
 
-def evaluate_model(label: str, cohort, config: ExperimentConfig, split_plan: SplitPlan) -> dict:
-    """Full protocol for one model label ("S", "R", "G" or "SRG") over split_plan;
+def evaluate_model(label: str, cohort, config: ExperimentConfig, split_plan) -> dict:
+    """Full protocol for one model label ("S", "R", "G" or "SRG") over
+    split_plan, the (train_ids, test_ids) pair that split returns;
     bit-reproducible for a fixed config on one machine, and independent of
     training-row order.
 
@@ -406,8 +401,7 @@ def evaluate_model(label: str, cohort, config: ExperimentConfig, split_plan: Spl
     hash; and the ROC and PR points.
     """
     matrix = assemble_features(cohort, label)
-    train_m = matrix.rows_for(split_plan.train_ids)
-    test_m = matrix.rows_for(split_plan.test_ids)
+    train_m, test_m = (matrix.rows_for(ids) for ids in split_plan)
     for part, name in ((train_m, "train"), (test_m, "test")):
         if len(set(part.y.tolist())) < 2:
             raise SingleClass(f"{name} part lost a class after feature drops")

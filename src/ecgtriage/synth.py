@@ -159,15 +159,10 @@ def _rotate_from(u, angle_deg, rng):
     return math.cos(a) * u + math.sin(a) * w
 
 
-@dataclass(frozen=True)
-class _BeatShape:
-    """Per-patient beat template: bump (amp, width_ms, center_ms, direction)."""
-
-    bumps: tuple
-    landmarks_ms: dict
-
-
 def _draw_shape(cfg: SynthConfig, rng, positive: bool):
+    """One patient's beat template, (bumps, landmarks_ms, angle, scale): the P,
+    R, S and T bumps as (amp, width_ms, center_ms, direction), the fiducial
+    times in ms from the R peak, the injected QRS-T angle and the loop scale."""
     jit = lambda base, rel: base * float(np.exp(rng.normal(0.0, rel)))
     waves = BEAT_TEMPLATE["waves"]
     # the draw order fixes the cohort bytes: r, s, t, p amplitudes, then widths, then the angle
@@ -208,27 +203,23 @@ def _draw_shape(cfg: SynthConfig, rng, positive: bool):
         "qrs_on": qrs_on, "qrs_peak": 0.0, "qrs_off": qrs_off,
         "t_on": t_on, "t_peak": t_center, "t_off": t_off,
     }
-    return _BeatShape(bumps=bumps, landmarks_ms=landmarks), angle, scale
+    return bumps, landmarks, angle, scale
 
 
-def vcg_waveform(shape: _BeatShape, t_ms: np.ndarray) -> np.ndarray:
-    """Closed-form template evaluated at times (ms relative to the R peak) of any
-    shape; returns (3, *t_ms.shape). Each value is 0 + P + R + S + T, in that
-    order. A bump is evaluated at every time where its exp is not +0.0: no
-    window, since its far tails still move the last bits of a sum."""
-    v = np.zeros((3, *np.shape(t_ms)))
-    for amp, width, center, direction in shape.bumps:
+def _patient_vcg(bumps, t_axis_ms: np.ndarray, centers) -> np.ndarray:
+    """The record's VCG: every beat over the whole record, evaluated in one pass
+    on the (beats, samples) grid of times relative to each R peak. Each beat is
+    0 + P + R + S + T, in that order, and the record 0 + beat 1 + beat 2 + ...
+    in beat order. A bump is evaluated at every time where its exp is not +0.0:
+    no window, since its far tails still move the last bits of a sum."""
+    t_ms = t_axis_ms - t_axis_ms[centers, None]
+    beats = np.zeros((3, *t_ms.shape))
+    for amp, width, center, direction in bumps:
         z = -0.5 * ((t_ms - center) / width) ** 2
         bump = np.exp(z, out=np.zeros_like(z), where=z > _EXP_ZERO_BELOW)
-        v += np.multiply.outer(direction, amp * bump)
-    return v
-
-
-def _patient_vcg(shape: _BeatShape, t_axis_ms: np.ndarray, centers) -> np.ndarray:
-    """The record's VCG: every beat over the whole record, from one vcg_waveform
-    call on the (beats, samples) grid, summed 0 + beat 1 + beat 2 + ... in beat order."""
+        beats += np.multiply.outer(direction, amp * bump)
     v = np.zeros((3, len(t_axis_ms)))
-    for beat in vcg_waveform(shape, t_axis_ms - t_axis_ms[centers, None]).transpose(1, 0, 2):
+    for beat in beats.transpose(1, 0, 2):
         v += beat
     return v
 
@@ -324,7 +315,7 @@ def _write_patients(cfg: SynthConfig, out: Path, flags: np.ndarray, indices: ran
         pid = f"p{i + 1:04d}"
         positive = bool(flags[i])
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1, i)))
-        shape, angle, scale = _draw_shape(cfg, rng, positive)
+        bumps, landmarks_ms, angle, scale = _draw_shape(cfg, rng, positive)
 
         # beat centers on integer samples, spaced by a jittered RR interval that
         # never exceeds _MAX_RR_MS
@@ -336,7 +327,7 @@ def _write_patients(cfg: SynthConfig, out: Path, flags: np.ndarray, indices: ran
             c += min(rr_ms + float(rng.normal(0.0, 4.0)), _MAX_RR_MS)
 
         # rows in KORS_INPUT_LEADS order: I, II, V1..V6
-        leads8 = lead_matrix @ _patient_vcg(shape, t_axis_ms, centers)
+        leads8 = lead_matrix @ _patient_vcg(bumps, t_axis_ms, centers)
         I, II = leads8[:2]
         traces = np.vstack([I, II, II - I, -(I + II) / 2.0, I - II / 2.0, II - I / 2.0, leads8[2:]])
         if cfg.noise_sd_mv > 0:
@@ -347,7 +338,7 @@ def _write_patients(cfg: SynthConfig, out: Path, flags: np.ndarray, indices: ran
             fh.write(",".join(LEAD_NAMES) + "\n")
             write_trace_cells(fh, traces.T * 1000.0, work)
 
-        marks = {k: round_half_up(ms * fs / 1000.0) for k, ms in shape.landmarks_ms.items()}
+        marks = {k: round_half_up(ms * fs / 1000.0) for k, ms in landmarks_ms.items()}
         beats = []
         for center in centers:
             beats.append({

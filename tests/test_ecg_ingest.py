@@ -322,12 +322,14 @@ def test_non_finite_sample_is_the_first_by_lead_then_row(n, data):
 
 
 class TestParseFiducials:
-    def test_roundtrip(self, tmp_path):
+    # a beat without a P wave has "p": null or no "p" key at all
+    @pytest.mark.parametrize("no_p", [{"p": None}, {}])
+    def test_roundtrip(self, tmp_path, no_p):
         doc = {"beats": [
             {"baseline": 70, "p": {"onset": 40, "peak": 50, "offset": 60},
              "qrs": {"onset": 90, "peak": 100, "offset": 112},
              "t": {"onset": 130, "peak": 155, "offset": 180}},
-            {"baseline": 270, "p": None,
+            {"baseline": 270, **no_p,
              "qrs": {"onset": 290, "peak": 300, "offset": 312},
              "t": {"onset": 330, "peak": 355, "offset": 380}},
             {"baseline": 470, "p": {"onset": 440, "peak": 450, "offset": 460},

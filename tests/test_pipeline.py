@@ -86,20 +86,20 @@ FAST = ExperimentConfig(master_seed=9, eta_grid=(0.3,), k_folds=3, n_instances=4
 class TestSplit:
     def test_cohort_scale_counts(self):
         cohort = toy_cohort()
-        plan = split(cohort, seed=1)
-        train_pos = sum(1 for pid in plan.train_ids if pid >= "p0223")
-        test_pos = sum(1 for pid in plan.test_ids if pid >= "p0223")
-        assert len(plan.train_ids) + len(plan.test_ids) == 274
-        assert abs(len(plan.train_ids) - 0.7 * 274) <= 2
+        train_ids, test_ids = split(cohort, seed=1)
+        train_pos = sum(1 for pid in train_ids if pid >= "p0223")
+        test_pos = sum(1 for pid in test_ids if pid >= "p0223")
+        assert len(train_ids) + len(test_ids) == 274
+        assert abs(len(train_ids) - 0.7 * 274) <= 2
         assert abs(train_pos - 36) <= 1 and abs(test_pos - 15) <= 1
-        assert (len(plan.train_ids) - train_pos, train_pos) == (156, 36)
-        assert (len(plan.test_ids) - test_pos, test_pos) == (67, 15)
+        assert (len(train_ids) - train_pos, train_pos) == (156, 36)
+        assert (len(test_ids) - test_pos, test_pos) == (67, 15)
 
     def test_disjoint_and_exhaustive(self):
         cohort = toy_cohort(30, 10)
-        plan = split(cohort, seed=4)
-        assert set(plan.train_ids).isdisjoint(plan.test_ids)
-        assert set(plan.train_ids) | set(plan.test_ids) == {r.id for r in cohort}
+        train_ids, test_ids = split(cohort, seed=4)
+        assert set(train_ids).isdisjoint(test_ids)
+        assert set(train_ids) | set(test_ids) == {r.id for r in cohort}
 
     def test_deterministic(self):
         cohort = toy_cohort(30, 10)
@@ -116,9 +116,9 @@ class TestSplit:
 
     def test_class_of_two_splits_one_and_one(self):
         cohort = toy_cohort(30, 2)
-        plan = split(cohort, seed=1)
+        train_ids, test_ids = split(cohort, seed=1)
         positives = {r.id for r in cohort if r.label == 1}
-        assert len(positives & set(plan.train_ids)) == len(positives & set(plan.test_ids)) == 1
+        assert len(positives & set(train_ids)) == len(positives & set(test_ids)) == 1
 
     def test_class_of_one_is_too_small(self):
         with pytest.raises(TooSmall, match="class 1"):
@@ -651,7 +651,7 @@ class TestEvaluateModel:
         y[:2] = [0, 1]
         s = rng.integers(0, 6, size=25).astype(float)
         _, auc = roc_auc(y, s)
-        u = mann_whitney(s[y == 1], s[y == 0]).u
+        u, _ = mann_whitney(s[y == 1], s[y == 0])
         assert auc == pytest.approx(u / ((y == 1).sum() * (y == 0).sum()), abs=1e-12)
         assert 0.0 <= report["metrics"]["auc"] <= 1.0
 

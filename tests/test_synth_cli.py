@@ -144,11 +144,11 @@ class TestBeatSum:
             monkeypatch.setitem(synth.BEAT_TEMPLATE, "rr_ms", (rr_ms, synth.BEAT_TEMPLATE["rr_ms"][1]))
         patient_vcg = synth._patient_vcg
 
-        def checked(shape, t_axis_ms, centers):
+        def checked(bumps, t_axis_ms, centers):
             # in whichever process writes the patient; a failure ends generate
-            v = patient_vcg(shape, t_axis_ms, centers)
+            v = patient_vcg(bumps, t_axis_ms, centers)
             # tobytes: a -0.0 where the loop gives +0.0 counts as a difference
-            assert v.tobytes() == per_beat_vcg(shape.bumps, t_axis_ms, centers).tobytes()
+            assert v.tobytes() == per_beat_vcg(bumps, t_axis_ms, centers).tobytes()
             return v
 
         monkeypatch.setattr(synth, "_patient_vcg", counted(checked, tmp_path / "calls"))
@@ -158,14 +158,14 @@ class TestBeatSum:
     def test_underflowed_s_bump_sums_to_positive_zero(self):
         # away from its center a narrow S bump's exp underflows and each of its
         # terms is -0.0; the zero starts of the beat and of the record make it +0.0
-        shape, _, _ = synth._draw_shape(SynthConfig(), np.random.default_rng(3), False)
-        amp, _, center, direction = shape.bumps[2]
+        bumps, _, _, _ = synth._draw_shape(SynthConfig(), np.random.default_rng(3), False)
+        amp, _, center, direction = bumps[2]
         assert amp < 0
-        narrow_s = dataclasses.replace(shape, bumps=((amp, 0.5, center, np.abs(direction)),))
+        narrow_s = ((amp, 0.5, center, np.abs(direction)),)
         t_axis_ms = np.arange(1680) * 1000.0 / 240.0
         centers = [96, 305, 514, 723]
         v = synth._patient_vcg(narrow_s, t_axis_ms, centers)
-        assert v.tobytes() == per_beat_vcg(narrow_s.bumps, t_axis_ms, centers).tobytes()
+        assert v.tobytes() == per_beat_vcg(narrow_s, t_axis_ms, centers).tobytes()
         assert (v == 0).any() and not np.signbit(v[v == 0]).any()
 
 
@@ -851,10 +851,10 @@ class TestExtractCommand:
         fs = synth.SAMPLING_RATE_HZ
         for i, row in enumerate(rows):
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1, i)))
-            shape, _, _ = synth._draw_shape(cfg, rng, row["outcome"] == "positive")
+            bumps, landmarks_ms, _, _ = synth._draw_shape(cfg, rng, row["outcome"] == "positive")
             at = {k: round_half_up(ms * fs / 1000.0) * 1000.0 / fs
-                  for k, ms in shape.landmarks_ms.items()}
-            expected = dense_grid_geh(shape.bumps, at["qrs_on"], at["qrs_off"], at["t_off"],
+                  for k, ms in landmarks_ms.items()}
+            expected = dense_grid_geh(bumps, at["qrs_on"], at["qrs_off"], at["t_off"],
                                       baseline_ms=at["baseline"])
             for name in GEH_COLUMNS:
                 got, want = float(row[name]), expected[name]
